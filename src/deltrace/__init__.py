@@ -53,6 +53,7 @@ from .harness import (
     ConfigError,
     EstimateRow,
     ExperimentConfig,
+    ImplicationBreach,
     InfeasibleError,
     audit_implications,
     estimate_difficulty,

@@ -99,11 +99,28 @@ def _coerce_rng(rng) -> np.random.Generator:
     raise TypeError("rng must be a numpy Generator or an RngSpec")
 
 
-def _mask_matrix(n: int, p: float, T: int, rng: np.random.Generator) -> np.ndarray:
-    """T independent Bernoulli(p) deletion masks as a (T, n) bool array."""
+def _deleted(uniforms: np.ndarray, p: float) -> np.ndarray:
     if not 0 <= p <= 1:
         raise ValueError(f"deletion probability must be in [0, 1], got {p}")
-    return rng.random((T, n)) < p
+    return uniforms < p
+
+
+def _mask_matrix(n: int, p: float, T: int, rng: np.random.Generator) -> np.ndarray:
+    """T independent Bernoulli(p) deletion masks as a (T, n) bool array."""
+    return _deleted(rng.random((T, n)), p)
+
+
+def _mask_block(spec: RngSpec, first_trial: int, p: float, buf: np.ndarray) -> np.ndarray:
+    """Deletion masks of trials first_trial, first_trial + 1, ... as a (B, T, n)
+    bool array, one trial per slice of the (B, T, n) float buffer.
+
+    Trial i draws straight into its slice from spec.trial_rng(i), which yields
+    the same uniforms as rng.random((T, n)); every trial therefore sees the
+    masks that sample_traces(s, p, T, spec.trial_rng(i)) would give it.
+    """
+    for k in range(buf.shape[0]):
+        spec.trial_rng(first_trial + k).random(out=buf[k])
+    return _deleted(buf, p)
 
 
 def sample_mask(n: int, p: float, rng) -> DeletionMask:

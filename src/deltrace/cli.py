@@ -1,8 +1,15 @@
 """Command-line entry point.
 
 Subcommands pick the run mode; the JSON config supplies everything else,
-with --seed/--trials/--out as overrides.  Exit codes: 0 success, 2 config
-error, 3 infeasible request, 4 audit failure.
+with --seed/--trials/--out as overrides.  Every failure is one line on
+stderr, never a traceback.  Exit codes:
+
+    0  success
+    2  config error, including an output path that cannot be written
+    3  infeasible request: a brute-force or inclusion-exclusion cap, or one
+       trial's traces x n masks over the allocation cap
+    4  implication breach: audit found one, or montecarlo saw run coverage
+       hold on a trial whose reconstruction missed (the message names it)
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, ExperimentConfig, InfeasibleError, run_mode
+from .harness import ConfigError, ExperimentConfig, ImplicationBreach, InfeasibleError, run_mode
 
 __all__ = ["main"]
 
@@ -52,6 +59,9 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except ImplicationBreach as exc:
+        print(f"implication breach: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

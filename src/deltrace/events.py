@@ -45,11 +45,24 @@ def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
     return np.vstack([mt.mask.flags for mt in traces])
 
 
-def _windows_violated(flags: np.ndarray, windows) -> np.ndarray:
-    """Per mask: is at least one of the (start, length) windows fully deleted?"""
-    hit = np.zeros(flags.shape[0], dtype=bool)
-    for start, length in windows:
-        hit |= flags[:, start : start + length].all(axis=1)
+def _copies_violated(flags: np.ndarray, spans) -> np.ndarray:
+    """For masks of shape (..., n): is some aligned copy of some span fully
+    deleted?  Each span's window is viewed as a (..., copies, period) block,
+    so the check is a few whole-array operations per span, never a loop
+    over copies."""
+    lead = flags.shape[:-1]
+    hit = np.zeros(lead, dtype=bool)
+    for span in spans:
+        window = flags[..., span.offset : span.end].reshape(*lead, span.copies, span.period)
+        if span.period <= span.copies:
+            # short blocks: AND the period columns, far faster than a
+            # reduction over a short last axis
+            deleted = window[..., 0].copy()
+            for j in range(1, span.period):
+                deleted &= window[..., j]
+        else:
+            deleted = window.all(axis=-1)
+        hit |= deleted.any(axis=-1)
     return hit
 
 
@@ -57,20 +70,22 @@ def _span_windows(span: PatternSpan):
     return [(span.offset + j * span.period, span.period) for j in range(span.copies)]
 
 
-def _pattern_witness_from_flags(flags: np.ndarray, span: PatternSpan) -> bool:
-    return not _windows_violated(flags, _span_windows(span)).all()
+def _pattern_witness_from_flags(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
+    """Masks (..., T, n) -> (...): does some trace delete no copy of the span?"""
+    return ~_copies_violated(flags, (span,)).all(axis=-1)
 
 
 def _run_starts(lengths: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths[:-1])))
 
 
-def _run_coverage_from_flags(flags: np.ndarray, lengths: np.ndarray):
-    counts = np.add.reduceat(flags.astype(np.int64), _run_starts(lengths), axis=1)
-    clean = ~(counts == lengths[np.newaxis, :]).any(axis=1)  # no run fully deleted
+def _run_coverage_from_flags(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Masks (..., T, n) -> per_run (..., M): some trace deleted no run
+    completely while leaving run i untouched."""
+    counts = np.add.reduceat(flags, _run_starts(lengths), axis=-1, dtype=np.int64)
+    clean = ~(counts == lengths).any(axis=-1)  # no run fully deleted
     intact = counts == 0
-    per_run = (clean[:, np.newaxis] & intact).any(axis=0)
-    return bool(per_run.all()), per_run
+    return (clean[..., np.newaxis] & intact).any(axis=-2)
 
 
 def copy_fully_deleted(mask, span: PatternSpan, copy_index: int) -> bool:
@@ -86,15 +101,15 @@ def has_pattern_witness(traces: list[MaskedTrace], span: PatternSpan) -> bool:
     flags = _flags_matrix(traces, traces[0].source_length if traces else 0)
     if span.end > flags.shape[1]:
         raise ValueError("span extends past the source")
-    return _pattern_witness_from_flags(flags, span)
+    return bool(_pattern_witness_from_flags(flags, span))
 
 
 def run_coverage(traces: list[MaskedTrace], profile: RunProfile):
     """(covered, per_run): per_run[i] is True iff some trace deleted no run
     completely while leaving run i untouched; covered iff that holds for all i."""
     flags = _flags_matrix(traces, profile.total)
-    covered, per_run = _run_coverage_from_flags(flags, np.asarray(profile.lengths, dtype=np.int64))
-    return covered, tuple(bool(x) for x in per_run)
+    per_run = _run_coverage_from_flags(flags, np.asarray(profile.lengths, dtype=np.int64))
+    return bool(per_run.all()), tuple(per_run.tolist())
 
 
 @dataclass(frozen=True)
@@ -113,9 +128,9 @@ class EventReport:
 
 def detect_events(traces: list[MaskedTrace], spans: list[PatternSpan], profile: RunProfile) -> EventReport:
     flags = _flags_matrix(traces, profile.total)
-    witness = tuple(_pattern_witness_from_flags(flags, span) for span in spans)
-    covered, per_run = _run_coverage_from_flags(flags, np.asarray(profile.lengths, dtype=np.int64))
-    return EventReport(witness, covered, tuple(bool(x) for x in per_run))
+    witness = tuple(bool(_pattern_witness_from_flags(flags, span)) for span in spans)
+    per_run = _run_coverage_from_flags(flags, np.asarray(profile.lengths, dtype=np.int64))
+    return EventReport(witness, bool(per_run.all()), tuple(per_run.tolist()))
 
 
 @dataclass(frozen=True)
@@ -155,12 +170,11 @@ class SandwichPattern:
             + BitString(np.tile(self.outer.bits, self.right_copies))
         )
 
-    def outer_copy_windows(self):
+    def copy_spans(self) -> tuple[PatternSpan, PatternSpan]:
+        """The aligned outer copies left and right of the inner block."""
         w = len(self.outer)
-        left = [(self.offset + j * w, w) for j in range(self.left_copies)]
-        base = self.offset + self.left_copies * w + len(self.inner)
-        right = [(base + j * w, w) for j in range(self.right_copies)]
-        return left + right
+        right = self.offset + self.left_copies * w + len(self.inner)
+        return PatternSpan(self.offset, w, self.left_copies), PatternSpan(right, w, self.right_copies)
 
     def alternative_window(self) -> BitString:
         pad = BitString(np.ones(len(self.outer) - len(self.inner), dtype=np.uint8))
@@ -208,12 +222,12 @@ class AdjacentPattern:
             )
         )
 
-    def copy_windows(self):
-        lw, rw = len(self.left), len(self.right)
-        left = [(self.offset + j * lw, lw) for j in range(self.left_copies)]
-        base = self.offset + self.left_copies * lw
-        right = [(base + j * rw, rw) for j in range(self.right_copies)]
-        return left + right
+    def copy_spans(self) -> tuple[PatternSpan, PatternSpan]:
+        """The aligned copies of the left block and of the right block."""
+        lw = len(self.left)
+        right = self.offset + self.left_copies * lw
+        return (PatternSpan(self.offset, lw, self.left_copies),
+                PatternSpan(right, len(self.right), self.right_copies))
 
     def alternative_window(self) -> BitString:
         return (
@@ -241,10 +255,15 @@ def _splice(s: BitString, start: int, end: int, replacement: BitString) -> BitSt
     return BitString(np.concatenate([s.bits[:start], replacement.bits, s.bits[end:]]))
 
 
+def _copy_spans(pat) -> tuple[PatternSpan, ...]:
+    """The aligned copies a declared pattern needs every trace to wipe."""
+    return (pat,) if isinstance(pat, PatternSpan) else pat.copy_spans()
+
+
 def _validated_alternative(s: BitString, pat) -> tuple[int, list, BitString]:
     """Check a declared pattern against s and build its competing source.
 
-    Returns (condition number, copy windows, alternative string).
+    Returns (condition number, copy windows as (start, length), alternative string).
     """
     n = len(s)
     if isinstance(pat, PatternSpan):
@@ -253,22 +272,18 @@ def _validated_alternative(s: BitString, pat) -> tuple[int, list, BitString]:
         flipped = s.bits[pat.offset : pat.offset + pat.period].copy()
         flipped[0] ^= 1
         alt = _splice(s, pat.offset, pat.offset + pat.period, BitString(flipped))
-        return 1, _span_windows(pat), alt
-    if isinstance(pat, SandwichPattern):
+        condition = 1
+    elif isinstance(pat, (SandwichPattern, AdjacentPattern)):
         if pat.end > n or BitString(s.bits[pat.offset : pat.end]) != pat.window():
             raise ValueError(f"declared pattern absent from source at {pat}")
         alt = _splice(s, pat.offset, pat.end, pat.alternative_window())
         if alt == s:
             raise ValueError("degenerate declaration: competing source equals the source")
-        return 2, pat.outer_copy_windows(), alt
-    if isinstance(pat, AdjacentPattern):
-        if pat.end > n or BitString(s.bits[pat.offset : pat.end]) != pat.window():
-            raise ValueError(f"declared pattern absent from source at {pat}")
-        alt = _splice(s, pat.offset, pat.end, pat.alternative_window())
-        if alt == s:
-            raise ValueError("degenerate declaration: competing source equals the source")
-        return 3, pat.copy_windows(), alt
-    raise TypeError(f"unknown pattern declaration {type(pat).__name__}")
+        condition = 2 if isinstance(pat, SandwichPattern) else 3
+    else:
+        raise TypeError(f"unknown pattern declaration {type(pat).__name__}")
+    windows = [w for span in _copy_spans(pat) for w in _span_windows(span)]
+    return condition, windows, alt
 
 
 def detect_ambiguities(s: BitString, traces: list[MaskedTrace], patterns) -> list[AmbiguityWitness]:
@@ -277,7 +292,7 @@ def detect_ambiguities(s: BitString, traces: list[MaskedTrace], patterns) -> lis
     flags = _flags_matrix(traces, len(s))
     out = []
     for pat in patterns:
-        condition, windows, alt = _validated_alternative(s, pat)
-        if _windows_violated(flags, windows).all():
+        condition, _, alt = _validated_alternative(s, pat)
+        if _copies_violated(flags, _copy_spans(pat)).all():
             out.append(AmbiguityWitness(condition=condition, pattern=pat, alternative=alt))
     return out

@@ -32,25 +32,27 @@ from .bits import (
     PatternSpan,
     RepeatBlockSpec,
     RunFractionSpec,
+    is_subsequence,
     make_repeat_instance,
     make_run_instance,
     run_decompose,
 )
-from .channel import RngSpec
+from .channel import RngSpec, _mask_block
 from .events import (
     AdjacentPattern,
     SandwichPattern,
+    _copies_violated,
+    _copy_spans,
     _pattern_witness_from_flags,
     _run_coverage_from_flags,
     _validated_alternative,
-    _windows_violated,
 )
-from .reconstruct import DEFAULT_ORACLE_CAP, _consistent_rows, maximal_runs
-from .bits import is_subsequence
+from .reconstruct import DEFAULT_ORACLE_CAP, _consistent_rows, _run_alignment_misses
 
 __all__ = [
     "ConfigError",
     "InfeasibleError",
+    "ImplicationBreach",
     "ExperimentConfig",
     "EstimateRow",
     "AuditReport",
@@ -75,6 +77,10 @@ class ConfigError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """Structurally valid request that exceeds a hard resource cap (exit 3)."""
+
+
+class ImplicationBreach(RuntimeError):
+    """A per-trial implication that must always hold failed (exit 4)."""
 
 
 MODES = ("montecarlo", "exact", "asymptotic", "sweep", "audit", "generate")
@@ -108,7 +114,7 @@ class _Instance:
     """A concrete source string with everything the estimators consume."""
 
     s: BitString
-    spans: tuple[PatternSpan, ...]
+    span: PatternSpan
     lengths: tuple[int, ...]
     first_bit: int
 
@@ -177,7 +183,7 @@ class SourceSpec:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             profile = run_decompose(s)
-            return _Instance(s, (span,), profile.lengths, profile.first_bit)
+            return _Instance(s, span, profile.lengths, profile.first_bit)
         else:
             spec = RunFractionSpec(self.first_bit, self.fractions)
             try:
@@ -185,7 +191,7 @@ class SourceSpec:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         profile = run_decompose(s)
-        return _Instance(s, (_longest_run_span(profile),), profile.lengths, profile.first_bit)
+        return _Instance(s, _longest_run_span(profile), profile.lengths, profile.first_bit)
 
 
 def _longest_run_span(profile) -> PatternSpan:
@@ -380,27 +386,40 @@ def rows_to_csv(rows, regimes=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_outputs(config: ExperimentConfig, text: str, *, suffix: str = "") -> None:
+def write_outputs(config: ExperimentConfig, text: str) -> None:
     """Write the payload to config.out (plus a metadata sidecar) or stdout."""
     if config.out is None:
         print(text, end="")
         return
-    path = config.out + suffix
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    from . import __version__
+
+    path = config.out
     sidecar = "\n".join(
         [
             "rng-algorithm: pcg64",
-            "package: deltrace 0.1.0",
+            f"package: deltrace {__version__}",
             f"config-sha256: {config.config_sha256}",
         ]
     )
-    with open(path + ".meta.txt", "w", encoding="utf-8", newline="") as fh:
-        fh.write(sidecar + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(path + ".meta.txt", "w", encoding="utf-8", newline="") as fh:
+            fh.write(sidecar + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo core: one pass, shared masks, trial-index reduction order
+# Monte Carlo kernel: blocks of trials on per-trial streams, shared masks
+
+# Uniforms per block: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share one
+# (B, T, n) buffer, so every verdict is computed for B trials at once.  At
+# 2^15 (256 KiB) per-trial seeding already dominates; larger blocks only add
+# peak memory.
+BLOCK_ELEMENTS = 1 << 15
+# One trial's T x n uniforms (8 bytes each) above this are refused up front.
+MAX_TRIAL_ELEMENTS = 1 << 26
 
 _AUDIT_CHECKS = (
     "no-witness-and-sufficient",
@@ -410,13 +429,9 @@ _AUDIT_CHECKS = (
 
 
 @dataclass
-class _TrialStats:
-    trials: int = 0
-    span_events: list[int] = field(default_factory=list)
-    uncovered: int = 0
-    mr_errors: int = 0
-    insufficient: int = 0
-    audit_counts: dict[str, int] = field(default_factory=dict)
+class _Tally:
+    fired: dict[str, int]  # estimator name -> trials on which its event occurred
+    audit_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_AUDIT_CHECKS, 0))
     offenders: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -454,75 +469,80 @@ def _audit_patterns(instance: _Instance):
     return declared
 
 
-def _run_trials(config: ExperimentConfig, *, need: set, audit: bool = False) -> _TrialStats:
+def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _Tally:
+    """One pass over all trials, B trials per block.  Trial i keeps its own
+    stream RngSpec(seed).trial_rng(i), so the counts do not depend on B."""
+    t_count, p, n = config.traces, config.p, config.source.n
+    if t_count * n > MAX_TRIAL_ELEMENTS:
+        raise InfeasibleError(
+            f"one trial needs traces x n = {t_count * n} uniforms "
+            f"({8 * t_count * n / 2**30:.1f} GiB), over the cap of {MAX_TRIAL_ELEMENTS} "
+            f"({8 * MAX_TRIAL_ELEMENTS / 2**30:.1f} GiB)"
+        )
+    oracle = audit or "difficulty" in estimators
+    if oracle and n > DEFAULT_ORACLE_CAP:
+        raise InfeasibleError(f"brute-force infeasible: n={n} exceeds cap {DEFAULT_ORACLE_CAP}")
+    align = audit or "reconstruction-error" in estimators
     instance = config.source.instance()
     s = instance.s
-    n = len(s)
-    bits = s.bits
     lengths = np.asarray(instance.lengths, dtype=np.int64)
-    spans = instance.spans
-    t_count = config.traces
-    p = config.p
-    rng_spec = RngSpec(master_seed=config.seed)
-    if ("difficulty" in need or audit) and n > DEFAULT_ORACLE_CAP:
-        raise InfeasibleError(f"brute-force infeasible: n={n} exceeds cap {DEFAULT_ORACLE_CAP}")
-    validated = []
+    patterns = []
     if audit:
         for pat in _audit_patterns(instance):
-            condition, windows, alt = _validated_alternative(s, pat)
-            validated.append((condition, windows, alt))
-    stats = _TrialStats(trials=config.trials, span_events=[0] * len(spans))
-    stats.audit_counts = {name: 0 for name in _AUDIT_CHECKS}
-    need_arrays = audit or "difficulty" in need or "reconstruction-error" in need
-    for trial in range(config.trials):
-        rng = rng_spec.trial_rng(trial)
-        flags = rng.random((t_count, n)) < p
-        witnessed = [_pattern_witness_from_flags(flags, span) for span in spans]
-        for i, w in enumerate(witnessed):
-            if not w:
-                stats.span_events[i] += 1
-        covered, _ = _run_coverage_from_flags(flags, lengths)
-        if not covered:
-            stats.uncovered += 1
-        if not need_arrays:
+            _, _, alt = _validated_alternative(s, pat)
+            patterns.append((_copy_spans(pat), alt))
+    rng_spec = RngSpec(master_seed=config.seed)
+    block = max(1, BLOCK_ELEMENTS // (t_count * n))
+    buf = np.empty((min(block, config.trials), t_count, n))
+    tally = _Tally(fired=dict.fromkeys(ESTIMATORS, 0))
+    fired = tally.fired
+    for first in range(0, config.trials, block):
+        flags = _mask_block(rng_spec, first, p, buf[: min(block, config.trials - first)])
+        no_witness = ~_pattern_witness_from_flags(flags, instance.span)
+        covered = _run_coverage_from_flags(flags, lengths).all(axis=-1)
+        fired["no-pattern-witness"] += int(no_witness.sum())
+        fired["uncovered-run"] += int((~covered).sum())
+        if not (align or oracle):
             continue
-        arrays = [bits[~flags[j]] for j in range(t_count)]
-        mr_wrong = None
-        if audit or "reconstruction-error" in need:
-            result = maximal_runs(n, arrays)
-            mr_wrong = not (result.ok and result.string == s)
-            if mr_wrong:
-                stats.mr_errors += 1
-            if covered and mr_wrong:
-                stats.audit_counts["covered-and-wrong"] += 1
-                stats.offenders.append((trial, "covered-and-wrong"))
-                if not audit:
-                    raise RuntimeError(
-                        f"run coverage held but reconstruction missed on trial {trial}"
-                    )
-        sufficient = None
-        if audit or "difficulty" in need:
+        kept = ~flags
+        if align:  # always under audit, which counts breaches; montecarlo stops at one
+            wrong = _run_alignment_misses(s, kept)
+            fired["reconstruction-error"] += int(wrong.sum())
+            breach = covered & wrong
+            if breach.any() and not audit:
+                trial = first + int(np.argmax(breach))
+                raise ImplicationBreach(
+                    f"run coverage held but reconstruction missed on trial {trial}"
+                )
+        if not oracle:
+            continue
+        violated = [(_copies_violated(flags, spans).all(axis=-1), alt) for spans, alt in patterns]
+        for k in range(len(kept)):
+            arrays = [s.bits[row] for row in kept[k]]
             sufficient = _consistent_rows(n, arrays).size == 1
-            if not sufficient:
-                stats.insufficient += 1
-        if audit:
-            if not witnessed[0] and sufficient:
-                stats.audit_counts["no-witness-and-sufficient"] += 1
-                stats.offenders.append((trial, "no-witness-and-sufficient"))
-            for condition, windows, alt in validated:
-                if _windows_violated(flags, windows).all():
-                    if not all(is_subsequence(arr, alt) for arr in arrays):
-                        stats.audit_counts["ambiguity-alternative-inconsistent"] += 1
-                        stats.offenders.append((trial, "ambiguity-alternative-inconsistent"))
-    return stats
+            fired["difficulty"] += not sufficient
+            if not audit:
+                continue
+            failed = []
+            if breach[k]:
+                failed.append("covered-and-wrong")
+            if no_witness[k] and sufficient:
+                failed.append("no-witness-and-sufficient")
+            for hit, alt in violated:
+                if hit[k] and not all(is_subsequence(arr, alt) for arr in arrays):
+                    failed.append("ambiguity-alternative-inconsistent")
+            for name in failed:
+                tally.audit_counts[name] += 1
+                tally.offenders.append((first + k, name))
+    return tally
 
 
-def _mc_row(config, estimator, successes, *, n) -> EstimateRow:
+def _mc_row(config, estimator, successes) -> EstimateRow:
     freq = successes / config.trials
     ci = wilson_interval(successes, config.trials)
     return EstimateRow(
         estimator=estimator,
-        n=n,
+        n=config.source.n,
         p=config.p,
         t_or_c=config.traces,
         a=None,
@@ -544,32 +564,27 @@ def _simulation_estimators(config: ExperimentConfig) -> tuple[str, ...]:
     return tuple(e for e in ESTIMATORS if e != "difficulty")
 
 
+def _estimate(config: ExperimentConfig, estimators) -> list[EstimateRow]:
+    fired = _simulate(config, estimators).fired
+    return [_mc_row(config, name, fired[name]) for name in estimators]
+
+
 def estimate_difficulty(config: ExperimentConfig) -> EstimateRow:
     """Fraction of trials whose trace set fails to pin down the source,
     judged by the brute-force oracle."""
-    stats = _run_trials(config, need={"difficulty"})
-    return _mc_row(config, "difficulty", stats.insufficient, n=config.source.n)
+    return _estimate(config, ("difficulty",))[0]
 
 
 def estimate_event_probs(config: ExperimentConfig) -> list[EstimateRow]:
     """Frequencies of the two mask events: every trace deleting a copy of
-    each declared span, and some run going uncovered."""
-    instance = config.source.instance()
-    stats = _run_trials(config, need={"no-pattern-witness", "uncovered-run"})
-    rows = []
-    many = len(instance.spans) > 1
-    for i, successes in enumerate(stats.span_events):
-        name = f"no-pattern-witness-{i}" if many else "no-pattern-witness"
-        rows.append(_mc_row(config, name, successes, n=config.source.n))
-    rows.append(_mc_row(config, "uncovered-run", stats.uncovered, n=config.source.n))
-    return rows
+    the declared span, and some run going uncovered."""
+    return _estimate(config, ("no-pattern-witness", "uncovered-run"))
 
 
 def estimate_mr_error(config: ExperimentConfig) -> EstimateRow:
     """Fraction of trials where run-alignment reconstruction misses the
     source; coverage implying success is asserted on every trial."""
-    stats = _run_trials(config, need={"reconstruction-error"})
-    return _mc_row(config, "reconstruction-error", stats.mr_errors, n=config.source.n)
+    return _estimate(config, ("reconstruction-error",))[0]
 
 
 @dataclass(frozen=True)
@@ -596,19 +611,12 @@ def audit_implications(config: ExperimentConfig) -> AuditReport:
     an event that forbids sufficiency alongside a sufficient verdict, run
     coverage alongside a reconstruction miss, and a structural ambiguity
     whose competing source fails to embed some trace."""
-    stats = _run_trials(config, need=set(ESTIMATORS), audit=True)
-    n = config.source.n
-    rows = [
-        _mc_row(config, "difficulty", stats.insufficient, n=n),
-        _mc_row(config, "no-pattern-witness", stats.span_events[0], n=n),
-        _mc_row(config, "uncovered-run", stats.uncovered, n=n),
-        _mc_row(config, "reconstruction-error", stats.mr_errors, n=n),
-    ]
+    tally = _simulate(config, ESTIMATORS, audit=True)
     return AuditReport(
         trials=config.trials,
-        counts=dict(stats.audit_counts),
-        offenders=tuple(stats.offenders),
-        rows=tuple(rows),
+        counts=tally.audit_counts,
+        offenders=tuple(tally.offenders),
+        rows=tuple(_mc_row(config, name, tally.fired[name]) for name in ESTIMATORS),
     )
 
 
@@ -627,12 +635,10 @@ def _formula_rows(config: ExperimentConfig) -> list[EstimateRow]:
     instance = config.source.instance()
     n = len(instance.s)
     count, t_or_c, a = _trace_count_of(config, n)
-    rows = []
-    for i, span in enumerate(instance.spans):
-        report = prob_no_pattern_witness_exact(span.period, span.copies, config.p, count)
-        name = f"no-pattern-witness-{i}" if len(instance.spans) > 1 else "no-pattern-witness"
-        rows.append(EstimateRow(name, n, config.p, t_or_c, a, report.value,
-                                report.ln_value, method=report.method))
+    span = instance.span
+    report = prob_no_pattern_witness_exact(span.period, span.copies, config.p, count)
+    rows = [EstimateRow("no-pattern-witness", n, config.p, t_or_c, a, report.value,
+                        report.ln_value, method=report.method)]
     if len(instance.lengths) > MGF_MAX_RUNS:
         raise InfeasibleError(
             f"inclusion-exclusion over {len(instance.lengths)} runs exceeds the cap"
@@ -714,12 +720,12 @@ def sweep_threshold(config: ExperimentConfig) -> tuple[list[EstimateRow], list[s
 
 def _generate_text(config: ExperimentConfig) -> str:
     instance = config.source.instance()
-    lines = [str(instance.s)]
-    for span in instance.spans:
-        lines.append(f"span offset={span.offset} period={span.period} copies={span.copies}")
-    lines.append(
-        "runs first_bit=%d lengths=%s" % (instance.first_bit, ",".join(map(str, instance.lengths)))
-    )
+    span = instance.span
+    lines = [
+        str(instance.s),
+        f"span offset={span.offset} period={span.period} copies={span.copies}",
+        "runs first_bit=%d lengths=%s" % (instance.first_bit, ",".join(map(str, instance.lengths))),
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -739,20 +745,7 @@ def run_mode(config: ExperimentConfig) -> int:
         write_outputs(config, rows_to_csv(rows, regimes))
         return 0
     if config.mode == "montecarlo":
-        wanted = _simulation_estimators(config)
-        stats = _run_trials(config, need=set(wanted))
-        n = config.source.n
-        rows = []
-        for name in wanted:
-            if name == "difficulty":
-                rows.append(_mc_row(config, "difficulty", stats.insufficient, n=n))
-            elif name == "no-pattern-witness":
-                rows.append(_mc_row(config, "no-pattern-witness", stats.span_events[0], n=n))
-            elif name == "uncovered-run":
-                rows.append(_mc_row(config, "uncovered-run", stats.uncovered, n=n))
-            else:
-                rows.append(_mc_row(config, "reconstruction-error", stats.mr_errors, n=n))
-        write_outputs(config, rows_to_csv(rows))
+        write_outputs(config, rows_to_csv(_estimate(config, _simulation_estimators(config))))
         return 0
     report = audit_implications(config)
     write_outputs(config, rows_to_csv(report.rows))

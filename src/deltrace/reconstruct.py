@@ -80,6 +80,68 @@ def maximal_runs(n: int, traces) -> ReconstructionResult:
     return ReconstructionResult(string=BitString(np.repeat(values, best)))
 
 
+def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
+    """maximal_runs over a block of trace sets at once: for kept of shape
+    (B, T, n), True where a bit of the nonempty source s survived, is the
+    reconstruction from trace set b anything other than s?
+
+    Equals ``not (maximal_runs(n, traces_b).ok and .string == s)`` for every
+    b.  The traces are read as one concatenation of their surviving bits: a
+    run starts at the first bit of a trace or where the bit changes.  Each
+    trace set keeps its traces with the most runs, needs them to agree on
+    the first bit, takes the longest i-th run over them and needs the runs
+    to add up to n; the result is s exactly when it starts with s's first
+    bit and has s's run lengths.
+    """
+    B, T, n = kept.shape
+    lengths = _run_lengths(s.bits)
+    rows = B * T
+    kept = kept.reshape(rows, n)
+    # surviving bits trace after trace, and the trace each one belongs to.
+    # Callers keep a block under 2^31 bits, so int32 indexes it; each
+    # temporary is dropped once spent, as peak memory scales with the block.
+    val = np.tile(s.bits, rows)[np.flatnonzero(kept)]
+    row = np.repeat(np.arange(rows, dtype=np.int32), np.count_nonzero(kept, axis=1))
+    starts = np.ones(val.size, dtype=bool)
+    starts[1:] = (row[1:] != row[:-1]) | (val[1:] != val[:-1])
+    run_at = np.flatnonzero(starts).astype(np.int32)
+    del starts
+    run_row = row[run_at]
+    del row
+    run_len = np.diff(run_at, append=np.int32(val.size))
+    first_run = np.searchsorted(run_row, np.arange(rows + 1))  # runs of trace r: first_run[r:r+2]
+    runs = np.diff(first_run)
+    nonempty = runs > 0
+    first_bit = np.full(rows, -1, dtype=np.int64)
+    first_bit[nonempty] = val[run_at[first_run[:-1][nonempty]]]
+    del val, run_at
+
+    runs = runs.reshape(B, T)
+    m_hat = runs.max(axis=1)
+    chosen = (runs == m_hat[:, np.newaxis]) & (m_hat[:, np.newaxis] > 0)
+    first_bit = first_bit.reshape(B, T)
+    first_max = np.where(chosen, first_bit, -1).max(axis=1)
+    first_min = np.where(chosen, first_bit, 2).min(axis=1)
+    agree = first_max == first_min
+
+    # run k of trace r goes to table[r, k]; only the chosen traces count
+    m = lengths.size
+    width = max(m, int(m_hat.max()))
+    table = np.zeros((rows, width), dtype=np.int32)
+    at = np.arange(run_len.size, dtype=np.int64)
+    at += (np.arange(rows) * width - first_run[:-1])[run_row]
+    table.reshape(-1)[at] = run_len
+    del at, run_len, run_row
+    table[~chosen.reshape(-1)] = 0
+    best = table.reshape(B, T, width).max(axis=1)
+    # for traces of s an exact match already implies agreement and the length
+    # test; they stay so that the verdict is maximal_runs' own, not a
+    # comparison of run counts that assumes its inputs
+    ok = (m_hat > 0) & agree & (best.sum(axis=1, dtype=np.int64) == n)
+    exact = (first_max == s.bits[0]) & (m_hat == m) & (best[:, :m] == lengths).all(axis=1)
+    return ~(ok & exact)
+
+
 # ---------------------------------------------------------------------------
 # brute-force unique-source oracle
 

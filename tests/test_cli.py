@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from deltrace import cli, harness
 
 CLI = [sys.executable, "-m", "deltrace.cli"]
 
@@ -167,3 +170,48 @@ def test_sweep_regime_csv(tmp_path):
 def test_missing_config_flag():
     proc = run_cli("exact")
     assert proc.returncode == 2
+
+
+def test_unwritable_out_exit_2(tmp_path, runs_config):
+    out = tmp_path / "missing" / "rows.csv"
+    proc = run_cli("montecarlo", "--config", runs_config, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot write output:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_trial_size_cap_exit_3(tmp_path):
+    # 4000 traces x 2e6 bits would be 59.6 GiB of uniforms for one trial
+    path = write_config(tmp_path, {
+        "mode": "montecarlo",
+        "source": {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 2_000_000},
+        "p": 0.3,
+        "traces": 4000,
+        "trials": 10,
+        "seed": 5,
+    })
+    proc = run_cli("montecarlo", "--config", path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("infeasible: one trial needs traces x n = 8000000000 uniforms")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_coverage_breach_exit_4(tmp_path, monkeypatch, capsys):
+    # a reconstruction that always misses breaks "coverage implies success"
+    # on the first trial with run coverage, which p = 0 makes trial 0
+    monkeypatch.setattr(harness, "_run_alignment_misses",
+                        lambda s, kept: np.ones(len(kept), dtype=bool))
+    path = write_config(tmp_path, {
+        "mode": "montecarlo",
+        "source": {"kind": "runs", "first_bit": 0, "fractions": [0.3, 0.4, 0.3], "n": 10},
+        "p": 0.0,
+        "traces": 2,
+        "trials": 20,
+        "seed": 5,
+        "estimators": ["reconstruction-error"],
+    })
+    assert cli.main(["montecarlo", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("implication breach: run coverage held but reconstruction "
+                            "missed on trial 0\n")

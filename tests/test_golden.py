@@ -1,0 +1,43 @@
+"""Golden outputs: the CLI must reproduce the files under tests/golden/ byte
+for byte.  Determinism between two runs of the same code (criterion 11)
+cannot catch a refactor that changes the numbers; these files can.
+
+Each case is a config `golden/NAME.json` with its expected CSV
+`golden/NAME.csv`; the audit case also pins its summary text.  To record a
+case again after an intended change of output:
+
+    python -m deltrace.cli montecarlo --config tests/golden/NAME.json > tests/golden/NAME.csv
+"""
+
+from pathlib import Path
+
+import pytest
+
+from deltrace.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("montecarlo", "mc-runs"),
+    ("montecarlo", "mc-repeat"),
+    ("montecarlo", "mc-repeat-short"),
+    ("montecarlo", "mc-small"),
+    ("montecarlo", "mc-bits"),
+    ("exact", "exact"),
+    ("exact", "exact-schedule"),
+    ("sweep", "sweep"),
+]
+
+
+@pytest.mark.parametrize("command,name", CASES)
+def test_csv_matches_golden(command, name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert main([command, "--config", str(GOLDEN / f"{name}.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_audit_matches_golden(tmp_path, capsys):
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--config", str(GOLDEN / "audit.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "audit.csv").read_bytes()
+    assert capsys.readouterr().out == (GOLDEN / "audit.summary.txt").read_text()

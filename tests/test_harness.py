@@ -53,7 +53,7 @@ class TestSourceSpec:
         )
         inst = spec.instance()
         assert str(inst.s) == "000000"
-        assert inst.spans[0].copies == 6 and inst.spans[0].period == 1
+        assert inst.span.copies == 6 and inst.span.period == 1
 
     def test_runs_instance(self):
         spec = SourceSpec.from_dict(
@@ -64,7 +64,7 @@ class TestSourceSpec:
         assert str(inst.s) == "0001111000"
         assert inst.lengths == (3, 4, 3)
         # declared span sits on the first longest run
-        assert (inst.spans[0].offset, inst.spans[0].copies) == (3, 4)
+        assert (inst.span.offset, inst.span.copies) == (3, 4)
 
     def test_bits_instance(self):
         spec = SourceSpec.from_dict({"kind": "bits", "bits": "0110"}, allow_missing_n=False)
@@ -499,6 +499,16 @@ class TestRunMode:
         assert meta.splitlines()[0] == "rng-algorithm: pcg64"
         assert meta.splitlines()[1] == "package: deltrace 0.1.0"
         assert meta.splitlines()[2] == f"config-sha256: {cfg.config_sha256}"
+
+    def test_sidecar_reports_package_version(self, tmp_path, monkeypatch):
+        import deltrace
+
+        monkeypatch.setattr(deltrace, "__version__", "9.8.7")
+        out = tmp_path / "rows.csv"
+        write_outputs(mc_config(out=str(out)), "payload\n")
+        assert out.read_text() == "payload\n"
+        meta = (tmp_path / "rows.csv.meta.txt").read_text()
+        assert meta.splitlines()[1] == "package: deltrace 9.8.7"
 
     def test_byte_identical_reruns(self, tmp_path):
         texts = []
