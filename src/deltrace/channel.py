@@ -110,17 +110,25 @@ def _mask_matrix(n: int, p: float, T: int, rng: np.random.Generator) -> np.ndarr
     return _deleted(rng.random((T, n)), p)
 
 
-def _mask_block(spec: RngSpec, first_trial: int, p: float, buf: np.ndarray) -> np.ndarray:
-    """Deletion masks of trials first_trial, first_trial + 1, ... as a (B, T, n)
-    bool array, one trial per slice of the (B, T, n) float buffer.
+def _mask_block(spec: RngSpec, first_trial: int, p: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill the (B, T, n) bool array out with the deletion masks of trials
+    first_trial, first_trial + 1, ... and return it.
 
-    Trial i draws straight into its slice from spec.trial_rng(i), which yields
-    the same uniforms as rng.random((T, n)); every trial therefore sees the
-    masks that sample_traces(s, p, T, spec.trial_rng(i)) would give it.
+    Trial i draws from spec.trial_rng(i) into the float scratch of shape
+    (R, n), R of its T rows at a time.  The draws continue one stream, so they
+    yield the uniforms of rng.random((T, n)) and every trial sees the masks
+    that sample_traces(s, p, T, spec.trial_rng(i)) would give it, while no
+    more than R x n uniforms are held at once.
     """
-    for k in range(buf.shape[0]):
-        spec.trial_rng(first_trial + k).random(out=buf[k])
-    return _deleted(buf, p)
+    t_count = out.shape[1]
+    step = scratch.shape[0]
+    for k in range(out.shape[0]):
+        rng = spec.trial_rng(first_trial + k)
+        for r in range(0, t_count, step):
+            uniforms = scratch[: min(step, t_count - r)]
+            rng.random(out=uniforms)
+            out[k, r : r + len(uniforms)] = _deleted(uniforms, p)
+    return out
 
 
 def sample_mask(n: int, p: float, rng) -> DeletionMask:

@@ -48,20 +48,15 @@ def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
 def _copies_violated(flags: np.ndarray, spans) -> np.ndarray:
     """For masks of shape (..., n): is some aligned copy of some span fully
     deleted?  Each span's window is viewed as a (..., copies, period) block,
-    so the check is a few whole-array operations per span, never a loop
+    so the check ANDs the period columns of every copy at once, never a loop
     over copies."""
     lead = flags.shape[:-1]
     hit = np.zeros(lead, dtype=bool)
     for span in spans:
         window = flags[..., span.offset : span.end].reshape(*lead, span.copies, span.period)
-        if span.period <= span.copies:
-            # short blocks: AND the period columns, far faster than a
-            # reduction over a short last axis
-            deleted = window[..., 0].copy()
-            for j in range(1, span.period):
-                deleted &= window[..., j]
-        else:
-            deleted = window.all(axis=-1)
+        deleted = window[..., 0].copy()
+        for j in range(1, span.period):
+            deleted &= window[..., j]
         hit |= deleted.any(axis=-1)
     return hit
 
@@ -82,7 +77,10 @@ def _run_starts(lengths: np.ndarray) -> np.ndarray:
 def _run_coverage_from_flags(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Masks (..., T, n) -> per_run (..., M): some trace deleted no run
     completely while leaving run i untouched."""
-    counts = np.add.reduceat(flags, _run_starts(lengths), axis=-1, dtype=np.int64)
+    # reduceat casts all of flags to the count type; int32 holds any run of
+    # a mask with fewer than 2^31 columns at half the memory of int64
+    count_type = np.int32 if flags.shape[-1] < 2**31 else np.int64
+    counts = np.add.reduceat(flags, _run_starts(lengths), axis=-1, dtype=count_type)
     clean = ~(counts == lengths).any(axis=-1)  # no run fully deleted
     intact = counts == 0
     return (clean[..., np.newaxis] & intact).any(axis=-2)

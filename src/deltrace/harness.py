@@ -413,13 +413,19 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 # ---------------------------------------------------------------------------
 # Monte Carlo kernel: blocks of trials on per-trial streams, shared masks
 
-# Uniforms per block: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share one
-# (B, T, n) buffer, so every verdict is computed for B trials at once.  At
-# 2^15 (256 KiB) per-trial seeding already dominates; larger blocks only add
-# peak memory.
+# Mask bits per block: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share one
+# (B, T, n) mask, so every verdict is computed for B trials at once, and the
+# uniforms behind it are drawn max(1, BLOCK_ELEMENTS // n) rows at a time.
+# At 2^15 per-trial seeding already dominates; larger blocks only add peak
+# memory.
 BLOCK_ELEMENTS = 1 << 15
-# One trial's T x n uniforms (8 bytes each) above this are refused up front.
-MAX_TRIAL_ELEMENTS = 1 << 26
+# One trial's T x n mask bits above this are refused before anything is
+# allocated.  A trial larger than a block peaks at about 6 (few runs) to
+# PEAK_BYTES_PER_BIT (a run per bit) bytes per mask bit: CLI peak RSS on Linux,
+# measured at 2^25 and 2^26 bits and taken as linear beyond.  At the cap that
+# is up to 14 GiB.
+MAX_TRIAL_ELEMENTS = 1 << 30
+PEAK_BYTES_PER_BIT = 14
 
 _AUDIT_CHECKS = (
     "no-witness-and-sufficient",
@@ -475,9 +481,9 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     t_count, p, n = config.traces, config.p, config.source.n
     if t_count * n > MAX_TRIAL_ELEMENTS:
         raise InfeasibleError(
-            f"one trial needs traces x n = {t_count * n} uniforms "
-            f"({8 * t_count * n / 2**30:.1f} GiB), over the cap of {MAX_TRIAL_ELEMENTS} "
-            f"({8 * MAX_TRIAL_ELEMENTS / 2**30:.1f} GiB)"
+            f"one trial needs traces x n = {t_count * n} mask bits, up to about "
+            f"{PEAK_BYTES_PER_BIT * t_count * n / 2**30:.0f} GiB at peak, over the cap of "
+            f"{MAX_TRIAL_ELEMENTS} bits (up to about {PEAK_BYTES_PER_BIT * MAX_TRIAL_ELEMENTS / 2**30:.0f} GiB)"
         )
     oracle = audit or "difficulty" in estimators
     if oracle and n > DEFAULT_ORACLE_CAP:
@@ -493,11 +499,12 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
             patterns.append((_copy_spans(pat), alt))
     rng_spec = RngSpec(master_seed=config.seed)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
-    buf = np.empty((min(block, config.trials), t_count, n))
+    masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
+    scratch = np.empty((min(t_count, max(1, BLOCK_ELEMENTS // n)), n))
     tally = _Tally(fired=dict.fromkeys(ESTIMATORS, 0))
     fired = tally.fired
     for first in range(0, config.trials, block):
-        flags = _mask_block(rng_spec, first, p, buf[: min(block, config.trials - first)])
+        flags = _mask_block(rng_spec, first, p, masks[: min(block, config.trials - first)], scratch)
         no_witness = ~_pattern_witness_from_flags(flags, instance.span)
         covered = _run_coverage_from_flags(flags, lengths).all(axis=-1)
         fired["no-pattern-witness"] += int(no_witness.sum())

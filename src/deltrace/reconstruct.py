@@ -80,6 +80,10 @@ def maximal_runs(n: int, traces) -> ReconstructionResult:
     return ReconstructionResult(string=BitString(np.repeat(values, best)))
 
 
+# Blocks with fewer bits than this index their runs with int32.
+_INDEX32_LIMIT = 2**31
+
+
 def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     """maximal_runs over a block of trace sets at once: for kept of shape
     (B, T, n), True where a bit of the nonempty source s survived, is the
@@ -97,26 +101,31 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     lengths = _run_lengths(s.bits)
     rows = B * T
     kept = kept.reshape(rows, n)
-    # surviving bits trace after trace, and the trace each one belongs to.
-    # Callers keep a block under 2^31 bits, so int32 indexes it; each
-    # temporary is dropped once spent, as peak memory scales with the block.
-    val = np.tile(s.bits, rows)[np.flatnonzero(kept)]
-    row = np.repeat(np.arange(rows, dtype=np.int32), np.count_nonzero(kept, axis=1))
-    starts = np.ones(val.size, dtype=bool)
-    starts[1:] = (row[1:] != row[:-1]) | (val[1:] != val[:-1])
-    run_at = np.flatnonzero(starts).astype(np.int32)
-    del starts
-    run_row = row[run_at]
-    del row
-    run_len = np.diff(run_at, append=np.int32(val.size))
-    first_run = np.searchsorted(run_row, np.arange(rows + 1))  # runs of trace r: first_run[r:r+2]
-    runs = np.diff(first_run)
-    nonempty = runs > 0
+    # The temporaries scale with the block, so each is dropped once spent and
+    # per-run indexes are int32 whenever the block has fewer than 2^31 bits.
+    index = np.int32 if kept.size < _INDEX32_LIMIT else np.int64
+    count = np.count_nonzero(kept, axis=1)
+    row_start = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(count, out=row_start[1:])
+    nonempty = count > 0
+    # surviving bits trace after trace; a run starts at the first bit of a
+    # trace or where the bit changes
+    val = np.broadcast_to(s.bits, (rows, n))[kept]
+    size = val.size
+    starts = np.empty(size, dtype=bool)
+    np.not_equal(val[1:], val[:-1], out=starts[1:])
+    starts[row_start[:-1][nonempty]] = True
     first_bit = np.full(rows, -1, dtype=np.int64)
-    first_bit[nonempty] = val[run_at[first_run[:-1][nonempty]]]
-    del val, run_at
-
-    runs = runs.reshape(B, T)
+    first_bit[nonempty] = val[row_start[:-1][nonempty]]
+    del val
+    run_at = np.flatnonzero(starts)
+    del starts
+    first_run = np.searchsorted(run_at, row_start)  # runs of trace r: first_run[r:r+2]
+    run_len = np.empty(run_at.size, dtype=index)
+    np.subtract(run_at[1:], run_at[:-1], out=run_len[:-1], casting="same_kind")
+    run_len[-1:] = size - run_at[-1:]
+    del run_at
+    runs = np.diff(first_run).reshape(B, T)
     m_hat = runs.max(axis=1)
     chosen = (runs == m_hat[:, np.newaxis]) & (m_hat[:, np.newaxis] > 0)
     first_bit = first_bit.reshape(B, T)
@@ -127,11 +136,11 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     # run k of trace r goes to table[r, k]; only the chosen traces count
     m = lengths.size
     width = max(m, int(m_hat.max()))
-    table = np.zeros((rows, width), dtype=np.int32)
-    at = np.arange(run_len.size, dtype=np.int64)
-    at += (np.arange(rows) * width - first_run[:-1])[run_row]
+    table = np.zeros((rows, width), dtype=index)
+    at = np.repeat((np.arange(rows) * width - first_run[:-1]).astype(index), runs.reshape(-1))
+    at += np.arange(run_len.size, dtype=index)
     table.reshape(-1)[at] = run_len
-    del at, run_len, run_row
+    del at, run_len
     table[~chosen.reshape(-1)] = 0
     best = table.reshape(B, T, width).max(axis=1)
     # for traces of s an exact match already implies agreement and the length

@@ -181,7 +181,7 @@ def test_unwritable_out_exit_2(tmp_path, runs_config):
 
 
 def test_trial_size_cap_exit_3(tmp_path):
-    # 4000 traces x 2e6 bits would be 59.6 GiB of uniforms for one trial
+    # 4000 traces x 2e6 bits: one trial would need over 100 GiB
     path = write_config(tmp_path, {
         "mode": "montecarlo",
         "source": {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 2_000_000},
@@ -192,7 +192,8 @@ def test_trial_size_cap_exit_3(tmp_path):
     })
     proc = run_cli("montecarlo", "--config", path)
     assert proc.returncode == 3
-    assert proc.stderr.startswith("infeasible: one trial needs traces x n = 8000000000 uniforms")
+    assert proc.stderr.startswith("infeasible: one trial needs traces x n = 8000000000 mask bits, "
+                                  "up to about 104 GiB at peak")
     assert proc.stderr.count("\n") == 1
 
 

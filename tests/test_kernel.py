@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltrace import harness
+from deltrace import harness, reconstruct
 from deltrace.bits import BitString, RunProfile, is_subsequence
 from deltrace.channel import RngSpec, _mask_block, sample_traces
 from deltrace.events import detect_ambiguities, detect_events
@@ -37,9 +37,20 @@ def _source_string(source: dict) -> BitString:
 @example({"kind": "bits", "bits": "0110"}, 1.0, 1, 2, 0)  # every trace empty
 @example({"kind": "runs", "first_bit": 1, "fractions": [0.5, 0.5], "n": 6}, 0.0, 1, 1, 0)
 def test_batched_alignment_matches_maximal_runs(source, p, t_count, block, seed):
-    s = _source_string(source)
+    _check_alignment(_source_string(source), p, t_count, block, seed)
+
+
+def test_batched_alignment_with_int64_indexes(monkeypatch):
+    # blocks of 2^31 bits or more index their runs with int64
+    monkeypatch.setattr(reconstruct, "_INDEX32_LIMIT", 0)
+    for bits, p in [("0110100", 0.2), ("1", 0.5), ("0011", 1.0), ("010101010011", 0.1)]:
+        _check_alignment(BitString(bits), p, 4, 6, 11)
+
+
+def _check_alignment(s, p, t_count, block, seed):
     n = len(s)
-    flags = _mask_block(RngSpec(master_seed=seed), 0, p, np.empty((block, t_count, n)))
+    flags = _mask_block(RngSpec(master_seed=seed), 0, p, np.empty((block, t_count, n), dtype=bool),
+                        np.empty((t_count, n)))
     misses = _run_alignment_misses(s, ~flags)
     assert misses.shape == (block,)
     for b in range(block):
@@ -47,10 +58,11 @@ def test_batched_alignment_matches_maximal_runs(source, p, t_count, block, seed)
         assert misses[b] == (not (result.ok and result.string == s))
 
 
-def test_mask_block_draws_the_sample_traces_masks():
+@pytest.mark.parametrize("step", [1, 3, 4])  # 3 leaves a short last draw
+def test_mask_block_draws_the_sample_traces_masks(step):
     s = BitString("0010111010")
     spec = RngSpec(master_seed=77)
-    flags = _mask_block(spec, 5, 0.4, np.empty((3, 4, len(s))))
+    flags = _mask_block(spec, 5, 0.4, np.empty((3, 4, len(s)), dtype=bool), np.empty((step, len(s))))
     for k in range(3):
         traces = sample_traces(s, 0.4, 4, spec.trial_rng(5 + k))
         assert np.array_equal(flags[k], np.vstack([mt.mask.flags for mt in traces]))
