@@ -7,7 +7,6 @@ Everything here works in the log domain; see logspace for the primitives.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,13 +224,12 @@ def _run_log_quantities(lengths: list[float], p: float):
     return ln_beta, ln_px
 
 
-def prob_uncovered_run_mgf(run_lengths, p: float, T, allow_fallback: bool = False) -> ProbReport:
+def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     """Probability that no trace both keeps every run alive and keeps some run
     fully intact, summed over traces by inclusion-exclusion on the run set.
 
     Exact for any trace count, including analytic ones; the subset sum is
-    2^M - 1 terms, so M is capped at MGF_MAX_RUNS unless allow_fallback
-    accepts a singleton union upper bound instead.
+    2^M - 1 terms, so M is capped at MGF_MAX_RUNS.
     """
     lengths = _check_lengths(run_lengths)
     p = _check_p(p)
@@ -241,19 +239,10 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T, allow_fallback: bool = Fals
     if p == 1.0:
         return _report(0.0, "exact-closed-form")
     m = len(lengths)
+    if m > MGF_MAX_RUNS:
+        raise ValueError(f"inclusion-exclusion over {m} runs exceeds the {MGF_MAX_RUNS}-run cap")
     flags: tuple[str, ...] = ()
     ln_beta, ln_px = _run_log_quantities(lengths, p)
-    if m > MGF_MAX_RUNS:
-        if not allow_fallback:
-            raise ValueError(
-                f"inclusion-exclusion over {m} runs exceeds the {MGF_MAX_RUNS}-run cap"
-            )
-        warnings.warn(
-            f"{m} runs: falling back to the singleton union bound, an upper bound",
-            stacklevel=2,
-        )
-        terms = [pow_one_minus_ln(ln_px + lb, count.ln_value) for lb in ln_beta]
-        return _report(logsumexp_pos(terms), "exact-closed-form", flags=("union-bound-upper",))
     # Per nonempty subset K: sign (-1)^{|K|+1} times (1 - p_X (1 - prod beta))^T.
     ln_beta_sum = np.zeros(1 << m)
     for mask in range(1, 1 << m):

@@ -6,8 +6,8 @@ stderr, never a traceback.  Exit codes:
 
     0  success
     2  config error, including an output path that cannot be written
-    3  infeasible request: a brute-force or inclusion-exclusion cap, or one
-       trial's traces x n masks over the allocation cap
+    3  infeasible request: the inclusion-exclusion cap, one trial's traces x n
+       masks over the allocation cap, or one trial's oracle over its state budget
     4  implication breach: audit found one, or montecarlo saw run coverage
        hold on a trial whose reconstruction missed (the message names it)
 """

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ from .events import (
     _run_coverage_from_flags,
     _validated_alternative,
 )
-from .reconstruct import DEFAULT_ORACLE_CAP, _consistent_rows, _run_alignment_misses
+from .reconstruct import InfeasibleError, _count_consistent, _run_alignment_misses
 
 __all__ = [
     "ConfigError",
@@ -75,16 +76,13 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration (exit code 2)."""
 
 
-class InfeasibleError(RuntimeError):
-    """Structurally valid request that exceeds a hard resource cap (exit 3)."""
-
-
 class ImplicationBreach(RuntimeError):
     """A per-trial implication that must always hold failed (exit 4)."""
 
 
 MODES = ("montecarlo", "exact", "asymptotic", "sweep", "audit", "generate")
 ESTIMATORS = ("difficulty", "no-pattern-witness", "uncovered-run", "reconstruction-error")
+DIFFICULTY_DEFAULT_MAX_N = 20  # above it, montecarlo runs difficulty only if named
 CSV_HEADER = "estimator,n,p,T_or_c,a,value,ln_value,ci_low,ci_high,trials,seed,method"
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -486,8 +484,6 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
             f"{MAX_TRIAL_ELEMENTS} bits (up to about {PEAK_BYTES_PER_BIT * MAX_TRIAL_ELEMENTS / 2**30:.0f} GiB)"
         )
     oracle = audit or "difficulty" in estimators
-    if oracle and n > DEFAULT_ORACLE_CAP:
-        raise InfeasibleError(f"brute-force infeasible: n={n} exceeds cap {DEFAULT_ORACLE_CAP}")
     align = audit or "reconstruction-error" in estimators
     instance = config.source.instance()
     s = instance.s
@@ -526,7 +522,10 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         violated = [(_copies_violated(flags, spans).all(axis=-1), alt) for spans, alt in patterns]
         for k in range(len(kept)):
             arrays = [s.bits[row] for row in kept[k]]
-            sufficient = _consistent_rows(n, arrays).size == 1
+            try:
+                sufficient = _count_consistent(n, arrays) == 1
+            except InfeasibleError as exc:
+                raise InfeasibleError(f"{exc} on trial {first + k}") from None
             fired["difficulty"] += not sufficient
             if not audit:
                 continue
@@ -565,8 +564,7 @@ def _mc_row(config, estimator, successes) -> EstimateRow:
 def _simulation_estimators(config: ExperimentConfig) -> tuple[str, ...]:
     if config.estimators is not None:
         return config.estimators
-    n = config.source.n
-    if n <= DEFAULT_ORACLE_CAP:
+    if config.source.n <= DIFFICULTY_DEFAULT_MAX_N:
         return ESTIMATORS
     return tuple(e for e in ESTIMATORS if e != "difficulty")
 
@@ -578,7 +576,7 @@ def _estimate(config: ExperimentConfig, estimators) -> list[EstimateRow]:
 
 def estimate_difficulty(config: ExperimentConfig) -> EstimateRow:
     """Fraction of trials whose trace set fails to pin down the source,
-    judged by the brute-force oracle."""
+    judged by the sufficiency oracle."""
     return _estimate(config, ("difficulty",))[0]
 
 
@@ -738,6 +736,10 @@ def _generate_text(config: ExperimentConfig) -> str:
 
 def run_mode(config: ExperimentConfig) -> int:
     """Execute a parsed config end to end; returns the process exit code."""
+    if config.out is not None:  # refused before any trial runs
+        folder = os.path.dirname(os.path.abspath(config.out))
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise ConfigError(f"cannot write output: {folder} is not a writable directory")
     if config.mode == "generate":
         write_outputs(config, _generate_text(config))
         return 0

@@ -8,8 +8,6 @@ logs with signs.
 
 import math
 
-from scipy.special import gammaln
-
 NEG_INF = -float("inf")
 _LN2 = math.log(2.0)
 # exp() overflows just above this; a larger exponent means the power is 0.
@@ -66,7 +64,7 @@ def log_comb(n, k):
     """log of the binomial coefficient C(n, k)."""
     if k < 0 or k > n:
         return NEG_INF
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def logsumexp_pos(ln_values):

@@ -1,11 +1,10 @@
 """Reconstruction from traces: the linear-time maximal-runs algorithm and the
-exponential brute-force oracle that decides whether a trace set pins down a
-unique length-n source.
+product-automaton oracle that decides whether a trace set pins down a unique
+length-n source.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,6 @@ __all__ = [
 FIRST_BIT_MISMATCH = "first-bit mismatch"
 LENGTH_MISMATCH = "length mismatch"
 EMPTY_TRACE_SET = "empty trace set"
-
-# 2^n candidates with next-occurrence tables; beyond this the tables alone
-# pass ~60 MB and enumeration stops being a desk-scale oracle.
-DEFAULT_ORACLE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -152,72 +147,87 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# brute-force unique-source oracle
+# unique-source oracle
 
-_TABLES: dict[int, tuple] = {}
-
-
-def _tables(n: int):
-    """Candidate matrix in lexicographic order plus next-occurrence tables.
-
-    Row i of the candidate matrix is the length-n binary expansion of i
-    (leftmost bit most significant), so row order == lexicographic order.
-    nxt[b][i, j] is the first position >= j where candidate i carries bit b,
-    with n as the not-found sentinel.
-    """
-    cached = _TABLES.get(n)
-    if cached is not None:
-        return cached
-    count = 1 << n
-    if n:
-        shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
-        cand = ((np.arange(count, dtype=np.uint32)[:, None] >> shifts) & 1).astype(np.uint8)
-    else:
-        cand = np.zeros((1, 0), dtype=np.uint8)
-    nxt = np.full((2, count, n + 1), n, dtype=np.int16)
-    for j in range(n - 1, -1, -1):
-        for b in (0, 1):
-            nxt[b, :, j] = np.where(cand[:, j] == b, j, nxt[b, :, j + 1])
-    ones = cand.sum(axis=1, dtype=np.int16)
-    _TABLES[n] = (cand, nxt, ones)
-    return _TABLES[n]
+# States the oracle may visit, and sources consistent_sources may list.  Layer
+# k holds at most 2^k states, so no n <= 20 is refused.  A montecarlo process
+# running into it peaked at 76 MB with 4 traces and 682 MB with 32 (n = 100).
+MAX_ORACLE_STATES = 1 << 21
 
 
-def _consistent_rows(n: int, arrays) -> np.ndarray:
-    cand, nxt, ones = _tables(n)
-    alive = np.arange(1 << n, dtype=np.int64)
-    need_one = max((int((a == 1).sum()) for a in arrays), default=0)
-    need_zero = max((int((a == 0).sum()) for a in arrays), default=0)
-    alive = alive[(ones[alive] >= need_one) & (n - ones[alive] >= need_zero)]
-    for a in sorted(arrays, key=len, reverse=True):
-        if a.size == 0 or alive.size == 0:
-            break
-        pos = np.zeros(alive.size, dtype=np.int16)
-        for b in a:
-            hit = nxt[b, alive, pos]
-            keep = hit < n
-            alive = alive[keep]
-            if alive.size == 0:
-                break
-            pos = hit[keep] + 1
-    return alive
+class InfeasibleError(RuntimeError):
+    """Structurally valid request that exceeds a hard resource cap (exit 3)."""
 
 
-def consistent_sources(n: int, traces, cap: int = DEFAULT_ORACLE_CAP) -> list[BitString]:
+def _automaton(n: int, arrays):
+    """Product automaton of the traces' greedy subsequence matchers (after V. I.
+    Levenshtein, J. Combin. Theory Ser. A 93, 2001).  A state is one pointer
+    per trace; a bit advances each pointer whose next trace bit it equals.
+    Layer k keeps the states k bits reach from which no trace needs more than
+    the n - k bits left.  children[k][b, j] is the layer-(k + 1) index of state
+    j after bit b, or -1; counts[k][j] counts the (n - k)-bit strings taking
+    state j to every trace's end, and counts[k][-1] is 0."""
+    arrays = list(arrays) or [np.zeros(0, dtype=np.uint8)]
+    lens = np.array([a.size for a in arrays], dtype=np.int32)
+    traces = np.arange(len(arrays))
+    # step[b, i, q]: trace i's pointer q after reading bit b
+    step = np.tile(np.arange(lens.max() + 1, dtype=np.int32), (2, len(arrays), 1))
+    for i, a in enumerate(arrays):
+        step[a, i, np.arange(a.size)] += 1
+    rows = np.zeros((1, len(arrays)), dtype=np.int32)
+    visited = 1
+    children = []
+    for k in range(n):
+        nxt = np.concatenate([step[0, traces, rows], step[1, traces, rows]])
+        live = np.flatnonzero((nxt >= lens - (n - k - 1)).all(axis=1))
+        # deduplicate: sort the live states, keep the first of each equal run
+        order = live[np.lexsort(nxt[live].T)]
+        rows = nxt[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        child = np.full(nxt.shape[0], -1, dtype=np.int32)
+        child[order] = np.cumsum(new) - 1
+        children.append(child.reshape(2, -1))
+        rows = rows[new]
+        visited += rows.shape[0]
+        if visited > MAX_ORACLE_STATES:
+            raise InfeasibleError(f"the sufficiency oracle passed its budget of "
+                                  f"{MAX_ORACLE_STATES} automaton states at bit {k + 1} of {n}")
+    # counts reach 2^n, past int64 from n = 63 on
+    counts = [np.append((rows == lens).all(axis=1), 0).astype(np.int64 if n < 63 else object)]
+    for child in reversed(children):
+        counts.append(np.append(counts[-1][child[0]] + counts[-1][child[1]], 0))
+    return children, counts[::-1]
+
+
+def _sources(n: int, children, counts, limit: int) -> list[BitString]:
+    """The consistent sources of rank 0 to limit - 1 in lexicographic order: rank
+    r takes bit 0 if r < c0, the completions through bit 0, else bit 1, rank r - c0."""
+    rank = np.arange(min(int(counts[0][0]), limit))
+    state = np.zeros(rank.size, dtype=np.int64)
+    bits = np.empty((rank.size, n), dtype=np.uint8)
+    for k in range(n):
+        zeros = counts[k + 1][children[k][0, state]]
+        bits[:, k] = rank >= zeros
+        rank = rank - zeros * bits[:, k]
+        state = children[k][bits[:, k], state]
+    return [BitString(row) for row in bits]
+
+
+def _count_consistent(n: int, arrays) -> int:
+    """How many length-n strings embed every trace, given as bit arrays."""
+    return int(_automaton(n, arrays)[1][0][0])
+
+
+def consistent_sources(n: int, traces) -> list[BitString]:
     """All length-n strings of which every trace is a subsequence, in
-    lexicographic order.  Exhaustive over 2^n candidates, hence the cap."""
+    lexicographic order; more than MAX_ORACLE_STATES raise InfeasibleError."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise ValueError(f"brute-force infeasible: n={n} exceeds cap {cap}")
-    if n > DEFAULT_ORACLE_CAP:
-        warnings.warn(f"enumerating 2^{n} candidates; expect heavy memory use", stacklevel=2)
-    arrays = [_bits_of(t) for t in traces]
-    if any(a.size > n for a in arrays):
-        return []
-    rows = _consistent_rows(n, arrays)
-    cand = _tables(n)[0]
-    return [BitString(cand[i]) for i in rows]
+    children, counts = _automaton(n, [_bits_of(t) for t in traces])
+    if counts[0][0] > MAX_ORACLE_STATES:
+        raise InfeasibleError(f"{counts[0][0]} consistent sources exceed {MAX_ORACLE_STATES}")
+    return _sources(n, children, counts, MAX_ORACLE_STATES)
 
 
 @dataclass(frozen=True)
@@ -235,16 +245,15 @@ class SufficiencyVerdict:
             raise ValueError("sufficient must mean exactly one consistent source")
 
 
-def is_levenshtein_sufficient(s: BitString, traces, cap: int = DEFAULT_ORACLE_CAP) -> SufficiencyVerdict:
-    """Decide by brute force whether the traces admit s as the only source."""
+def is_levenshtein_sufficient(s: BitString, traces) -> SufficiencyVerdict:
+    """Decide whether the traces admit s as the only length-|s| source; the
+    witness is the lexicographically first other consistent source."""
     s = s if isinstance(s, BitString) else BitString(s)
     traces = list(traces)
     for t in traces:
         if not is_subsequence(t, s):
             raise ValueError("traces inconsistent with source")
-    sources = consistent_sources(len(s), traces, cap=cap)
-    count = len(sources)
-    if count == 1:
-        return SufficiencyVerdict(consistent_count=1, sufficient=True)
-    witness = next(x for x in sources if x != s)
-    return SufficiencyVerdict(consistent_count=count, sufficient=False, witness=witness)
+    children, counts = _automaton(len(s), [_bits_of(t) for t in traces])
+    count = int(counts[0][0])
+    witness = next((x for x in _sources(len(s), children, counts, 2) if x != s), None)
+    return SufficiencyVerdict(consistent_count=count, sufficient=count == 1, witness=witness)

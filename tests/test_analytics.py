@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -188,18 +187,6 @@ class TestUncoveredRunExact:
         lengths = [1.0] * (MGF_MAX_RUNS + 1)
         with pytest.raises(ValueError, match="cap"):
             prob_uncovered_run_mgf(lengths, 0.3, 4)
-
-    def test_run_cap_fallback(self):
-        lengths = [1.0] * (MGF_MAX_RUNS + 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = prob_uncovered_run_mgf(lengths, 0.3, 4, allow_fallback=True)
-        assert any("union bound" in str(w.message) for w in caught)
-        assert "union-bound-upper" in report.flags
-        # the union bound majorizes the truth on a comparable small instance
-        small = prob_uncovered_run_mgf([1.0] * 6, 0.3, 4).value
-        bound = prob_uncovered_run_mgf([1.0] * 6, 0.3, 4, allow_fallback=True)
-        assert bound.value >= small or "union-bound-upper" not in bound.flags
 
     def test_empty_lengths_rejected(self):
         with pytest.raises(ValueError, match="empty string has no runs"):

@@ -1,11 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from deltrace import cli, harness
+from deltrace import cli, harness, reconstruct
 
 CLI = [sys.executable, "-m", "deltrace.cli"]
 
@@ -123,19 +124,33 @@ def test_subcommand_mode_mismatch_exit_2(tmp_path, runs_config):
     assert "config error:" in proc.stderr
 
 
-def test_infeasible_exit_3(tmp_path):
-    path = write_config(tmp_path, {
+def difficulty_config(tmp_path, n):
+    return write_config(tmp_path, {
         "mode": "montecarlo",
-        "source": {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 24},
+        "source": {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": n},
         "p": 0.3,
         "traces": 4,
         "trials": 10,
         "seed": 5,
         "estimators": ["difficulty"],
     })
-    proc = run_cli("montecarlo", "--config", path)
-    assert proc.returncode == 3
-    assert "infeasible:" in proc.stderr
+
+
+def test_infeasible_exit_3(tmp_path, monkeypatch, capsys):
+    # a trial whose oracle passes the state budget; 40 states is far below
+    # what 4 traces of a 24-bit source reach
+    monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 40)
+    assert cli.main(["montecarlo", "--config", difficulty_config(tmp_path, 24)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"infeasible: the sufficiency oracle passed its budget of 40 automaton "
+                        r"states at bit \d+ of 24 on trial 0\n", captured.err)
+
+
+def test_difficulty_above_n20_exit_0(tmp_path):
+    proc = run_cli("montecarlo", "--config", difficulty_config(tmp_path, 24))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[1].startswith("difficulty,24,0.3,4,")
 
 
 def test_audit_exit_0(tmp_path):
@@ -178,6 +193,17 @@ def test_unwritable_out_exit_2(tmp_path, runs_config):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: cannot write output:")
     assert proc.stderr.count("\n") == 1
+
+
+def test_unwritable_out_refused_before_any_trial(tmp_path, runs_config, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "_mask_block", no_trials)
+    out = tmp_path / "missing" / "rows.csv"
+    assert cli.main(["montecarlo", "--config", runs_config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot write output: "
+                                       f"{out.parent} is not a writable directory\n")
 
 
 def test_trial_size_cap_exit_3(tmp_path):

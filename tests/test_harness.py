@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from deltrace import reconstruct
 from deltrace.analytics import critical_rate, prob_uncovered_run_mgf
 from deltrace.harness import (
     CSV_HEADER,
@@ -326,10 +327,14 @@ class TestMonteCarlo:
         assert row.method == "monte-carlo" and row.a is None
         assert row.ci[0] <= row.value <= row.ci[1]
 
-    def test_difficulty_needs_small_n(self):
+    def test_difficulty_needs_small_n(self, monkeypatch):
+        # any n runs; the oracle's state budget is the only limit
         cfg = mc_config(source={"kind": "runs", "first_bit": 0,
-                                "fractions": [0.5, 0.5], "n": 22})
-        with pytest.raises(InfeasibleError, match="exceeds cap"):
+                                "fractions": [0.5, 0.5], "n": 22}, trials=20)
+        assert 0.0 <= estimate_difficulty(cfg).value <= 1.0
+        monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 50)
+        with pytest.raises(InfeasibleError,
+                           match=r"budget of 50 automaton states at bit \d+ of 22 on trial 0$"):
             estimate_difficulty(cfg)
 
     def test_seed_determinism(self):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,3 +111,11 @@ class TestInnerHelper:
     def test_ln_neg_ln_deep_tail(self):
         # below the cutoff, -ln(1 - e^lx) equals e^lx to machine precision
         assert ln_neg_ln_one_minus_exp(-600.0) == -600.0
+
+
+def test_import_leaves_scipy_out():
+    # log_comb uses math.lgamma: scipy is no runtime dependency
+    code = "import sys, deltrace; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

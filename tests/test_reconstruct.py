@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltrace import reconstruct
 from deltrace.bits import BitString, run_decompose
 from deltrace.channel import RngSpec, sample_traces
 from deltrace.reconstruct import (
     EMPTY_TRACE_SET,
     FIRST_BIT_MISMATCH,
     LENGTH_MISMATCH,
+    MAX_ORACLE_STATES,
+    InfeasibleError,
     ReconstructionResult,
     SufficiencyVerdict,
     consistent_sources,
@@ -99,12 +102,17 @@ class TestConsistentSources:
         assert [str(x) for x in got] == sorted(str(x) for x in got)
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="brute-force infeasible"):
-            consistent_sources(21, bs("0"))
+        # 2^40 - 1 sources from two states per length: counted, never listed
+        with pytest.raises(InfeasibleError,
+                           match=f"^{2**40 - 1} consistent sources exceed {MAX_ORACLE_STATES}$"):
+            consistent_sources(40, bs("0"))
 
-    def test_cap_override(self):
-        with pytest.raises(ValueError, match="brute-force infeasible"):
-            consistent_sources(22, bs("0"), cap=21)
+    def test_cap_override(self, monkeypatch):
+        # the state budget is the one cap: lowered, it refuses a small input
+        assert len(consistent_sources(8, bs("0110", "1001"))) > 0
+        monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 10)
+        with pytest.raises(InfeasibleError, match="budget of 10 automaton states at bit 3 of 8"):
+            consistent_sources(8, bs("0110", "1001"))
 
     def test_overlong_trace_yields_nothing(self):
         assert consistent_sources(2, bs("000")) == []
@@ -147,13 +155,23 @@ class TestSufficiency:
         with pytest.raises(ValueError):
             SufficiencyVerdict(consistent_count=2, sufficient=True)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.text(alphabet="01", min_size=1, max_size=8),
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(alphabet="01", min_size=1, max_size=12),
            st.integers(1, 4), st.integers(0, 2**32))
     def test_verdict_matches_oracle_count(self, text, t_count, seed):
         s = BitString(text)
         traces = [mt.trace for mt in sample_traces(s, 0.4, t_count, RngSpec(master_seed=seed))]
         verdict = is_levenshtein_sufficient(s, traces)
         oracle = consistent_sources_oracle(len(s), [str(t) for t in traces])
+        assert [str(x) for x in consistent_sources(len(s), traces)] == oracle
         assert verdict.consistent_count == len(oracle)
         assert verdict.sufficient == (len(oracle) == 1)
+        others = [x for x in oracle if x != text]
+        assert verdict.witness == (BitString(others[0]) if others else None)
+
+    def test_beyond_recursion_and_int64(self):
+        # deeper than the recursion limit, and 2^n - 1 sources overflow int64
+        n = 2000
+        verdict = is_levenshtein_sufficient(BitString("0" * n), bs("0"))
+        assert verdict.consistent_count == 2**n - 1
+        assert verdict.witness == BitString("0" * (n - 1) + "1")
