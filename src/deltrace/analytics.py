@@ -19,6 +19,7 @@ from .logspace import (
     pow_one_minus_ln,
     signed_logsumexp,
 )
+from .reconstruct import InfeasibleError
 
 __all__ = [
     "METHODS",
@@ -229,7 +230,7 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     fully intact, summed over traces by inclusion-exclusion on the run set.
 
     Exact for any trace count, including analytic ones; the subset sum is
-    2^M - 1 terms, so M is capped at MGF_MAX_RUNS.
+    2^M - 1 terms, so M above MGF_MAX_RUNS raises InfeasibleError.
     """
     lengths = _check_lengths(run_lengths)
     p = _check_p(p)
@@ -240,7 +241,8 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
         return _report(0.0, "exact-closed-form")
     m = len(lengths)
     if m > MGF_MAX_RUNS:
-        raise ValueError(f"inclusion-exclusion over {m} runs exceeds the {MGF_MAX_RUNS}-run cap")
+        raise InfeasibleError(
+            f"inclusion-exclusion over {m} runs exceeds the cap of {MGF_MAX_RUNS}")
     flags: tuple[str, ...] = ()
     ln_beta, ln_px = _run_log_quantities(lengths, p)
     # Per nonempty subset K: sign (-1)^{|K|+1} times (1 - p_X (1 - prod beta))^T.

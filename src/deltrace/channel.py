@@ -76,13 +76,10 @@ class RngSpec:
     """
 
     master_seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
 
     def trial_rng(self, trial_index: int) -> np.random.Generator:
         if trial_index < 0:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .analytics import (
     DIRECT_SUM_MAX_TRACES,
-    MGF_MAX_RUNS,
     ThresholdParams,
     TraceCount,
     critical_rate,
@@ -33,6 +32,7 @@ from .bits import (
     PatternSpan,
     RepeatBlockSpec,
     RunFractionSpec,
+    RunProfile,
     is_subsequence,
     make_repeat_instance,
     make_run_instance,
@@ -113,20 +113,20 @@ class _Instance:
 
     s: BitString
     span: PatternSpan
-    lengths: tuple[int, ...]
-    first_bit: int
+    profile: RunProfile
 
 
 @dataclass(frozen=True)
 class SourceSpec:
-    kind: str
-    pattern: str | None = None
-    ell: float | None = None
-    copy_exponent: float = 1.0
-    first_bit: int = 0
-    fractions: tuple[float, ...] | None = None
-    bits: str | None = None
-    n: int | None = None
+    """The config's source: a recipe from the bits layer plus the length n.
+
+    ``recipe`` is a RepeatBlockSpec (kind ``repeat``), a RunFractionSpec
+    (kind ``runs``) or the literal BitString (kind ``bits``, whose n is its
+    length).  ``n`` is None only in sweep configs, where the n-grid supplies it.
+    """
+
+    recipe: RepeatBlockSpec | RunFractionSpec | BitString
+    n: int | None
 
     @classmethod
     def from_dict(cls, obj, *, allow_missing_n: bool) -> "SourceSpec":
@@ -138,7 +138,7 @@ class SourceSpec:
             bits = obj.get("bits")
             _require(isinstance(bits, str) and bits and set(bits) <= {"0", "1"},
                      "source.bits must be a nonempty 0/1 string")
-            return cls(kind="bits", bits=bits, n=len(bits))
+            return cls(BitString(bits), len(bits))
         n = obj.get("n")
         if not allow_missing_n:
             _require(isinstance(n, int) and n >= 1, "source.n must be a positive integer")
@@ -153,7 +153,7 @@ class SourceSpec:
             _require(isinstance(ell, (int, float)) and 0 < ell <= 1, "source.ell must lie in (0, 1]")
             a = obj.get("a", 1.0)
             _require(isinstance(a, (int, float)) and 0 < a <= 1, "source.a must lie in (0, 1]")
-            return cls(kind="repeat", pattern=pattern, ell=float(ell), copy_exponent=float(a), n=n)
+            return cls(RepeatBlockSpec(pattern, float(ell), float(a)), n)
         _check_keys(obj, {"kind", "first_bit", "fractions", "n"}, "source")
         first = obj.get("first_bit", 0)
         _require(first in (0, 1), "source.first_bit must be 0 or 1")
@@ -162,34 +162,23 @@ class SourceSpec:
                  and all(isinstance(x, (int, float)) and 0 < x < 1 for x in fracs),
                  "source.fractions must be a list of numbers in (0, 1)")
         _require(abs(sum(fracs) - 1.0) <= 1e-9, "source.fractions must sum to 1")
-        return cls(kind="runs", first_bit=first, fractions=tuple(float(x) for x in fracs), n=n)
+        return cls(RunFractionSpec(first, fracs), n)
 
-    def run_fractions(self) -> tuple[float, ...]:
-        """Run-length fractions for asymptotics; unavailable for raw bits."""
-        if self.kind == "runs":
-            return self.fractions
-        raise ConfigError(f"{self.kind} source has no run-length fractions")
-
-    def instance(self, n: int | None = None) -> _Instance:
-        n = self.n if n is None else n
-        if self.kind == "bits":
-            s = BitString(self.bits)
-        elif self.kind == "repeat":
-            spec = RepeatBlockSpec(BitString(self.pattern), self.ell, self.copy_exponent)
-            try:
-                s, span = make_repeat_instance(spec, n)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            profile = run_decompose(s)
-            return _Instance(s, span, profile.lengths, profile.first_bit)
-        else:
-            spec = RunFractionSpec(self.first_bit, self.fractions)
-            try:
-                s = make_run_instance(spec, n)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+    def instance(self) -> _Instance:
+        """The length-n string with its declared span: the repeated block of a
+        repeat source, otherwise the first longest run."""
+        recipe, span = self.recipe, None
+        try:
+            if isinstance(recipe, RepeatBlockSpec):
+                s, span = make_repeat_instance(recipe, self.n)
+            elif isinstance(recipe, RunFractionSpec):
+                s = make_run_instance(recipe, self.n)
+            else:
+                s = recipe
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         profile = run_decompose(s)
-        return _Instance(s, _longest_run_span(profile), profile.lengths, profile.first_bit)
+        return _Instance(s, span or _longest_run_span(profile), profile)
 
 
 def _longest_run_span(profile) -> PatternSpan:
@@ -245,7 +234,7 @@ class ExperimentConfig:
                      "n_grid must be a list of positive integers")
             a = obj.get("a", 1.0)
             _require(isinstance(a, (int, float)) and 0 < a <= 1, "a must lie in (0, 1]")
-            _require(source.kind != "bits", "sweep needs a repeat or runs source")
+            _require(not isinstance(source.recipe, BitString), "sweep needs a repeat or runs source")
             return cls(c_grid=tuple(float(c) for c in c_grid), n_grid=tuple(n_grid),
                        sweep_a=float(a), **kwargs)
 
@@ -267,7 +256,7 @@ class ExperimentConfig:
 
         if cfg_mode == "asymptotic":
             _require("schedule" in kwargs, "asymptotic mode needs a {c, a} trace schedule")
-            _require(source.kind != "bits", "asymptotic mode needs a repeat or runs source")
+            _require(not isinstance(source.recipe, BitString), "asymptotic mode needs a repeat or runs source")
             return cls(**kwargs)
         if cfg_mode == "exact":
             return cls(**kwargs)
@@ -442,8 +431,8 @@ class _Tally:
 def _audit_patterns(instance: _Instance):
     """Declare the structural patterns audited on every trial: adjacent run
     pairs at each boundary, and sandwiches around single-bit interior runs."""
-    lengths = instance.lengths
-    first = instance.first_bit
+    lengths = instance.profile.lengths
+    first = instance.profile.first_bit
     starts = [0]
     for length in lengths[:-1]:
         starts.append(starts[-1] + length)
@@ -487,7 +476,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     align = audit or "reconstruction-error" in estimators
     instance = config.source.instance()
     s = instance.s
-    lengths = np.asarray(instance.lengths, dtype=np.int64)
+    lengths = np.asarray(instance.profile.lengths, dtype=np.int64)
     patterns = []
     if audit:
         for pat in _audit_patterns(instance):
@@ -628,49 +617,56 @@ def audit_implications(config: ExperimentConfig) -> AuditReport:
 # ---------------------------------------------------------------------------
 # formula modes
 
-def _trace_count_of(config: ExperimentConfig, n: int) -> tuple[TraceCount, int | float, float | None]:
-    """Resolve the trace count plus the CSV (T_or_c, a) pair."""
-    if config.traces is not None:
-        return TraceCount.integer(config.traces), config.traces, None
-    c, a = config.schedule
-    return TraceCount.exponential(c, n, a), c, a
+def _formula_row(name, n, p, t_or_c, a, report) -> EstimateRow:
+    return EstimateRow(name, n, p, t_or_c, a, report.value, report.ln_value, method=report.method)
 
 
 def _formula_rows(config: ExperimentConfig) -> list[EstimateRow]:
     instance = config.source.instance()
-    n = len(instance.s)
-    count, t_or_c, a = _trace_count_of(config, n)
-    span = instance.span
-    report = prob_no_pattern_witness_exact(span.period, span.copies, config.p, count)
-    rows = [EstimateRow("no-pattern-witness", n, config.p, t_or_c, a, report.value,
-                        report.ln_value, method=report.method)]
-    if len(instance.lengths) > MGF_MAX_RUNS:
-        raise InfeasibleError(
-            f"inclusion-exclusion over {len(instance.lengths)} runs exceeds the cap"
-        )
-    report = prob_uncovered_run_mgf(instance.lengths, config.p, count)
-    rows.append(EstimateRow("uncovered-run", n, config.p, t_or_c, a, report.value,
-                            report.ln_value, method=report.method))
+    n, p, span, lengths = len(instance.s), config.p, instance.span, instance.profile.lengths
+    if config.traces is not None:
+        count, t_or_c, a = TraceCount.integer(config.traces), config.traces, None
+    else:
+        t_or_c, a = config.schedule
+        count = TraceCount.exponential(t_or_c, n, a)
+    reports = [
+        ("no-pattern-witness", prob_no_pattern_witness_exact(span.period, span.copies, p, count)),
+        ("uncovered-run", prob_uncovered_run_mgf(lengths, p, count)),
+    ]
     if config.traces is not None and config.traces <= DIRECT_SUM_MAX_TRACES:
-        report = prob_uncovered_run_sum(instance.lengths, config.p, count)
-        rows.append(EstimateRow("uncovered-run", n, config.p, t_or_c, a, report.value,
-                                report.ln_value, method=report.method))
-    return rows
+        reports.append(("uncovered-run", prob_uncovered_run_sum(lengths, p, count)))
+    return [_formula_row(name, n, p, t_or_c, a, report) for name, report in reports]
+
+
+def _event_routes(recipe: RepeatBlockSpec | RunFractionSpec, p: float):
+    """The event a structured recipe is judged by: its estimator name, its
+    critical rate, the exact route exact(n, count) on the real-valued copy
+    count ell * n^a or run lengths fraction * n, and the asymptotic route
+    asymptotic(c, count)."""
+    if isinstance(recipe, RepeatBlockSpec):
+        r, ell = len(recipe.pattern), recipe.ell
+        params = ThresholdParams(r=r, ell=ell, p=p)
+        return (
+            "no-pattern-witness",
+            critical_rate(r, ell, p),
+            lambda n, count: prob_no_pattern_witness_exact(r, ell * n**recipe.a, p, count),
+            lambda c, count: prob_no_pattern_witness_asymptotic(params, c, count),
+        )
+    fractions = recipe.fractions
+    return (
+        "uncovered-run",
+        critical_rate(1, max(fractions), p),
+        lambda n, count: prob_uncovered_run_mgf([frac * n for frac in fractions], p, count),
+        lambda c, count: prob_uncovered_run_asymptotic(fractions, p, c, count),
+    )
 
 
 def _asymptotic_rows(config: ExperimentConfig) -> list[EstimateRow]:
     c, a = config.schedule
     n = config.source.n
-    count = TraceCount.exponential(c, n, a)
-    if config.source.kind == "repeat":
-        params = ThresholdParams(r=len(config.source.pattern), ell=config.source.ell, p=config.p)
-        report = prob_no_pattern_witness_asymptotic(params, c, count)
-        return [EstimateRow("no-pattern-witness", n, config.p, c, a, report.value,
-                            report.ln_value, method=report.method)]
-    fractions = config.source.run_fractions()
-    report = prob_uncovered_run_asymptotic(fractions, config.p, c, count)
-    return [EstimateRow("uncovered-run", n, config.p, c, a, report.value,
-                        report.ln_value, method=report.method)]
+    name, _, _, asymptotic = _event_routes(config.source.recipe, config.p)
+    report = asymptotic(c, TraceCount.exponential(c, n, a))
+    return [_formula_row(name, n, config.p, c, a, report)]
 
 
 def _regime(c: float, c_star: float) -> str:
@@ -683,53 +679,26 @@ def sweep_threshold(config: ExperimentConfig) -> tuple[list[EstimateRow], list[s
     """Exact and asymptotic probabilities over the (c, n) grid, each row
     labeled by its position against the critical rate.  Formula evaluation
     on real-valued copy counts and run lengths, not rounded instances."""
-    source = config.source
+    name, c_star, exact, asymptotic = _event_routes(config.source.recipe, config.p)
     a = config.sweep_a
     rows: list[EstimateRow] = []
     regimes: list[str] = []
-    if source.kind == "repeat":
-        r = len(source.pattern)
-        c_star = critical_rate(r, source.ell, config.p)
-        params = ThresholdParams(r=r, ell=source.ell, p=config.p)
-        for c in config.c_grid:
-            for n in config.n_grid:
-                count = TraceCount.exponential(c, n, a)
-                label = _regime(c, c_star)
-                exact = prob_no_pattern_witness_exact(r, source.ell * n**source.copy_exponent,
-                                                      config.p, count)
-                rows.append(EstimateRow("no-pattern-witness", n, config.p, c, a,
-                                        exact.value, exact.ln_value, method=exact.method))
-                regimes.append(label)
-                asym = prob_no_pattern_witness_asymptotic(params, c, count)
-                rows.append(EstimateRow("no-pattern-witness", n, config.p, c, a,
-                                        asym.value, asym.ln_value, method=asym.method))
-                regimes.append(label)
-        return rows, regimes
-    fractions = source.run_fractions()
-    c_star = critical_rate(1, max(fractions), config.p)
     for c in config.c_grid:
         for n in config.n_grid:
             count = TraceCount.exponential(c, n, a)
-            label = _regime(c, c_star)
-            lengths = [frac * n for frac in fractions]
-            exact = prob_uncovered_run_mgf(lengths, config.p, count)
-            rows.append(EstimateRow("uncovered-run", n, config.p, c, a,
-                                    exact.value, exact.ln_value, method=exact.method))
-            regimes.append(label)
-            asym = prob_uncovered_run_asymptotic(fractions, config.p, c, count)
-            rows.append(EstimateRow("uncovered-run", n, config.p, c, a,
-                                    asym.value, asym.ln_value, method=asym.method))
-            regimes.append(label)
+            for report in (exact(n, count), asymptotic(c, count)):
+                rows.append(_formula_row(name, n, config.p, c, a, report))
+                regimes.append(_regime(c, c_star))
     return rows, regimes
 
 
 def _generate_text(config: ExperimentConfig) -> str:
     instance = config.source.instance()
-    span = instance.span
+    span, profile = instance.span, instance.profile
     lines = [
         str(instance.s),
         f"span offset={span.offset} period={span.period} copies={span.copies}",
-        "runs first_bit=%d lengths=%s" % (instance.first_bit, ",".join(map(str, instance.lengths))),
+        "runs first_bit=%d lengths=%s" % (profile.first_bit, ",".join(map(str, profile.lengths))),
     ]
     return "\n".join(lines) + "\n"
 

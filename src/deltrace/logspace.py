@@ -38,11 +38,7 @@ def ln_neg_ln_one_minus_exp(lx):
         raise ValueError(f"need lx < 0, got {lx}")
     if lx < _TINY_LOG:
         return lx
-    if lx > -_LN2:
-        inner = -math.log(-math.expm1(lx))
-    else:
-        inner = -math.log1p(-math.exp(lx))
-    return math.log(inner)
+    return math.log(-ln_one_minus_exp(lx))
 
 
 def pow_one_minus_ln(lx, ln_count):

@@ -20,6 +20,7 @@ from deltrace.analytics import (
     prob_uncovered_run_sum,
     prob_unpreserved_run,
 )
+from deltrace.reconstruct import InfeasibleError
 from oracles import (
     event_prob_oracle,
     every_trace_kills_a_copy,
@@ -185,7 +186,7 @@ class TestUncoveredRunExact:
 
     def test_run_cap(self):
         lengths = [1.0] * (MGF_MAX_RUNS + 1)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(InfeasibleError, match="exceeds the cap"):
             prob_uncovered_run_mgf(lengths, 0.3, 4)
 
     def test_empty_lengths_rejected(self):

@@ -99,6 +99,3 @@ class TestDeterminism:
             RngSpec(master_seed=-1)
         with pytest.raises(ValueError):
             RngSpec(master_seed=2**64)
-
-    def test_algorithm_pinned(self):
-        assert RngSpec(master_seed=0).algorithm == "pcg64"

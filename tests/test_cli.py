@@ -223,6 +223,18 @@ def test_trial_size_cap_exit_3(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,n,rest", [
+    ("exact", {"n": 42}, {"traces": 4}),
+    ("sweep", {}, {"c_grid": [0.1], "n_grid": [42]}),
+], ids=["exact", "sweep"])
+def test_inclusion_exclusion_cap_exit_3(tmp_path, command, n, rest):
+    source = {"kind": "runs", "first_bit": 0, "fractions": [1 / 21] * 21, **n}
+    path = write_config(tmp_path, {"mode": command, "source": source, "p": 0.3, **rest})
+    proc = run_cli(command, "--config", path)
+    assert proc.returncode == 3
+    assert proc.stderr == "infeasible: inclusion-exclusion over 21 runs exceeds the cap of 20\n"
+
+
 def test_coverage_breach_exit_4(tmp_path, monkeypatch, capsys):
     # a reconstruction that always misses breaks "coverage implies success"
     # on the first trial with run coverage, which p = 0 makes trial 0

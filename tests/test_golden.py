@@ -2,18 +2,19 @@
 for byte.  Determinism between two runs of the same code (criterion 11)
 cannot catch a refactor that changes the numbers; these files can.
 
-Each case is a config `golden/NAME.json` with its expected CSV
-`golden/NAME.csv`; the audit case also pins its summary text.  To record a
-case again after an intended change of output:
+Each case is a config `golden/NAME.json` with its expected output
+`golden/NAME.csv` (`golden/NAME.txt` for `generate`, which writes text); the
+audit case also pins its summary text.  To record a case again after an
+intended change of output:
 
-    python -m deltrace.cli montecarlo --config tests/golden/NAME.json > tests/golden/NAME.csv
+    python -m deltrace.cli COMMAND --config tests/golden/NAME.json > tests/golden/NAME.csv
 """
 
 from pathlib import Path
 
 import pytest
 
-from deltrace.cli import main
+from deltrace.cli import _COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,15 +26,27 @@ CASES = [
     ("montecarlo", "mc-bits"),
     ("exact", "exact"),
     ("exact", "exact-schedule"),
+    ("exact", "exact-repeat"),
+    ("exact", "exact-bits"),
+    ("asympt", "asympt-repeat"),
+    ("asympt", "asympt-runs"),
     ("sweep", "sweep"),
+    ("sweep", "sweep-runs"),
+    ("generate", "generate-repeat"),
+    ("generate", "generate-runs"),
+    ("generate", "generate-bits"),
 ]
+
+
+def _expected(command, name):
+    return GOLDEN / f"{name}.{'txt' if command == 'generate' else 'csv'}"
 
 
 @pytest.mark.parametrize("command,name", CASES)
 def test_csv_matches_golden(command, name, tmp_path):
-    out = tmp_path / f"{name}.csv"
+    out = tmp_path / f"{name}.out"
     assert main([command, "--config", str(GOLDEN / f"{name}.json"), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert out.read_bytes() == _expected(command, name).read_bytes()
 
 
 def test_audit_matches_golden(tmp_path, capsys):
@@ -41,3 +54,8 @@ def test_audit_matches_golden(tmp_path, capsys):
     assert main(["audit", "--config", str(GOLDEN / "audit.json"), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "audit.csv").read_bytes()
     assert capsys.readouterr().out == (GOLDEN / "audit.summary.txt").read_text()
+
+
+def test_every_subcommand_is_pinned():
+    pinned = {command for command, _ in CASES} | {"audit"}
+    assert set(_COMMANDS) <= pinned, f"no golden case for {sorted(set(_COMMANDS) - pinned)}"

@@ -63,14 +63,14 @@ class TestSourceSpec:
         )
         inst = spec.instance()
         assert str(inst.s) == "0001111000"
-        assert inst.lengths == (3, 4, 3)
+        assert inst.profile.lengths == (3, 4, 3)
         # declared span sits on the first longest run
         assert (inst.span.offset, inst.span.copies) == (3, 4)
 
     def test_bits_instance(self):
         spec = SourceSpec.from_dict({"kind": "bits", "bits": "0110"}, allow_missing_n=False)
         inst = spec.instance()
-        assert str(inst.s) == "0110" and inst.lengths == (1, 2, 1)
+        assert str(inst.s) == "0110" and inst.profile.lengths == (1, 2, 1)
 
     def test_rejections(self):
         bad = [

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltrace import harness, reconstruct
-from deltrace.bits import BitString, RunProfile, is_subsequence
+from deltrace.bits import BitString, is_subsequence
 from deltrace.channel import RngSpec, _mask_block, sample_traces
 from deltrace.events import detect_ambiguities, detect_events
 from deltrace.harness import ESTIMATORS, ExperimentConfig, SourceSpec, _audit_patterns, _simulate
@@ -96,8 +96,7 @@ def _replayed_counts(config):
     """Trial-by-trial counts through the public functions, as the harness
     computed them before it ran trials in blocks."""
     instance = config.source.instance()
-    s, span = instance.s, instance.span
-    profile = RunProfile(instance.first_bit, instance.lengths)
+    s, span, profile = instance.s, instance.span, instance.profile
     patterns = _audit_patterns(instance)
     spec = RngSpec(master_seed=config.seed)
     fired = dict.fromkeys(ESTIMATORS, 0)
