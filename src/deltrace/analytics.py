@@ -56,7 +56,6 @@ class ProbReport:
     value: float
     ln_value: float
     method: str
-    ci: tuple[float, float] | None = None
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):

@@ -1,6 +1,10 @@
 """Deletion channel: every bit of the source is dropped independently with
 probability p.  Masks are always kept alongside traces because the event
 detectors need to know which positions were deleted, not just what survived.
+
+One function, _mask_block, turns uniforms into deletion flags: sample_traces,
+sample_mask and the harness's Monte Carlo kernel all draw their masks through
+it, at most BLOCK_ELEMENTS uniforms (at least one trace) at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +16,12 @@ import numpy as np
 from .bits import BitString, is_subsequence
 
 __all__ = ["DeletionMask", "MaskedTrace", "RngSpec", "sample_mask", "apply_mask", "sample_traces", "trace_is_consistent"]
+
+# Uniforms one mask draw holds at once.  The harness's Monte Carlo kernel also
+# sizes its blocks by it: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share
+# one (B, T, n) mask, so every verdict is computed for B trials at once.  At
+# 2^15 per-trial seeding already dominates; larger blocks only add peak memory.
+BLOCK_ELEMENTS = 1 << 15
 
 
 class DeletionMask:
@@ -96,41 +106,30 @@ def _coerce_rng(rng) -> np.random.Generator:
     raise TypeError("rng must be a numpy Generator or an RngSpec")
 
 
-def _deleted(uniforms: np.ndarray, p: float) -> np.ndarray:
+def _mask_block(rngs, p: float, out: np.ndarray) -> np.ndarray:
+    """Fill the (B, T, n) bool array out with deletion masks, trial k's from
+    the k-th generator of the iterable rngs, and return it.
+
+    Each trial draws its T x n uniforms in order, max(1, BLOCK_ELEMENTS // n)
+    rows at a time, into one float scratch.  The draws continue one stream, so
+    trial k's flags are rng.random((T, n)) < p whatever the row count, while
+    no more than about BLOCK_ELEMENTS uniforms are held at once.
+    """
     if not 0 <= p <= 1:
         raise ValueError(f"deletion probability must be in [0, 1], got {p}")
-    return uniforms < p
-
-
-def _mask_matrix(n: int, p: float, T: int, rng: np.random.Generator) -> np.ndarray:
-    """T independent Bernoulli(p) deletion masks as a (T, n) bool array."""
-    return _deleted(rng.random((T, n)), p)
-
-
-def _mask_block(spec: RngSpec, first_trial: int, p: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Fill the (B, T, n) bool array out with the deletion masks of trials
-    first_trial, first_trial + 1, ... and return it.
-
-    Trial i draws from spec.trial_rng(i) into the float scratch of shape
-    (R, n), R of its T rows at a time.  The draws continue one stream, so they
-    yield the uniforms of rng.random((T, n)) and every trial sees the masks
-    that sample_traces(s, p, T, spec.trial_rng(i)) would give it, while no
-    more than R x n uniforms are held at once.
-    """
-    t_count = out.shape[1]
-    step = scratch.shape[0]
-    for k in range(out.shape[0]):
-        rng = spec.trial_rng(first_trial + k)
-        for r in range(0, t_count, step):
-            uniforms = scratch[: min(step, t_count - r)]
+    _, t_count, n = out.shape
+    scratch = np.empty((min(t_count, max(1, BLOCK_ELEMENTS // max(n, 1))), n))
+    for flags, rng in zip(out, rngs):
+        for r in range(0, t_count, len(scratch)):
+            uniforms = scratch[: t_count - r]
             rng.random(out=uniforms)
-            out[k, r : r + len(uniforms)] = _deleted(uniforms, p)
+            np.less(uniforms, p, out=flags[r : r + len(uniforms)])
     return out
 
 
 def sample_mask(n: int, p: float, rng) -> DeletionMask:
     """One deletion mask for a length-n source."""
-    return DeletionMask(_mask_matrix(n, p, 1, _coerce_rng(rng))[0])
+    return DeletionMask(_mask_block([_coerce_rng(rng)], p, np.empty((1, 1, n), dtype=bool))[0, 0])
 
 
 def apply_mask(s: BitString, mask: DeletionMask) -> BitString:
@@ -144,8 +143,7 @@ def sample_traces(s: BitString, p: float, T: int, rng) -> list[MaskedTrace]:
     """Pass s through the channel T times; each output keeps its mask."""
     if T < 1:
         raise ValueError("empty trace set has undefined sufficiency")
-    gen = _coerce_rng(rng)
-    flags = _mask_matrix(len(s), p, T, gen)
+    flags = _mask_block([_coerce_rng(rng)], p, np.empty((1, T, len(s)), dtype=bool))[0]
     out = []
     for row in flags:
         mask = DeletionMask(row)

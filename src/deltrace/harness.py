@@ -38,7 +38,7 @@ from .bits import (
     make_run_instance,
     run_decompose,
 )
-from .channel import RngSpec, _mask_block
+from .channel import BLOCK_ELEMENTS, RngSpec, _mask_block
 from .events import (
     AdjacentPattern,
     SandwichPattern,
@@ -101,6 +101,20 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _json_int(value, within, message: str) -> int:
+    """value if it is a JSON integer (not true or false) for which within
+    holds; ConfigError(message) otherwise."""
+    _require(isinstance(value, int) and not isinstance(value, bool) and within(value), message)
+    return value
+
+
+def _json_number(value, within, message: str) -> float:
+    """value as a float if it is a JSON integer or number (not true or false)
+    for which within holds; ConfigError(message) otherwise."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool) and within(value), message)
+    return float(value)
+
+
 def _check_keys(obj: dict, allowed: set, where: str):
     _require(isinstance(obj, dict), f"{where} must be a JSON object")
     unknown = set(obj) - allowed
@@ -141,7 +155,7 @@ class SourceSpec:
             return cls(BitString(bits), len(bits))
         n = obj.get("n")
         if not allow_missing_n:
-            _require(isinstance(n, int) and n >= 1, "source.n must be a positive integer")
+            n = _json_int(n, lambda v: v >= 1, "source.n must be a positive integer")
         else:
             _require(n is None, "omit source.n: the sweep n-grid supplies it")
         if kind == "repeat":
@@ -149,18 +163,16 @@ class SourceSpec:
             pattern = obj.get("pattern")
             _require(isinstance(pattern, str) and pattern and set(pattern) <= {"0", "1"},
                      "source.pattern must be a nonempty 0/1 string")
-            ell = obj.get("ell")
-            _require(isinstance(ell, (int, float)) and 0 < ell <= 1, "source.ell must lie in (0, 1]")
-            a = obj.get("a", 1.0)
-            _require(isinstance(a, (int, float)) and 0 < a <= 1, "source.a must lie in (0, 1]")
-            return cls(RepeatBlockSpec(pattern, float(ell), float(a)), n)
+            ell = _json_number(obj.get("ell"), lambda v: 0 < v <= 1, "source.ell must lie in (0, 1]")
+            a = _json_number(obj.get("a", 1.0), lambda v: 0 < v <= 1, "source.a must lie in (0, 1]")
+            return cls(RepeatBlockSpec(pattern, ell, a), n)
         _check_keys(obj, {"kind", "first_bit", "fractions", "n"}, "source")
-        first = obj.get("first_bit", 0)
-        _require(first in (0, 1), "source.first_bit must be 0 or 1")
+        first = _json_int(obj.get("first_bit", 0), lambda v: v in (0, 1),
+                          "source.first_bit must be 0 or 1")
         fracs = obj.get("fractions")
-        _require(isinstance(fracs, list) and fracs
-                 and all(isinstance(x, (int, float)) and 0 < x < 1 for x in fracs),
-                 "source.fractions must be a list of numbers in (0, 1)")
+        message = "source.fractions must be a list of numbers in (0, 1)"
+        _require(isinstance(fracs, list) and fracs, message)
+        fracs = [_json_number(x, lambda v: 0 < v < 1, message) for x in fracs]
         _require(abs(sum(fracs) - 1.0) <= 1e-9, "source.fractions must sum to 1")
         return cls(RunFractionSpec(first, fracs), n)
 
@@ -219,40 +231,32 @@ class ExperimentConfig:
         if cfg_mode == "generate":
             return cls(mode=cfg_mode, source=source, out=out)
 
-        p = obj.get("p")
-        _require(isinstance(p, (int, float)) and 0 <= p <= 1, "p must be a probability in [0, 1]")
-        kwargs = dict(mode=cfg_mode, source=source, p=float(p), out=out)
+        p = _json_number(obj.get("p"), lambda v: 0 <= v <= 1, "p must be a probability in [0, 1]")
+        kwargs = dict(mode=cfg_mode, source=source, p=p, out=out)
 
         if cfg_mode == "sweep":
             c_grid = obj.get("c_grid")
+            message = "c_grid must be a list of positive rates"
+            _require(isinstance(c_grid, list) and c_grid, message)
+            c_grid = tuple(_json_number(c, lambda v: v > 0, message) for c in c_grid)
             n_grid = obj.get("n_grid")
-            _require(isinstance(c_grid, list) and c_grid
-                     and all(isinstance(c, (int, float)) and c > 0 for c in c_grid),
-                     "c_grid must be a list of positive rates")
-            _require(isinstance(n_grid, list) and n_grid
-                     and all(isinstance(n, int) and n >= 1 for n in n_grid),
-                     "n_grid must be a list of positive integers")
-            a = obj.get("a", 1.0)
-            _require(isinstance(a, (int, float)) and 0 < a <= 1, "a must lie in (0, 1]")
+            message = "n_grid must be a list of positive integers"
+            _require(isinstance(n_grid, list) and n_grid, message)
+            n_grid = tuple(_json_int(n, lambda v: v >= 1, message) for n in n_grid)
+            a = _json_number(obj.get("a", 1.0), lambda v: 0 < v <= 1, "a must lie in (0, 1]")
             _require(not isinstance(source.recipe, BitString), "sweep needs a repeat or runs source")
-            return cls(c_grid=tuple(float(c) for c in c_grid), n_grid=tuple(n_grid),
-                       sweep_a=float(a), **kwargs)
+            return cls(c_grid=c_grid, n_grid=n_grid, sweep_a=a, **kwargs)
 
         traces = obj.get("traces")
-        if isinstance(traces, bool) or traces is None:
-            raise ConfigError("traces must be an integer or a {c, a} schedule")
-        if isinstance(traces, int):
-            _require(traces >= 1, "empty trace set has undefined sufficiency")
-            kwargs["traces"] = traces
-        elif isinstance(traces, dict):
+        if isinstance(traces, dict):
             _check_keys(traces, {"c", "a"}, "traces")
-            c = traces.get("c")
-            a = traces.get("a", 1.0)
-            _require(isinstance(c, (int, float)) and c > 0, "traces.c must be positive")
-            _require(isinstance(a, (int, float)) and 0 < a <= 1, "traces.a must lie in (0, 1]")
-            kwargs["schedule"] = (float(c), float(a))
+            c = _json_number(traces.get("c"), lambda v: v > 0, "traces.c must be positive")
+            a = _json_number(traces.get("a", 1.0), lambda v: 0 < v <= 1, "traces.a must lie in (0, 1]")
+            kwargs["schedule"] = (c, a)
         else:
-            raise ConfigError("traces must be an integer or a {c, a} schedule")
+            kwargs["traces"] = _json_int(traces, lambda v: True,
+                                         "traces must be an integer or a {c, a} schedule")
+            _require(traces >= 1, "empty trace set has undefined sufficiency")
 
         if cfg_mode == "asymptotic":
             _require("schedule" in kwargs, "asymptotic mode needs a {c, a} trace schedule")
@@ -263,12 +267,8 @@ class ExperimentConfig:
 
         # montecarlo and audit: simulation modes
         _require("traces" in kwargs, f"{cfg_mode} mode needs an integer trace count")
-        trials = obj.get("trials")
-        _require(isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1,
-                 "trials must be a positive integer")
-        seed = obj.get("seed")
-        _require(isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
-                 "seed must be an integer in [0, 2^64)")
+        trials = _json_int(obj.get("trials"), lambda v: v >= 1, "trials must be a positive integer")
+        seed = _json_int(obj.get("seed"), lambda v: 0 <= v < 2**64, "seed must be an integer in [0, 2^64)")
         kwargs.update(trials=trials, seed=seed)
         if cfg_mode == "audit":
             return cls(**kwargs)
@@ -400,13 +400,8 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 # ---------------------------------------------------------------------------
 # Monte Carlo kernel: blocks of trials on per-trial streams, shared masks
 
-# Mask bits per block: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share one
-# (B, T, n) mask, so every verdict is computed for B trials at once, and the
-# uniforms behind it are drawn max(1, BLOCK_ELEMENTS // n) rows at a time.
-# At 2^15 per-trial seeding already dominates; larger blocks only add peak
-# memory.
-BLOCK_ELEMENTS = 1 << 15
-# One trial's T x n mask bits above this are refused before anything is
+# Blocks hold B = max(1, BLOCK_ELEMENTS // (T * n)) trials (see channel).  One
+# trial's T x n mask bits above this are refused before anything is
 # allocated.  A trial larger than a block peaks at about 6 (few runs) to
 # PEAK_BYTES_PER_BIT (a run per bit) bytes per mask bit: CLI peak RSS on Linux,
 # measured at 2^25 and 2^26 bits and taken as linear beyond.  At the cap that
@@ -463,8 +458,12 @@ def _audit_patterns(instance: _Instance):
 
 
 def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _Tally:
-    """One pass over all trials, B trials per block.  Trial i keeps its own
-    stream RngSpec(seed).trial_rng(i), so the counts do not depend on B."""
+    """One pass over all trials, B = max(1, BLOCK_ELEMENTS // (T * n)) trials
+    per block.  channel._mask_block fills a block's (B, T, n) mask, trial i
+    from its own stream RngSpec(seed).trial_rng(i), so the counts do not
+    depend on B; the mask events and the run-alignment verdict are then
+    computed for the whole block, the oracle and the audit's checks trial by
+    trial."""
     t_count, p, n = config.traces, config.p, config.source.n
     if t_count * n > MAX_TRIAL_ELEMENTS:
         raise InfeasibleError(
@@ -485,11 +484,11 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     rng_spec = RngSpec(master_seed=config.seed)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
-    scratch = np.empty((min(t_count, max(1, BLOCK_ELEMENTS // n)), n))
     tally = _Tally(fired=dict.fromkeys(ESTIMATORS, 0))
     fired = tally.fired
     for first in range(0, config.trials, block):
-        flags = _mask_block(rng_spec, first, p, masks[: min(block, config.trials - first)], scratch)
+        size = min(block, config.trials - first)
+        flags = _mask_block(map(rng_spec.trial_rng, range(first, first + size)), p, masks[:size])
         no_witness = ~_pattern_witness_from_flags(flags, instance.span)
         covered = _run_coverage_from_flags(flags, lengths).all(axis=-1)
         fired["no-pattern-witness"] += int(no_witness.sum())

@@ -75,10 +75,6 @@ def maximal_runs(n: int, traces) -> ReconstructionResult:
     return ReconstructionResult(string=BitString(np.repeat(values, best)))
 
 
-# Blocks with fewer bits than this index their runs with int32.
-_INDEX32_LIMIT = 2**31
-
-
 def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     """maximal_runs over a block of trace sets at once: for kept of shape
     (B, T, n), True where a bit of the nonempty source s survived, is the
@@ -96,9 +92,9 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     lengths = _run_lengths(s.bits)
     rows = B * T
     kept = kept.reshape(rows, n)
-    # The temporaries scale with the block, so each is dropped once spent and
-    # per-run indexes are int32 whenever the block has fewer than 2^31 bits.
-    index = np.int32 if kept.size < _INDEX32_LIMIT else np.int64
+    # The temporaries scale with the block, so each is dropped once spent, and
+    # per-run indexes are int32: the harness's blocks hold at most
+    # max(BLOCK_ELEMENTS, MAX_TRIAL_ELEMENTS) < 2^31 bits.
     count = np.count_nonzero(kept, axis=1)
     row_start = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(count, out=row_start[1:])
@@ -116,7 +112,7 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     run_at = np.flatnonzero(starts)
     del starts
     first_run = np.searchsorted(run_at, row_start)  # runs of trace r: first_run[r:r+2]
-    run_len = np.empty(run_at.size, dtype=index)
+    run_len = np.empty(run_at.size, dtype=np.int32)
     np.subtract(run_at[1:], run_at[:-1], out=run_len[:-1], casting="same_kind")
     run_len[-1:] = size - run_at[-1:]
     del run_at
@@ -131,9 +127,9 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     # run k of trace r goes to table[r, k]; only the chosen traces count
     m = lengths.size
     width = max(m, int(m_hat.max()))
-    table = np.zeros((rows, width), dtype=index)
-    at = np.repeat((np.arange(rows) * width - first_run[:-1]).astype(index), runs.reshape(-1))
-    at += np.arange(run_len.size, dtype=index)
+    table = np.zeros((rows, width), dtype=np.int32)
+    at = np.repeat((np.arange(rows) * width - first_run[:-1]).astype(np.int32), runs.reshape(-1))
+    at += np.arange(run_len.size, dtype=np.int32)
     table.reshape(-1)[at] = run_len
     del at, run_len
     table[~chosen.reshape(-1)] = 0

@@ -118,6 +118,18 @@ def test_config_error_exit_2(tmp_path):
     assert "config error:" in proc.stderr
 
 
+@pytest.mark.parametrize("command,obj", [
+    ("generate", {"source": {"kind": "repeat", "pattern": "0", "ell": 1.0, "n": True}}),
+    ("sweep", {"source": {"kind": "repeat", "pattern": "0", "ell": 1.0}, "p": 0.5,
+               "c_grid": [0.5], "n_grid": [True]}),
+], ids=["generate-n", "sweep-n_grid"])
+def test_boolean_number_exit_2(tmp_path, command, obj):
+    proc = run_cli(command, "--config", write_config(tmp_path, {"mode": command, **obj}))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+
+
 def test_subcommand_mode_mismatch_exit_2(tmp_path, runs_config):
     proc = run_cli("exact", "--config", runs_config)
     assert proc.returncode == 2

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -45,6 +47,50 @@ def mc_obj(**over):
 
 def mc_config(**over):
     return ExperimentConfig.from_dict(mc_obj(**over))
+
+
+EXACT_OBJ = {
+    "mode": "exact",
+    "source": {"kind": "repeat", "pattern": "0", "ell": 1.0, "a": 1.0, "n": 10},
+    "p": 0.5,
+    "traces": {"c": 0.6, "a": 1.0},
+}
+SWEEP_OBJ = {
+    "mode": "sweep",
+    "source": {"kind": "repeat", "pattern": "0", "ell": 1.0},
+    "p": 0.5,
+    "c_grid": [0.5],
+    "n_grid": [10],
+    "a": 1.0,
+}
+# every numeric key of the schema: a valid config and the path to the key
+# (a list index picks an element)
+NUMERIC_KEYS = {
+    "source.n": (mc_obj(), ("source", "n")),
+    "source.ell": (EXACT_OBJ, ("source", "ell")),
+    "source.a": (EXACT_OBJ, ("source", "a")),
+    "source.first_bit": (mc_obj(), ("source", "first_bit")),
+    "source.fractions": (mc_obj(), ("source", "fractions", 0)),
+    "p": (mc_obj(), ("p",)),
+    "traces": (mc_obj(), ("traces",)),
+    "traces.c": (EXACT_OBJ, ("traces", "c")),
+    "traces.a": (EXACT_OBJ, ("traces", "a")),
+    "trials": (mc_obj(), ("trials",)),
+    "seed": (mc_obj(), ("seed",)),
+    "c_grid": (SWEEP_OBJ, ("c_grid", 0)),
+    "n_grid": (SWEEP_OBJ, ("n_grid", 0)),
+    "sweep.a": (SWEEP_OBJ, ("a",)),
+}
+
+
+def with_value(obj, path, value):
+    obj = copy.deepcopy(obj)
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return obj
 
 
 class TestSourceSpec:
@@ -123,6 +169,25 @@ class TestConfigValidation:
             mc_config(traces=True)
         with pytest.raises(ConfigError):
             mc_config(trials=True)
+
+    @pytest.mark.parametrize("key", list(NUMERIC_KEYS))
+    def test_numeric_keys_refuse_booleans(self, key):
+        obj, path = NUMERIC_KEYS[key]
+        ExperimentConfig.from_dict(obj)  # valid as given
+        with pytest.raises(ConfigError) as wrong_type:
+            ExperimentConfig.from_dict(with_value(obj, path, "1"))
+        # true is refused with the message any other non-number gets
+        with pytest.raises(ConfigError, match=re.escape(str(wrong_type.value))):
+            ExperimentConfig.from_dict(with_value(obj, path, True))
+
+    def test_integers_are_numbers(self):
+        assert mc_config(p=1).p == 1.0
+        cfg = ExperimentConfig.from_dict({**EXACT_OBJ, "traces": {"c": 1, "a": 1},
+                                          "source": {**EXACT_OBJ["source"], "ell": 1, "a": 1}})
+        assert cfg.schedule == (1.0, 1.0)
+        assert (cfg.source.recipe.ell, cfg.source.recipe.a) == (1.0, 1.0)
+        cfg = ExperimentConfig.from_dict({**SWEEP_OBJ, "p": 0, "c_grid": [1, 0.5], "a": 1})
+        assert (cfg.p, cfg.c_grid, cfg.sweep_a) == (0.0, (1.0, 0.5), 1.0)
 
     def test_seed_range(self):
         with pytest.raises(ConfigError):

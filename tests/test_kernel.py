@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltrace import harness, reconstruct
-from deltrace.bits import BitString, is_subsequence
+from deltrace import channel, harness
+from deltrace.bits import BitString, _run_lengths, is_subsequence
 from deltrace.channel import RngSpec, _mask_block, sample_traces
-from deltrace.events import detect_ambiguities, detect_events
+from deltrace.events import _run_coverage_from_flags, detect_ambiguities, detect_events
 from deltrace.harness import ESTIMATORS, ExperimentConfig, SourceSpec, _audit_patterns, _simulate
 from deltrace.reconstruct import _run_alignment_misses, is_levenshtein_sufficient, maximal_runs
 
@@ -40,32 +40,39 @@ def test_batched_alignment_matches_maximal_runs(source, p, t_count, block, seed)
     _check_alignment(_source_string(source), p, t_count, block, seed)
 
 
-def test_batched_alignment_with_int64_indexes(monkeypatch):
-    # blocks of 2^31 bits or more index their runs with int64
-    monkeypatch.setattr(reconstruct, "_INDEX32_LIMIT", 0)
-    for bits, p in [("0110100", 0.2), ("1", 0.5), ("0011", 1.0), ("010101010011", 0.1)]:
-        _check_alignment(BitString(bits), p, 4, 6, 11)
+def test_blocks_fit_int32_run_indexes():
+    # a block holds at most max(BLOCK_ELEMENTS, MAX_TRIAL_ELEMENTS) mask bits,
+    # which is why _run_alignment_misses indexes runs with int32
+    assert max(harness.BLOCK_ELEMENTS, harness.MAX_TRIAL_ELEMENTS) < 2**31
 
 
 def _check_alignment(s, p, t_count, block, seed):
     n = len(s)
-    flags = _mask_block(RngSpec(master_seed=seed), 0, p, np.empty((block, t_count, n), dtype=bool),
-                        np.empty((t_count, n)))
+    spec = RngSpec(master_seed=seed)
+    flags = _mask_block(map(spec.trial_rng, range(block)), p, np.empty((block, t_count, n), dtype=bool))
     misses = _run_alignment_misses(s, ~flags)
     assert misses.shape == (block,)
     for b in range(block):
         result = maximal_runs(n, [s.bits[~row] for row in flags[b]])
         assert misses[b] == (not (result.ok and result.string == s))
+    # a trace that wipes out a run has fewer runs than s, so alignment uses
+    # the traces that wiped no run: it misses exactly when some run is uncovered
+    assert np.array_equal(misses, ~_run_coverage_from_flags(flags, _run_lengths(s.bits)).all(axis=-1))
 
 
 @pytest.mark.parametrize("step", [1, 3, 4])  # 3 leaves a short last draw
-def test_mask_block_draws_the_sample_traces_masks(step):
+def test_mask_block_draws_the_sample_traces_masks(step, monkeypatch):
     s = BitString("0010111010")
     spec = RngSpec(master_seed=77)
-    flags = _mask_block(spec, 5, 0.4, np.empty((3, 4, len(s)), dtype=bool), np.empty((step, len(s))))
+    # at the default constant each trial draws its 4 x 10 uniforms at once
+    expected = [np.vstack([mt.mask.flags for mt in sample_traces(s, 0.4, 4, spec.trial_rng(5 + k))])
+                for k in range(3)]
     for k in range(3):
-        traces = sample_traces(s, 0.4, 4, spec.trial_rng(5 + k))
-        assert np.array_equal(flags[k], np.vstack([mt.mask.flags for mt in traces]))
+        assert np.array_equal(expected[k], spec.trial_rng(5 + k).random((4, len(s))) < 0.4)
+    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", step * len(s))  # step rows per draw
+    flags = _mask_block(map(spec.trial_rng, range(5, 8)), 0.4, np.empty((3, 4, len(s)), dtype=bool))
+    for k in range(3):
+        assert np.array_equal(flags[k], expected[k])
 
 
 def _audit_config(source, p, t_count, trials, seed):
