@@ -9,6 +9,8 @@ it, at most BLOCK_ELEMENTS uniforms (at least one trace) at a time.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +21,68 @@ __all__ = ["DeletionMask", "MaskedTrace", "RngSpec", "sample_mask", "apply_mask"
 
 # Uniforms one mask draw holds at once.  The harness's Monte Carlo kernel also
 # sizes its blocks by it: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share
-# one (B, T, n) mask, so every verdict is computed for B trials at once.  At
-# 2^15 per-trial seeding already dominates; larger blocks only add peak memory.
+# one (B, T, n) mask, so every verdict is computed for B trials at once.  On
+# 6000 trials of T * n = 320, the kernel took 170 ms at 2^13, 115 ms at 2^15
+# and 100-107 ms at 2^17 (in process, 2 cores): from 2^15 on, each trial's
+# stream setting and draws are about 3/4 of it, so larger blocks gain little
+# and add peak memory.
 BLOCK_ELEMENTS = 1 << 15
+
+# Trial indexes whose PCG64 seeds RngSpec.block_rngs computes in one numpy
+# pass.  It does not follow the mask block: a pass costs about 175 us even for
+# one trial (8 trial_rng calls), and 0.5 us per trial at 512.  Larger chunks
+# save little more and hold more transients: at 4096 a 6000-trial mc-short
+# run peaked 0.7 MB higher than at 512.
+SEED_CHUNK = 512
+
+# SeedSequence's hash constants (numpy.random.bit_generator, frozen by NEP 19
+# as O'Neill's seed_seq_fe) and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_consts(value: int, mult: int, count: int) -> list[np.uint32]:
+    out = [value]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return [np.uint32(h) for h in out]
+
+
+# SeedSequence hashes 4 pool words, then 12 in the pool mix (consts A), and
+# draws 8 output words for 4 uint64 (consts B); hash k uses consts k and k + 1.
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _xshift(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> np.uint32(16))
+
+
+def _pcg64_seed_words(seed: int, first: int, size: int) -> np.ndarray:
+    """(size, 4) little-endian uint64: SeedSequence([seed, i]).generate_state(4, uint64)
+    for i in [first, first + size), the words PCG64 seeds itself from.
+
+    The entropy is the little-endian uint32 words of seed and then of i, each
+    at least one word; positions up to the pool size of 4 that it leaves
+    empty hash as 0, so zero-padding it to 4 words changes nothing."""
+    idx = np.arange(first, first + size, dtype=np.uint64)
+    words = [np.full(size, w, dtype=np.uint32) for w in ([seed & _M32, seed >> 32] if seed >> 32 else [seed])]
+    words += [(idx & np.uint64(_M32)).astype(np.uint32), (idx >> np.uint64(32)).astype(np.uint32)]
+    words += [np.zeros(size, dtype=np.uint32)] * (4 - len(words))
+    pool = [_xshift((w ^ _HASH_A[k]) * _HASH_A[k + 1]) for k, w in enumerate(words)]
+    k = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed = _xshift((pool[src] ^ _HASH_A[k]) * _HASH_A[k + 1])
+                pool[dst] = _xshift(_MIX_L * pool[dst] - _MIX_R * hashed)
+                k += 1
+    out = np.empty((size, 8), dtype="<u4")  # uint32 pairs read as little-endian uint64
+    for j in range(8):
+        out[:, j] = _xshift((pool[j % 4] ^ _HASH_B[j]) * _HASH_B[j + 1])
+    return out.view("<u8")
 
 
 class DeletionMask:
@@ -82,20 +143,51 @@ class RngSpec:
 
     Trial i draws from an independent PCG64 stream seeded with
     SeedSequence([master_seed, i]), so trials can be evaluated in any order
-    (or in parallel) and still reproduce bit-for-bit.
+    (or in parallel) and still reproduce bit-for-bit.  trial_rng builds one
+    such stream, the reference; block_rngs yields a range of them, bit-equal,
+    with their seeds computed SEED_CHUNK trials at a time.
     """
 
     master_seed: int
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
+        seed = self.master_seed
+        if isinstance(seed, (bool, np.bool_)) or not hasattr(type(seed), "__index__"):
+            raise ValueError(f"master_seed must be an integer, got {seed!r}")
+        seed = operator.index(seed)
+        if not 0 <= seed < 2**64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "master_seed", seed)
 
     def trial_rng(self, trial_index: int) -> np.random.Generator:
         if trial_index < 0:
             raise ValueError("trial_index must be >= 0")
         seq = np.random.SeedSequence([self.master_seed, trial_index])
         return np.random.Generator(np.random.PCG64(seq))
+
+    def block_rngs(self, first: int, size: int) -> Iterator[np.random.Generator]:
+        """Trial i's stream for i in [first, first + size), in order, each
+        drawing exactly what trial_rng(i) draws.
+
+        Every item is one reused Generator whose PCG64 state is set to trial
+        i's when the item is taken, so draw from it before taking the next.
+        """
+        if first < 0 or size < 0 or first + size > 2**64:
+            raise ValueError("trial indexes must lie in [0, 2**64)")
+        return self._streams(first, size)
+
+    def _streams(self, first: int, size: int) -> Iterator[np.random.Generator]:
+        bit_gen = np.random.PCG64(0)
+        rng = np.random.Generator(bit_gen)
+        for start in range(first, first + size, SEED_CHUNK):
+            words = _pcg64_seed_words(self.master_seed, start, min(SEED_CHUNK, first + size - start))
+            for s_hi, s_lo, i_hi, i_lo in words.tolist():
+                # PCG64's seeding: inc = 2 * seq + 1, then two LCG steps from 0
+                inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+                state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
+                bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                 "has_uint32": 0, "uinteger": 0}
+                yield rng
 
 
 def _coerce_rng(rng) -> np.random.Generator:

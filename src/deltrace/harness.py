@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -460,7 +461,8 @@ def _audit_patterns(instance: _Instance):
 def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _Tally:
     """One pass over all trials, B = max(1, BLOCK_ELEMENTS // (T * n)) trials
     per block.  channel._mask_block fills a block's (B, T, n) mask, trial i
-    from its own stream RngSpec(seed).trial_rng(i), so the counts do not
+    from its own stream, taken in order from one RngSpec(seed).block_rngs
+    over all trials (bit-equal to trial_rng(i)), so the counts do not
     depend on B; the mask events and the run-alignment verdict are then
     computed for the whole block, the oracle and the audit's checks trial by
     trial."""
@@ -481,14 +483,14 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         for pat in _audit_patterns(instance):
             _, _, alt = _validated_alternative(s, pat)
             patterns.append((_copy_spans(pat), alt))
-    rng_spec = RngSpec(master_seed=config.seed)
+    rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
     tally = _Tally(fired=dict.fromkeys(ESTIMATORS, 0))
     fired = tally.fired
     for first in range(0, config.trials, block):
         size = min(block, config.trials - first)
-        flags = _mask_block(map(rng_spec.trial_rng, range(first, first + size)), p, masks[:size])
+        flags = _mask_block(islice(rngs, size), p, masks[:size])
         no_witness = ~_pattern_witness_from_flags(flags, instance.span)
         covered = _run_coverage_from_flags(flags, lengths).all(axis=-1)
         fired["no-pattern-witness"] += int(no_witness.sum())
@@ -580,6 +582,10 @@ def estimate_mr_error(config: ExperimentConfig) -> EstimateRow:
     return _estimate(config, ("reconstruction-error",))[0]
 
 
+# Offender lines an audit summary prints; the rest are only counted.
+SUMMARY_OFFENDERS = 20
+
+
 @dataclass(frozen=True)
 class AuditReport:
     trials: int
@@ -594,7 +600,10 @@ class AuditReport:
     def summary(self) -> str:
         lines = [f"audit trials: {self.trials}"]
         lines.extend(f"audit {name}: {count}" for name, count in self.counts.items())
-        lines.extend(f"offender trial={t} check={name}" for t, name in self.offenders)
+        shown = self.offenders[:SUMMARY_OFFENDERS]
+        lines.extend(f"offender trial={t} check={name}" for t, name in shown)
+        if len(self.offenders) > len(shown):
+            lines.append(f"audit offenders not shown: {len(self.offenders) - len(shown)}")
         lines.append(f"audit result: {'pass' if self.ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 

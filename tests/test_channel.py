@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltrace.bits import BitString
 from deltrace.channel import (
+    SEED_CHUNK,
     DeletionMask,
     MaskedTrace,
     RngSpec,
@@ -99,3 +100,47 @@ class TestDeterminism:
             RngSpec(master_seed=-1)
         with pytest.raises(ValueError):
             RngSpec(master_seed=2**64)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            RngSpec(master_seed=seed)
+
+    def test_seed_stored_as_int(self):
+        spec = RngSpec(master_seed=np.uint64(2**64 - 1))
+        assert type(spec.master_seed) is int and spec.master_seed == 2**64 - 1
+
+
+# seeds at the uint32 word boundaries, where the entropy grows a word
+SEEDS = st.one_of(st.sampled_from([0, 1, 2024, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]),
+                  st.integers(0, 2**64 - 1))
+# ranges starting just below index 2**32 (a word boundary) or a seeding chunk edge
+FIRSTS = st.one_of(st.integers(0, 3 * SEED_CHUNK),
+                   st.integers(2**32 - 2 * SEED_CHUNK, 2**32 + 3),
+                   st.integers(0, 2**64 - 3 * SEED_CHUNK))
+
+
+class TestBlockRngs:
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, FIRSTS, st.integers(0, 2 * SEED_CHUNK + 3))
+    @example(2**32, SEED_CHUNK - 2, 4)  # across a seeding chunk edge
+    @example(2**32 - 1, 2**32 - 2, 4)  # across index 2**32
+    @example(2**64 - 1, 2**64 - 2, 2)  # up to the last index
+    def test_streams_equal_trial_rng(self, seed, first, size):
+        spec = RngSpec(master_seed=seed)
+        drawn = 0
+        for k, rng in enumerate(spec.block_rngs(first, size)):
+            # a uniform and a 32-bit draw: the state, the increment and the
+            # half-word buffer all have to match the reference
+            expected = spec.trial_rng(first + k)
+            assert np.array_equal(rng.random(3), expected.random(3))
+            assert np.array_equal(rng.integers(0, 2**32, 3, dtype=np.uint32),
+                                  expected.integers(0, 2**32, 3, dtype=np.uint32))
+            drawn += 1
+        assert drawn == size
+
+    def test_index_range_validation(self):
+        spec = RngSpec(master_seed=1)
+        for first, size in ((-1, 2), (0, -1), (2**64 - 1, 2)):
+            with pytest.raises(ValueError):
+                spec.block_rngs(first, size)

@@ -13,6 +13,7 @@ from deltrace.harness import (
     CSV_HEADER,
     ESTIMATORS,
     WILSON_Z,
+    SUMMARY_OFFENDERS,
     AuditReport,
     ConfigError,
     EstimateRow,
@@ -464,6 +465,16 @@ class TestAudit:
         assert not report.ok
         assert "offender trial=2 check=covered-and-wrong" in report.summary()
         assert report.summary().endswith("audit result: FAIL\n")
+
+    def test_summary_caps_offender_lines(self):
+        offenders = tuple((t, "covered-and-wrong") for t in range(25))
+        report = AuditReport(trials=30, counts={"covered-and-wrong": 25}, offenders=offenders, rows=())
+        lines = report.summary().splitlines()
+        shown = [line for line in lines if line.startswith("offender ")]
+        assert shown == [f"offender trial={t} check=covered-and-wrong" for t in range(SUMMARY_OFFENDERS)]
+        assert lines[-2:] == ["audit offenders not shown: 5", "audit result: FAIL"]
+        assert "audit covered-and-wrong: 25" in lines
+        assert len(report.offenders) == 25
 
 
 class TestSweep:

@@ -12,7 +12,7 @@ from deltrace import channel, harness
 from deltrace.bits import BitString, _run_lengths, is_subsequence
 from deltrace.channel import RngSpec, _mask_block, sample_traces
 from deltrace.events import _run_coverage_from_flags, detect_ambiguities, detect_events
-from deltrace.harness import ESTIMATORS, ExperimentConfig, SourceSpec, _audit_patterns, _simulate
+from deltrace.harness import ESTIMATORS, ExperimentConfig, SourceSpec, _audit_patterns, _simulate, run_mode
 from deltrace.reconstruct import _run_alignment_misses, is_levenshtein_sufficient, maximal_runs
 
 SOURCES = st.one_of(
@@ -135,3 +135,35 @@ def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
     config = _audit_config(source, p, t_count, trials, seed)
     tally = _simulate(config, ESTIMATORS, audit=True)
     assert (tally.fired, tally.offenders) == _replayed_counts(config)
+
+
+@pytest.mark.parametrize("mode", ["montecarlo", "audit"])
+def test_kernel_draws_only_block_streams(mode, monkeypatch, capsys):
+    source = {"kind": "runs", "first_bit": 0, "fractions": [0.3, 0.2, 0.5], "n": 10}
+    config = ExperimentConfig.from_dict({"mode": mode, "source": source, "p": 0.3, "traces": 3,
+                                         "trials": 60, "seed": 2**32 + 5})
+    # through trial_rng, before it is barred
+    expected = _replayed_counts(config)
+    spec = RngSpec(master_seed=config.seed)
+    expected_masks = np.stack([spec.trial_rng(i).random((3, 10)) < 0.3 for i in range(60)])
+
+    def barred(self, trial_index):
+        raise AssertionError("the kernel called RngSpec.trial_rng")
+
+    def recorded(rngs, p, out):
+        masks.extend(_mask_block(rngs, p, out).copy())
+        return out
+
+    monkeypatch.setattr(RngSpec, "trial_rng", barred)
+    monkeypatch.setattr(harness, "_mask_block", recorded)
+    monkeypatch.setattr(channel, "SEED_CHUNK", 16)  # seeds computed in 4 chunks
+    outputs = []
+    for budget in (1, 7 * 3 * 10):  # B = 1, then B = 7
+        monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
+        masks = []
+        assert run_mode(config) == 0
+        assert np.array_equal(np.stack(masks), expected_masks)
+        outputs.append(capsys.readouterr().out)
+        tally = _simulate(config, ESTIMATORS, audit=True)
+        assert (tally.fired, tally.offenders) == expected
+    assert outputs[0] == outputs[1]
