@@ -7,8 +7,8 @@ stderr, never a traceback.  Exit codes:
     0  success
     2  config error, including an output path that cannot be written
     3  infeasible request: the inclusion-exclusion cap in exact and sweep, one
-       trial's traces x n masks over the allocation cap, or one trial's oracle
-       over its state budget
+       trial's traces x n masks or an exact or generate source over the
+       allocation cap, or one trial's oracle over its state budget
     4  implication breach: audit found one, or montecarlo saw run coverage
        hold on a trial whose reconstruction missed (the message names it)
 """

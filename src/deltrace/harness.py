@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -49,7 +50,7 @@ from .events import (
     _run_coverage_from_flags,
     _validated_alternative,
 )
-from .reconstruct import InfeasibleError, _count_consistent, _run_alignment_misses
+from .reconstruct import InfeasibleError, _automaton, _run_alignment_misses
 
 __all__ = [
     "ConfigError",
@@ -157,6 +158,7 @@ class SourceSpec:
         n = obj.get("n")
         if not allow_missing_n:
             n = _json_int(n, lambda v: v >= 1, "source.n must be a positive integer")
+            _require(n <= sys.float_info.max, "source.n exceeds the largest float, about 1.8e308")
         else:
             _require(n is None, "omit source.n: the sweep n-grid supplies it")
         if kind == "repeat":
@@ -181,6 +183,8 @@ class SourceSpec:
         """The length-n string with its declared span: the repeated block of a
         repeat source, otherwise the first longest run."""
         recipe, span = self.recipe, None
+        if self.n > MAX_TRIAL_ELEMENTS:  # refused before the string is allocated
+            raise InfeasibleError(f"the source needs n = {self.n} bits, over the cap of {MAX_TRIAL_ELEMENTS} bits")
         try:
             if isinstance(recipe, RepeatBlockSpec):
                 s, span = make_repeat_instance(recipe, self.n)
@@ -244,6 +248,7 @@ class ExperimentConfig:
             message = "n_grid must be a list of positive integers"
             _require(isinstance(n_grid, list) and n_grid, message)
             n_grid = tuple(_json_int(n, lambda v: v >= 1, message) for n in n_grid)
+            _require(max(n_grid) <= sys.float_info.max, "n_grid entries exceed the largest float, about 1.8e308")
             a = _json_number(obj.get("a", 1.0), lambda v: 0 < v <= 1, "a must lie in (0, 1]")
             _require(not isinstance(source.recipe, BitString), "sweep needs a repeat or runs source")
             return cls(c_grid=c_grid, n_grid=n_grid, sweep_a=a, **kwargs)
@@ -458,14 +463,28 @@ def _audit_patterns(instance: _Instance):
     return declared
 
 
+def _consistent_counts(n: int, trace_sets, first: int) -> np.ndarray:
+    """Each trace set's consistent-source count (trials first, first + 1, ...) from
+    one oracle call.  A call over its budget is split in half, left half first,
+    so a refusal names the first trial that passes the budget on its own."""
+    try:
+        return _automaton(n, trace_sets)[1][0][:len(trace_sets)]
+    except InfeasibleError as exc:
+        if len(trace_sets) == 1:
+            raise InfeasibleError(f"{exc} on trial {first}") from None
+    half = len(trace_sets) // 2
+    return np.concatenate([_consistent_counts(n, trace_sets[:half], first),
+                           _consistent_counts(n, trace_sets[half:], first + half)])
+
+
 def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _Tally:
     """One pass over all trials, B = max(1, BLOCK_ELEMENTS // (T * n)) trials
     per block.  channel._mask_block fills a block's (B, T, n) mask, trial i
     from its own stream, taken in order from one RngSpec(seed).block_rngs
     over all trials (bit-equal to trial_rng(i)), so the counts do not
-    depend on B; the mask events and the run-alignment verdict are then
-    computed for the whole block, the oracle and the audit's checks trial by
-    trial."""
+    depend on B; the mask events, the run-alignment verdict and the oracle's
+    counts (one call, see _consistent_counts) cover the whole block, and the
+    audit checks only its suspect trials one by one."""
     t_count, p, n = config.traces, config.p, config.source.n
     if t_count * n > MAX_TRIAL_ELEMENTS:
         raise InfeasibleError(
@@ -509,27 +528,25 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
                 )
         if not oracle:
             continue
+        arrays = [[s.bits[row] for row in trial] for trial in kept]
+        sufficient = _consistent_counts(n, arrays, first) == 1
+        fired["difficulty"] += int((~sufficient).sum())
+        if not audit:
+            continue
         violated = [(_copies_violated(flags, spans).all(axis=-1), alt) for spans, alt in patterns]
-        for k in range(len(kept)):
-            arrays = [s.bits[row] for row in kept[k]]
-            try:
-                sufficient = _count_consistent(n, arrays) == 1
-            except InfeasibleError as exc:
-                raise InfeasibleError(f"{exc} on trial {first + k}") from None
-            fired["difficulty"] += not sufficient
-            if not audit:
-                continue
+        suspect = np.logical_or.reduce([breach, no_witness & sufficient, *(hit for hit, _ in violated)])
+        for k in np.flatnonzero(suspect):
             failed = []
             if breach[k]:
                 failed.append("covered-and-wrong")
-            if no_witness[k] and sufficient:
+            if no_witness[k] and sufficient[k]:
                 failed.append("no-witness-and-sufficient")
             for hit, alt in violated:
-                if hit[k] and not all(is_subsequence(arr, alt) for arr in arrays):
+                if hit[k] and not all(is_subsequence(arr, alt) for arr in arrays[k]):
                     failed.append("ambiguity-alternative-inconsistent")
             for name in failed:
                 tally.audit_counts[name] += 1
-                tally.offenders.append((first + k, name))
+                tally.offenders.append((first + int(k), name))
     return tally
 
 
@@ -717,6 +734,11 @@ def run_mode(config: ExperimentConfig) -> int:
         folder = os.path.dirname(os.path.abspath(config.out))
         if not os.access(folder, os.W_OK | os.X_OK):
             raise ConfigError(f"cannot write output: {folder} is not a writable directory")
+        for path in (config.out, config.out + ".meta.txt"):
+            if os.path.isdir(path):
+                raise ConfigError(f"cannot write output: {path} is a directory")
+            if os.path.exists(path) and not os.access(path, os.W_OK):
+                raise ConfigError(f"cannot write output: {path} is not writable")
     if config.mode == "generate":
         write_outputs(config, _generate_text(config))
         return 0

@@ -145,9 +145,10 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # unique-source oracle
 
-# States the oracle may visit, and sources consistent_sources may list.  Layer
-# k holds at most 2^k states, so no n <= 20 is refused.  A montecarlo process
-# running into it peaked at 76 MB with 4 traces and 682 MB with 32 (n = 100).
+# States one oracle call may visit, summed over lengths and trace sets, and
+# sources consistent_sources may list.  Layer k of one set holds at most 2^k
+# states, so no n <= 20 is refused.  A montecarlo process running into it
+# peaked at 76 MB with 4 traces and 682 MB with 32 (n = 100).
 MAX_ORACLE_STATES = 1 << 21
 
 
@@ -155,42 +156,46 @@ class InfeasibleError(RuntimeError):
     """Structurally valid request that exceeds a hard resource cap (exit 3)."""
 
 
-def _automaton(n: int, arrays):
+def _automaton(n: int, trace_sets):
     """Product automaton of the traces' greedy subsequence matchers (after V. I.
-    Levenshtein, J. Combin. Theory Ser. A 93, 2001).  A state is one pointer
-    per trace; a bit advances each pointer whose next trace bit it equals.
-    Layer k keeps the states k bits reach from which no trace needs more than
+    Levenshtein, J. Combin. Theory Ser. A 93, 2001) over B sets of T traces.  A
+    state is its set, the owner, and one pointer per trace; a bit advances each
+    pointer whose next trace bit it equals.  Layer 0 is state b for set b, and
+    layer k keeps the states k bits reach from which no trace needs more than
     the n - k bits left.  children[k][b, j] is the layer-(k + 1) index of state
     j after bit b, or -1; counts[k][j] counts the (n - k)-bit strings taking
-    state j to every trace's end, and counts[k][-1] is 0."""
-    arrays = list(arrays) or [np.zeros(0, dtype=np.uint8)]
-    lens = np.array([a.size for a in arrays], dtype=np.int32)
-    traces = np.arange(len(arrays))
-    # step[b, i, q]: trace i's pointer q after reading bit b
-    step = np.tile(np.arange(lens.max() + 1, dtype=np.int32), (2, len(arrays), 1))
-    for i, a in enumerate(arrays):
-        step[a, i, np.arange(a.size)] += 1
-    rows = np.zeros((1, len(arrays)), dtype=np.int32)
-    visited = 1
+    state j to every trace's end, counts[k][-1] is 0, and counts[0][:B] are the
+    sets' counts."""
+    sets = [list(ts) or [np.zeros(0, dtype=np.uint8)] for ts in trace_sets]
+    lens = np.array([[a.size for a in ts] for ts in sets], dtype=np.int32)
+    traces = np.arange(lens.shape[1])
+    # step[b, o, i, q]: pointer q of set o's trace i after reading bit b
+    step = np.tile(np.arange(lens.max() + 1, dtype=np.int32), (2, *lens.shape, 1))
+    for o, ts in enumerate(sets):
+        for i, a in enumerate(ts):
+            step[a, o, i, np.arange(a.size)] += 1
+    owner, rows = np.arange(len(sets)), np.zeros(lens.shape, dtype=np.int32)
+    visited = len(sets)
     children = []
     for k in range(n):
-        nxt = np.concatenate([step[0, traces, rows], step[1, traces, rows]])
-        live = np.flatnonzero((nxt >= lens - (n - k - 1)).all(axis=1))
-        # deduplicate: sort the live states, keep the first of each equal run
-        order = live[np.lexsort(nxt[live].T)]
-        rows = nxt[order]
+        nxt = step[:, owner[:, None], traces, rows].reshape(-1, traces.size)
+        owner = np.tile(owner, 2)
+        live = np.flatnonzero((nxt >= lens[owner] - (n - k - 1)).all(axis=1))
+        # deduplicate: sort the live states by owner, then pointers, keep the first of each equal run
+        order = live[np.lexsort((*nxt[live].T, owner[live]))]
+        rows, owner = nxt[order], owner[order]
         new = np.ones(order.size, dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1) | (owner[1:] != owner[:-1])
         child = np.full(nxt.shape[0], -1, dtype=np.int32)
         child[order] = np.cumsum(new) - 1
         children.append(child.reshape(2, -1))
-        rows = rows[new]
+        rows, owner = rows[new], owner[new]
         visited += rows.shape[0]
         if visited > MAX_ORACLE_STATES:
             raise InfeasibleError(f"the sufficiency oracle passed its budget of "
                                   f"{MAX_ORACLE_STATES} automaton states at bit {k + 1} of {n}")
     # counts reach 2^n, past int64 from n = 63 on
-    counts = [np.append((rows == lens).all(axis=1), 0).astype(np.int64 if n < 63 else object)]
+    counts = [np.append((rows == lens[owner]).all(axis=1), 0).astype(np.int64 if n < 63 else object)]
     for child in reversed(children):
         counts.append(np.append(counts[-1][child[0]] + counts[-1][child[1]], 0))
     return children, counts[::-1]
@@ -210,17 +215,12 @@ def _sources(n: int, children, counts, limit: int) -> list[BitString]:
     return [BitString(row) for row in bits]
 
 
-def _count_consistent(n: int, arrays) -> int:
-    """How many length-n strings embed every trace, given as bit arrays."""
-    return int(_automaton(n, arrays)[1][0][0])
-
-
 def consistent_sources(n: int, traces) -> list[BitString]:
     """All length-n strings of which every trace is a subsequence, in
     lexicographic order; more than MAX_ORACLE_STATES raise InfeasibleError."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    children, counts = _automaton(n, [_bits_of(t) for t in traces])
+    children, counts = _automaton(n, [[_bits_of(t) for t in traces]])
     if counts[0][0] > MAX_ORACLE_STATES:
         raise InfeasibleError(f"{counts[0][0]} consistent sources exceed {MAX_ORACLE_STATES}")
     return _sources(n, children, counts, MAX_ORACLE_STATES)
@@ -249,7 +249,7 @@ def is_levenshtein_sufficient(s: BitString, traces) -> SufficiencyVerdict:
     for t in traces:
         if not is_subsequence(t, s):
             raise ValueError("traces inconsistent with source")
-    children, counts = _automaton(len(s), [_bits_of(t) for t in traces])
+    children, counts = _automaton(len(s), [[_bits_of(t) for t in traces]])
     count = int(counts[0][0])
     witness = next((x for x in _sources(len(s), children, counts, 2) if x != s), None)
     return SufficiencyVerdict(consistent_count=count, sufficient=count == 1, witness=witness)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -216,6 +217,21 @@ def test_unwritable_out_refused_before_any_trial(tmp_path, runs_config, monkeypa
     assert cli.main(["montecarlo", "--config", runs_config, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"config error: cannot write output: "
                                        f"{out.parent} is not a writable directory\n")
+    # an existing directory, as the output or as its sidecar
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "rows.csv.meta.txt").mkdir()
+    refused = [(tmp_path / "outdir", "is a directory"), (tmp_path / "rows.csv.meta.txt", "is a directory")]
+    # an existing read-only file; a process that may write it anyway (root)
+    # has nothing to refuse
+    locked = tmp_path / "locked.csv"
+    locked.write_text("")
+    locked.chmod(0o444)
+    if not os.access(locked, os.W_OK):
+        refused.append((locked, "is not writable"))
+    for path, reason in refused:
+        out = path.parent / path.name.removesuffix(".meta.txt")
+        assert cli.main(["montecarlo", "--config", runs_config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write output: {path} {reason}\n"
 
 
 def test_trial_size_cap_exit_3(tmp_path):
@@ -245,6 +261,42 @@ def test_inclusion_exclusion_cap_exit_3(tmp_path, command, n, rest):
     proc = run_cli(command, "--config", path)
     assert proc.returncode == 3
     assert proc.stderr == "infeasible: inclusion-exclusion over 21 runs exceeds the cap of 20\n"
+
+
+def _sized_config(command, n):
+    """A config of each formula subcommand and generate whose source is n bits long."""
+    source = {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": n}
+    return {
+        "exact": {"mode": "exact", "source": source, "p": 0.3, "traces": 4},
+        "asympt": {"mode": "asymptotic", "source": source, "p": 0.3, "traces": {"c": 0.5}},
+        "sweep": {"mode": "sweep", "source": {k: v for k, v in source.items() if k != "n"},
+                  "p": 0.3, "c_grid": [0.5], "n_grid": [n]},
+        "generate": {"mode": "generate", "source": source},
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["exact", "asympt", "sweep", "generate"])
+def test_n_beyond_float_range_exit_2(tmp_path, command):
+    proc = run_cli(command, "--config", write_config(tmp_path, _sized_config(command, 10**400)))
+    assert proc.returncode == 2
+    key = "n_grid entries exceed" if command == "sweep" else "source.n exceeds"
+    assert proc.stderr == f"config error: {key} the largest float, about 1.8e308\n"
+
+
+@pytest.mark.parametrize("n", [10**20, int(sys.float_info.max)], ids=["1e20", "largest-float"])
+@pytest.mark.parametrize("command", ["asympt", "sweep"])
+def test_n_within_float_range_exit_0(tmp_path, capsys, command, n):
+    assert cli.main([command, "--config", write_config(tmp_path, _sized_config(command, n))]) == 0
+    assert capsys.readouterr().out.split("\n")[1].split(",")[1] == str(n)
+
+
+@pytest.mark.parametrize("command", ["exact", "generate"])
+def test_source_over_allocation_cap_exit_3(tmp_path, capsys, command):
+    # 10^14 bits would be about 91 TiB; refused before the string exists
+    path = write_config(tmp_path, _sized_config(command, 10**14))
+    assert cli.main([command, "--config", path]) == 3
+    assert capsys.readouterr().err == ("infeasible: the source needs n = 100000000000000 bits, "
+                                       "over the cap of 1073741824 bits\n")
 
 
 def test_coverage_breach_exit_4(tmp_path, monkeypatch, capsys):

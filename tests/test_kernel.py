@@ -1,19 +1,37 @@
 """The block-vectorized Monte Carlo kernel against independent routes: the
 batched run-alignment verdict against maximal_runs trace set by trace set,
 and the kernel's counts against a trial-by-trial replay through the public
-detectors, whatever the block size."""
+detectors, whatever the block size and however the oracle's calls split."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltrace import channel, harness
+from deltrace import channel, cli, harness, reconstruct
 from deltrace.bits import BitString, _run_lengths, is_subsequence
 from deltrace.channel import RngSpec, _mask_block, sample_traces
 from deltrace.events import _run_coverage_from_flags, detect_ambiguities, detect_events
-from deltrace.harness import ESTIMATORS, ExperimentConfig, SourceSpec, _audit_patterns, _simulate, run_mode
-from deltrace.reconstruct import _run_alignment_misses, is_levenshtein_sufficient, maximal_runs
+from deltrace.harness import (
+    ESTIMATORS,
+    ExperimentConfig,
+    InfeasibleError,
+    SourceSpec,
+    _audit_patterns,
+    _consistent_counts,
+    _simulate,
+    run_mode,
+)
+from deltrace.reconstruct import (
+    ReconstructionResult,
+    SufficiencyVerdict,
+    _automaton,
+    _run_alignment_misses,
+    is_levenshtein_sufficient,
+    maximal_runs,
+)
 
 SOURCES = st.one_of(
     st.builds(lambda bits: {"kind": "bits", "bits": bits},
@@ -82,7 +100,8 @@ def _audit_config(source, p, t_count, trials, seed):
 
 def _tally(config, budget, monkeypatch):
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
-    tally = _simulate(config, ESTIMATORS, audit=True)
+    audit = config.mode == "audit"
+    tally = _simulate(config, ESTIMATORS if audit else config.estimators, audit=audit)
     return tally.fired, tally.audit_counts, tally.offenders
 
 
@@ -90,18 +109,31 @@ def _tally(config, budget, monkeypatch):
 @given(SOURCES, PROBS, st.integers(1, 4), st.integers(1, 11), st.integers(0, 2**32))
 def test_counts_do_not_depend_on_block_size(source, p, t_count, trials, seed):
     # a function-scoped fixture would be shared by every hypothesis example
-    config = _audit_config(source, p, t_count, trials, seed)
-    per_trial = t_count * config.source.n
-    with pytest.MonkeyPatch.context() as mp:
-        one = _tally(config, 1, mp)  # B = 1
-        three = _tally(config, 3 * per_trial, mp)  # B = 3, need not divide trials
-        single = _tally(config, per_trial * trials, mp)  # every trial in one block
-    assert one == three == single
+    audit = _audit_config(source, p, t_count, trials, seed)
+    # difficulty alone: the oracle runs without the run alignment or the audit
+    difficulty = ExperimentConfig.from_dict({"mode": "montecarlo", "source": source, "p": p,
+                                             "traces": t_count, "trials": trials, "seed": seed,
+                                             "estimators": ["difficulty"]})
+    per_trial = t_count * audit.source.n
+    fired = []
+    for config in (audit, difficulty):
+        with pytest.MonkeyPatch.context() as mp:
+            one = _tally(config, 1, mp)  # B = 1
+            three = _tally(config, 3 * per_trial, mp)  # B = 3, need not divide trials
+            single = _tally(config, per_trial * trials, mp)  # every trial in one block
+        assert one == three == single
+        fired.append(one[0]["difficulty"])
+    assert fired[0] == fired[1]
 
 
-def _replayed_counts(config):
+def _replayed_counts(config, faults=None):
     """Trial-by-trial counts through the public functions, as the harness
-    computed them before it ran trials in blocks."""
+    computed them before it ran trials in blocks.  faults may stand in for
+    maximal_runs, is_levenshtein_sufficient or is_subsequence by name."""
+    faults = faults or {}
+    reconstruct_ = faults.get("maximal_runs", maximal_runs)
+    sufficiency = faults.get("is_levenshtein_sufficient", is_levenshtein_sufficient)
+    embeds = faults.get("is_subsequence", is_subsequence)
     instance = config.source.instance()
     s, span, profile = instance.s, instance.span, instance.profile
     patterns = _audit_patterns(instance)
@@ -112,9 +144,9 @@ def _replayed_counts(config):
         traces = sample_traces(s, config.p, config.traces, spec.trial_rng(trial))
         plain = [mt.trace for mt in traces]
         events = detect_events(traces, [span], profile)
-        result = maximal_runs(len(s), plain)
+        result = reconstruct_(len(s), plain)
         wrong = not (result.ok and result.string == s)
-        sufficient = is_levenshtein_sufficient(s, plain).sufficient
+        sufficient = sufficiency(s, plain).sufficient
         fired["no-pattern-witness"] += not events.pattern_witness[0]
         fired["uncovered-run"] += not events.run_covered
         fired["reconstruction-error"] += wrong
@@ -124,7 +156,7 @@ def _replayed_counts(config):
         if not events.pattern_witness[0] and sufficient:
             offenders.append((trial, "no-witness-and-sufficient"))
         for witness in detect_ambiguities(s, traces, patterns):
-            if not all(is_subsequence(t, witness.alternative) for t in plain):
+            if not all(embeds(t, witness.alternative) for t in plain):
                 offenders.append((trial, "ambiguity-alternative-inconsistent"))
     return fired, offenders
 
@@ -135,6 +167,34 @@ def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
     config = _audit_config(source, p, t_count, trials, seed)
     tally = _simulate(config, ESTIMATORS, audit=True)
     assert (tally.fired, tally.offenders) == _replayed_counts(config)
+
+
+# Each audit check fails on no correct trial.  Made to fail, each must still
+# reach every trial it applies to, though the audit visits only suspect trials:
+# (kernel function, its stand-in, the replay's stand-in by name)
+_FAULTS = {
+    "covered-and-wrong": ("_run_alignment_misses", lambda s, kept: np.ones(len(kept), dtype=bool),
+                          {"maximal_runs": lambda n, traces: ReconstructionResult(failure="forced")}),
+    "no-witness-and-sufficient": ("_consistent_counts", lambda n, sets, first: np.ones(len(sets), dtype=np.int64),
+                                  {"is_levenshtein_sufficient": lambda s, traces: SufficiencyVerdict(1, True)}),
+    "ambiguity-alternative-inconsistent": ("is_subsequence", lambda t, x: False,
+                                           {"is_subsequence": lambda t, x: False}),
+}
+
+
+@pytest.mark.parametrize("check", list(_FAULTS))
+def test_audit_reaches_every_trial_a_check_applies_to(check, monkeypatch):
+    # at this shape and seed one trial has its span wiped in every trace but no
+    # declared pattern wiped, so only the no-witness arm makes it suspect
+    source = {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}
+    config = _audit_config(source, 0.15, 2, 60, 4)
+    name, kernel_fault, replay_faults = _FAULTS[check]
+    expected = _replayed_counts(config, replay_faults)
+    # the check applies to some trials but not to all
+    assert 0 < len({trial for trial, found in expected[1] if found == check}) < config.trials
+    monkeypatch.setattr(harness, name, kernel_fault)
+    tally = _simulate(config, ESTIMATORS, audit=True)
+    assert (tally.fired, tally.offenders) == expected
 
 
 @pytest.mark.parametrize("mode", ["montecarlo", "audit"])
@@ -167,3 +227,66 @@ def test_kernel_draws_only_block_streams(mode, monkeypatch, capsys):
         tally = _simulate(config, ESTIMATORS, audit=True)
         assert (tally.fired, tally.offenders) == expected
     assert outputs[0] == outputs[1]
+
+
+def _trace_sets(config):
+    """Each trial's traces as bit arrays, through the kernel's mask sampler."""
+    s, n = config.source.instance().s, config.source.n
+    flags = _mask_block(RngSpec(master_seed=config.seed).block_rngs(0, config.trials), config.p,
+                        np.empty((config.trials, config.traces, n), dtype=bool))
+    return [[s.bits[~row] for row in trial] for trial in flags]
+
+
+def _states(n, trace_sets):
+    """Automaton states one call visits, summed over lengths."""
+    return len(trace_sets) + sum(int(child.max(initial=-1)) + 1 for child in _automaton(n, trace_sets)[0])
+
+
+def test_oversized_block_is_split(monkeypatch):
+    source = {"kind": "runs", "first_bit": 0, "fractions": [0.3, 0.4, 0.3], "n": 12}
+    config = _audit_config(source, 0.4, 3, 40, 3)
+    sets = _trace_sets(config)
+    expected = _tally(config, harness.BLOCK_ELEMENTS, monkeypatch)  # one block of 40 trials
+    counts = _automaton(12, sets)[1][0][:40]
+    states = [_states(12, [trial]) for trial in sets]
+    # every trial fits the budget on its own; the block passes it in aggregate
+    monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", max(states))
+    assert sum(states) > max(states)
+    with pytest.raises(InfeasibleError):
+        _automaton(12, sets)
+    calls = []
+
+    def recorded(n, trace_sets):
+        calls.append(len(trace_sets))
+        return _automaton(n, trace_sets)
+
+    monkeypatch.setattr(harness, "_automaton", recorded)
+    assert np.array_equal(_consistent_counts(12, sets, 0), counts)
+    assert calls[0] == 40 and len(calls) > 1
+    assert _tally(config, harness.BLOCK_ELEMENTS, monkeypatch) == expected
+
+
+def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypatch, capsys):
+    # trials 2 and 5 keep their masks and pass a budget of 40 states on their
+    # own; every other trial keeps every bit, 25 states
+    source = {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 24}
+    config = {"mode": "montecarlo", "source": source, "p": 0.3, "traces": 4, "trials": 10,
+              "seed": 5, "estimators": ["difficulty"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    sets = _trace_sets(ExperimentConfig.from_dict(config))
+
+    def two_and_five(rngs, p, out):
+        flags = _mask_block(rngs, p, out)
+        flags[[0, 1, 3, 4, 6, 7, 8, 9]] = False
+        return flags
+
+    monkeypatch.setattr(harness, "_mask_block", two_and_five)
+    monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 40)
+    alone = []
+    for trial in (2, 5):
+        with pytest.raises(InfeasibleError) as refusal:
+            _automaton(24, [sets[trial]])
+        alone.append(str(refusal.value))
+    assert cli.main(["montecarlo", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"infeasible: {alone[0]} on trial 2\n"

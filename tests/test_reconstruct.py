@@ -14,6 +14,7 @@ from deltrace.reconstruct import (
     InfeasibleError,
     ReconstructionResult,
     SufficiencyVerdict,
+    _automaton,
     consistent_sources,
     is_levenshtein_sufficient,
     maximal_runs,
@@ -175,3 +176,26 @@ class TestSufficiency:
         verdict = is_levenshtein_sufficient(BitString("0" * n), bs("0"))
         assert verdict.consistent_count == 2**n - 1
         assert verdict.witness == BitString("0" * (n - 1) + "1")
+
+
+@st.composite
+def _trace_sets(draw):
+    """n <= 12 and up to 5 sets of the same T <= 4 traces, of any length up to
+    n + 2: empty traces and traces too long to embed in n bits included."""
+    n = draw(st.integers(0, 12))
+    t_count = draw(st.integers(1, 4))
+    trace = st.text(alphabet="01", max_size=n + 2)
+    return n, draw(st.lists(st.lists(trace, min_size=t_count, max_size=t_count), min_size=1, max_size=5))
+
+
+class TestBatchedAutomaton:
+    @settings(max_examples=60, deadline=None)
+    @given(_trace_sets())
+    def test_each_set_counted_as_alone(self, case):
+        n, texts = case
+        sets = [[np.array([int(c) for c in t], dtype=np.uint8) for t in ts] for ts in texts]
+        counts = _automaton(n, sets)[1][0]
+        assert counts.size == len(sets) + 1 and counts[-1] == 0
+        for b, ts in enumerate(sets):
+            assert counts[b] == _automaton(n, [ts])[1][0][0]
+            assert counts[b] == len(consistent_sources_oracle(n, texts[b]))
