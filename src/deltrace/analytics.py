@@ -7,11 +7,14 @@ Everything here works in the log domain; see logspace for the primitives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .logspace import (
+    _EXP_OVERFLOW,
+    _TINY_LOG,
     NEG_INF,
     ln_one_minus_exp,
     log_comb,
@@ -162,7 +165,9 @@ class ThresholdParams:
 
 def critical_rate(r: int, ell: float, p: float) -> float:
     """Growth rate (nats per n^a) above which no-witness probability dies off
-    and below which it tends to one: ell * ln(1 / (1 - p^r))."""
+    and below which it tends to one: ell * ln(1 / (1 - p^r)).  Where p^r is
+    below the smallest normal float so is the rate (ell <= 1), and it may read
+    0.0: every positive normal c lies above it either way."""
     ThresholdParams(r=r, ell=ell, p=p)  # reuse validation
     return -float(ell) * math.log1p(-float(p) ** int(r))
 
@@ -184,8 +189,17 @@ def prob_no_pattern_witness_exact(r: int, f: float, p: float, T) -> ProbReport:
         return _report(NEG_INF, "exact-closed-form")
     if p == 1.0:
         return _report(0.0, "exact-closed-form")
+    x = p ** int(r)
+    if x < sys.float_info.min:
+        # p^r is subnormal or 0, lost against 1 in (1 - p^r)^f = e^-u with
+        # u = f p^r: carry ln u instead.  ln(1 - e^-u), the log chance that a
+        # trace wipes a copy, is ln u to double precision below e^-500
+        lu = math.log(f) + int(r) * math.log(p)
+        ln_wipe = lu if lu < _TINY_LOG else ln_one_minus_exp(-math.exp(lu))
+        exponent = count.ln_value + math.log(-ln_wipe)
+        return _report(NEG_INF if exponent > _EXP_OVERFLOW else -math.exp(exponent), "exact-closed-form")
     # lx = ln((1 - p^r)^f), the per-trace miss probability in log form
-    lx = f * math.log1p(-(p ** int(r)))
+    lx = f * math.log1p(-x)
     return _report(pow_one_minus_ln(lx, count.ln_value), "exact-closed-form")
 
 

@@ -35,7 +35,6 @@ from .bits import (
     RepeatBlockSpec,
     RunFractionSpec,
     RunProfile,
-    is_subsequence,
     make_repeat_instance,
     make_run_instance,
     run_decompose,
@@ -50,7 +49,7 @@ from .events import (
     _run_coverage_from_flags,
     _validated_alternative,
 )
-from .reconstruct import InfeasibleError, _automaton, _run_alignment_misses
+from .reconstruct import InfeasibleError, _automaton, _embeds, _matchers, _run_alignment_misses
 
 __all__ = [
     "ConfigError",
@@ -463,18 +462,18 @@ def _audit_patterns(instance: _Instance):
     return declared
 
 
-def _consistent_counts(n: int, trace_sets, first: int) -> np.ndarray:
+def _consistent_counts(n: int, step, lens, first: int) -> np.ndarray:
     """Each trace set's consistent-source count (trials first, first + 1, ...) from
     one oracle call.  A call over its budget is split in half, left half first,
     so a refusal names the first trial that passes the budget on its own."""
     try:
-        return _automaton(n, trace_sets)[1][0][:len(trace_sets)]
+        return _automaton(n, step, lens)[1][0][:len(lens)]
     except InfeasibleError as exc:
-        if len(trace_sets) == 1:
+        if len(lens) == 1:
             raise InfeasibleError(f"{exc} on trial {first}") from None
-    half = len(trace_sets) // 2
-    return np.concatenate([_consistent_counts(n, trace_sets[:half], first),
-                           _consistent_counts(n, trace_sets[half:], first + half)])
+    half = len(lens) // 2
+    return np.concatenate([_consistent_counts(n, step[:, :half], lens[:half], first),
+                           _consistent_counts(n, step[:, half:], lens[half:], first + half)])
 
 
 def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _Tally:
@@ -482,9 +481,9 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     per block.  channel._mask_block fills a block's (B, T, n) mask, trial i
     from its own stream, taken in order from one RngSpec(seed).block_rngs
     over all trials (bit-equal to trial_rng(i)), so the counts do not
-    depend on B; the mask events, the run-alignment verdict and the oracle's
-    counts (one call, see _consistent_counts) cover the whole block, and the
-    audit checks only its suspect trials one by one."""
+    depend on B; the mask events, the run-alignment verdict, the oracle's
+    counts (one call, see _consistent_counts) and every audit check cover the
+    whole block, the last two reading one table of the traces' matchers."""
     t_count, p, n = config.traces, config.p, config.source.n
     if t_count * n > MAX_TRIAL_ELEMENTS:
         raise InfeasibleError(
@@ -528,25 +527,22 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
                 )
         if not oracle:
             continue
-        arrays = [[s.bits[row] for row in trial] for trial in kept]
-        sufficient = _consistent_counts(n, arrays, first) == 1
+        step, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
+        sufficient = _consistent_counts(n, step, lens, first) == 1
         fired["difficulty"] += int((~sufficient).sum())
         if not audit:
             continue
-        violated = [(_copies_violated(flags, spans).all(axis=-1), alt) for spans, alt in patterns]
-        suspect = np.logical_or.reduce([breach, no_witness & sufficient, *(hit for hit, _ in violated)])
-        for k in np.flatnonzero(suspect):
-            failed = []
-            if breach[k]:
-                failed.append("covered-and-wrong")
-            if no_witness[k] and sufficient[k]:
-                failed.append("no-witness-and-sufficient")
-            for hit, alt in violated:
-                if hit[k] and not all(is_subsequence(arr, alt) for arr in arrays[k]):
-                    failed.append("ambiguity-alternative-inconsistent")
-            for name in failed:
-                tally.audit_counts[name] += 1
-                tally.offenders.append((first + int(k), name))
+        names = ["covered-and-wrong", "no-witness-and-sufficient"]
+        failed = [breach, no_witness & sufficient]
+        for spans, alt in patterns:
+            hit = _copies_violated(flags, spans).all(axis=-1)
+            if hit.any():
+                names.append("ambiguity-alternative-inconsistent")
+                failed.append(hit.copy())
+                failed[-1][hit] = ~_embeds(step[:, hit], lens[hit], alt)
+        for k, check in np.argwhere(np.transpose(failed)):  # trial-major
+            tally.audit_counts[names[check]] += 1
+            tally.offenders.append((first + int(k), names[check]))
     return tally
 
 
@@ -695,7 +691,7 @@ def _asymptotic_rows(config: ExperimentConfig) -> list[EstimateRow]:
 
 
 def _regime(c: float, c_star: float) -> str:
-    if abs(c - c_star) <= 1e-9 * max(1.0, abs(c_star)):
+    if abs(c - c_star) <= 1e-9 * abs(c_star):
         return "at"
     return "below" if c < c_star else "above"
 

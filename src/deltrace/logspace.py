@@ -77,7 +77,8 @@ def signed_logsumexp(ln_mags, signs):
     Returns (log |sum|, sign of sum, cancelled).  The sum itself is exact
     (fsum); `cancelled` is set when the input terms' own rounding, roughly
     eps per term, is no longer negligible against the total, i.e. when
-    eps * sum|t| / |sum t| exceeds 1e-6.
+    eps * sum|t| / |sum t| exceeds 1e-9, so an unflagged log is good to
+    about 1e-9.
     """
     if len(ln_mags) != len(signs):
         raise ValueError("ln_mags and signs must have equal length")
@@ -90,5 +91,5 @@ def signed_logsumexp(ln_mags, signs):
     eps = math.ulp(1.0)
     if total == 0.0:
         return NEG_INF, 0, True
-    cancelled = eps * gross / abs(total) > 1e-6
+    cancelled = eps * gross / abs(total) > 1e-9
     return m + math.log(abs(total)), (1 if total > 0 else -1), cancelled

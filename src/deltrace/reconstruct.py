@@ -148,7 +148,9 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
 # States one oracle call may visit, summed over lengths and trace sets, and
 # sources consistent_sources may list.  Layer k of one set holds at most 2^k
 # states, so no n <= 20 is refused.  A montecarlo process running into it
-# peaked at 76 MB with 4 traces and 682 MB with 32 (n = 100).
+# peaked at 76 MB with 4 traces and 682 MB with 32 (n = 100).  The block's
+# matcher table (_matchers, 8 bytes per trace and bit of the longest trace) is
+# built once before any call and split by view, so it is not counted.
 MAX_ORACLE_STATES = 1 << 21
 
 
@@ -156,9 +158,30 @@ class InfeasibleError(RuntimeError):
     """Structurally valid request that exceeds a hard resource cap (exit 3)."""
 
 
-def _automaton(n: int, trace_sets):
-    """Product automaton of the traces' greedy subsequence matchers (after V. I.
-    Levenshtein, J. Combin. Theory Ser. A 93, 2001) over B sets of T traces.  A
+def _matchers(bits, lens):
+    """Greedy subsequence matchers of B sets of T traces, from their bits trace
+    after trace and their (B, T) lengths: step[b, o, i, q] is pointer q of set
+    o's trace i after bit b.  Each trace is padded with 2, which no bit matches."""
+    lens = np.asarray(lens, dtype=np.int32)  # read per automaton state, as the pointers are
+    pointer = np.arange(lens.max(initial=0) + 1, dtype=np.int32)
+    padded = np.full((*lens.shape, pointer.size), 2, dtype=np.uint8)
+    padded[pointer < lens[..., np.newaxis]] = bits
+    return pointer + (padded == np.arange(2).reshape(2, 1, 1, 1)), lens
+
+
+def _embeds(step, lens, x) -> np.ndarray:
+    """For each set of the matchers, is every one of its traces a subsequence
+    of x?  x is read once, through every trace's matcher at once."""
+    sets, traces = np.ogrid[:lens.shape[0], :lens.shape[1]]
+    pointer = np.zeros(lens.shape, dtype=np.int32)
+    for bit in _bits_of(x):
+        pointer = step[bit, sets, traces, pointer]
+    return (pointer == lens).all(axis=1)
+
+
+def _automaton(n: int, step, lens):
+    """Product automaton of the B sets of T greedy matchers (step, lens) from
+    _matchers (after V. I. Levenshtein, J. Combin. Theory Ser. A 93, 2001).  A
     state is its set, the owner, and one pointer per trace; a bit advances each
     pointer whose next trace bit it equals.  Layer 0 is state b for set b, and
     layer k keeps the states k bits reach from which no trace needs more than
@@ -166,16 +189,9 @@ def _automaton(n: int, trace_sets):
     j after bit b, or -1; counts[k][j] counts the (n - k)-bit strings taking
     state j to every trace's end, counts[k][-1] is 0, and counts[0][:B] are the
     sets' counts."""
-    sets = [list(ts) or [np.zeros(0, dtype=np.uint8)] for ts in trace_sets]
-    lens = np.array([[a.size for a in ts] for ts in sets], dtype=np.int32)
     traces = np.arange(lens.shape[1])
-    # step[b, o, i, q]: pointer q of set o's trace i after reading bit b
-    step = np.tile(np.arange(lens.max() + 1, dtype=np.int32), (2, *lens.shape, 1))
-    for o, ts in enumerate(sets):
-        for i, a in enumerate(ts):
-            step[a, o, i, np.arange(a.size)] += 1
-    owner, rows = np.arange(len(sets)), np.zeros(lens.shape, dtype=np.int32)
-    visited = len(sets)
+    owner, rows = np.arange(lens.shape[0]), np.zeros(lens.shape, dtype=np.int32)
+    visited = lens.shape[0]
     children = []
     for k in range(n):
         nxt = step[:, owner[:, None], traces, rows].reshape(-1, traces.size)
@@ -220,7 +236,8 @@ def consistent_sources(n: int, traces) -> list[BitString]:
     lexicographic order; more than MAX_ORACLE_STATES raise InfeasibleError."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    children, counts = _automaton(n, [[_bits_of(t) for t in traces]])
+    arrays = [_bits_of(t) for t in traces] or [np.zeros(0, dtype=np.uint8)]
+    children, counts = _automaton(n, *_matchers(np.concatenate(arrays), [[a.size for a in arrays]]))
     if counts[0][0] > MAX_ORACLE_STATES:
         raise InfeasibleError(f"{counts[0][0]} consistent sources exceed {MAX_ORACLE_STATES}")
     return _sources(n, children, counts, MAX_ORACLE_STATES)
@@ -245,11 +262,11 @@ def is_levenshtein_sufficient(s: BitString, traces) -> SufficiencyVerdict:
     """Decide whether the traces admit s as the only length-|s| source; the
     witness is the lexicographically first other consistent source."""
     s = s if isinstance(s, BitString) else BitString(s)
-    traces = list(traces)
-    for t in traces:
+    arrays = [_bits_of(t) for t in traces] or [np.zeros(0, dtype=np.uint8)]
+    for t in arrays:
         if not is_subsequence(t, s):
             raise ValueError("traces inconsistent with source")
-    children, counts = _automaton(len(s), [[_bits_of(t) for t in traces]])
+    children, counts = _automaton(len(s), *_matchers(np.concatenate(arrays), [[a.size for a in arrays]]))
     count = int(counts[0][0])
     witness = next((x for x in _sources(len(s), children, counts, 2) if x != s), None)
     return SufficiencyVerdict(consistent_count=count, sufficient=count == 1, witness=witness)

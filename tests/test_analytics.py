@@ -131,6 +131,18 @@ class TestPatternWitnessExact:
     def test_method_tag(self):
         assert prob_no_pattern_witness_exact(1, 2, 0.5, 4).method == "exact-closed-form"
 
+    @pytest.mark.parametrize("r, f, p, count", [
+        (1100, 3, 0.5, 4),  # p^r underflows to 0
+        (1060, 1e300, 0.5, 4),  # p^r subnormal, f p^r about 1e-19
+        (200, 50.0, 0.01, TraceCount.exponential(0.5, 200)),  # a 200-bit pattern, as in sweep
+    ])
+    def test_ln_value_exact_where_p_to_the_r_underflows(self, r, f, p, count):
+        # 1 - (1 - p^r)^f = f p^r to double precision here, so
+        # ln_value = T (ln f + r ln p)
+        count = TraceCount.integer(count) if isinstance(count, int) else count
+        expected = -math.exp(count.ln_value + math.log(-(math.log(f) + r * math.log(p))))
+        assert prob_no_pattern_witness_exact(r, f, p, count).ln_value == pytest.approx(expected, rel=1e-12)
+
 
 class TestUncoveredRunExact:
     def test_edge_probabilities(self):

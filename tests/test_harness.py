@@ -496,6 +496,12 @@ class TestSweep:
         methods = [row.method for row in rows]
         assert methods == ["exact-closed-form", "asymptotic"] * 3
 
+    def test_regime_tolerance_is_relative_to_a_small_critical_rate(self):
+        c_star = critical_rate(4, 0.1, 0.001)  # about 1e-13
+        source = {"kind": "repeat", "pattern": "0110", "ell": 0.1}
+        config = self.sweep_config(source=source, p=0.001, c_grid=[1e-14, c_star, 1e-12])
+        assert sweep_threshold(config)[1] == ["below", "below", "at", "at", "above", "above"]
+
     def test_at_threshold_limit(self):
         # at the critical rate the closed form tends to exp(-1)
         rows, regimes = sweep_threshold(self.sweep_config(n_grid=[400]))

@@ -28,6 +28,7 @@ from deltrace.reconstruct import (
     ReconstructionResult,
     SufficiencyVerdict,
     _automaton,
+    _matchers,
     _run_alignment_misses,
     is_levenshtein_sufficient,
     maximal_runs,
@@ -175,9 +176,9 @@ def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
 _FAULTS = {
     "covered-and-wrong": ("_run_alignment_misses", lambda s, kept: np.ones(len(kept), dtype=bool),
                           {"maximal_runs": lambda n, traces: ReconstructionResult(failure="forced")}),
-    "no-witness-and-sufficient": ("_consistent_counts", lambda n, sets, first: np.ones(len(sets), dtype=np.int64),
+    "no-witness-and-sufficient": ("_consistent_counts", lambda n, step, lens, first: np.ones(len(lens), dtype=np.int64),
                                   {"is_levenshtein_sufficient": lambda s, traces: SufficiencyVerdict(1, True)}),
-    "ambiguity-alternative-inconsistent": ("is_subsequence", lambda t, x: False,
+    "ambiguity-alternative-inconsistent": ("_embeds", lambda step, lens, x: np.zeros(len(lens), dtype=bool),
                                            {"is_subsequence": lambda t, x: False}),
 }
 
@@ -195,6 +196,27 @@ def test_audit_reaches_every_trial_a_check_applies_to(check, monkeypatch):
     monkeypatch.setattr(harness, name, kernel_fault)
     tally = _simulate(config, ESTIMATORS, audit=True)
     assert (tally.fired, tally.offenders) == expected
+
+
+def test_offenders_keep_check_order_within_a_trial(monkeypatch):
+    # every check made to fail, with run coverage forced to hold and the span's
+    # witness to be absent so that the first two fail on one trial: a trial's
+    # offenders are covered-and-wrong, no-witness-and-sufficient, then one
+    # entry per declared pattern whose copies every trace wiped
+    source = {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}
+    config = _audit_config(source, 0.15, 2, 60, 4)
+    wiped = _replayed_counts(config, {"is_subsequence": lambda t, x: False})[1]
+    expected = []
+    for trial in range(config.trials):
+        expected += [(trial, "covered-and-wrong"), (trial, "no-witness-and-sufficient")]
+        expected += [entry for entry in wiped if entry[0] == trial]
+    assert any(sum(entry[0] == trial for entry in wiped) > 1 for trial in range(config.trials))
+    for name, kernel_fault, _ in _FAULTS.values():
+        monkeypatch.setattr(harness, name, kernel_fault)
+    monkeypatch.setattr(harness, "_run_coverage_from_flags",
+                        lambda flags, lengths: np.ones((*flags.shape[:-2], len(lengths)), dtype=bool))
+    monkeypatch.setattr(harness, "_pattern_witness_from_flags", lambda flags, span: np.zeros(len(flags), dtype=bool))
+    assert _simulate(config, ESTIMATORS, audit=True).offenders == expected
 
 
 @pytest.mark.parametrize("mode", ["montecarlo", "audit"])
@@ -237,9 +259,17 @@ def _trace_sets(config):
     return [[s.bits[~row] for row in trial] for trial in flags]
 
 
+def _matchers_of(trace_sets):
+    """The matcher table of nested lists of trace bit arrays, built as the
+    kernel builds it: every trace's bits concatenated, and their lengths."""
+    bits = np.concatenate([np.asarray(t, dtype=np.uint8) for ts in trace_sets for t in ts])
+    return _matchers(bits, [[len(t) for t in ts] for ts in trace_sets])
+
+
 def _states(n, trace_sets):
     """Automaton states one call visits, summed over lengths."""
-    return len(trace_sets) + sum(int(child.max(initial=-1)) + 1 for child in _automaton(n, trace_sets)[0])
+    children = _automaton(n, *_matchers_of(trace_sets))[0]
+    return len(trace_sets) + sum(int(child.max(initial=-1)) + 1 for child in children)
 
 
 def test_oversized_block_is_split(monkeypatch):
@@ -247,21 +277,21 @@ def test_oversized_block_is_split(monkeypatch):
     config = _audit_config(source, 0.4, 3, 40, 3)
     sets = _trace_sets(config)
     expected = _tally(config, harness.BLOCK_ELEMENTS, monkeypatch)  # one block of 40 trials
-    counts = _automaton(12, sets)[1][0][:40]
+    counts = _automaton(12, *_matchers_of(sets))[1][0][:40]
     states = [_states(12, [trial]) for trial in sets]
     # every trial fits the budget on its own; the block passes it in aggregate
     monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", max(states))
     assert sum(states) > max(states)
     with pytest.raises(InfeasibleError):
-        _automaton(12, sets)
+        _automaton(12, *_matchers_of(sets))
     calls = []
 
-    def recorded(n, trace_sets):
-        calls.append(len(trace_sets))
-        return _automaton(n, trace_sets)
+    def recorded(n, step, lens):
+        calls.append(len(lens))
+        return _automaton(n, step, lens)
 
     monkeypatch.setattr(harness, "_automaton", recorded)
-    assert np.array_equal(_consistent_counts(12, sets, 0), counts)
+    assert np.array_equal(_consistent_counts(12, *_matchers_of(sets), 0), counts)
     assert calls[0] == 40 and len(calls) > 1
     assert _tally(config, harness.BLOCK_ELEMENTS, monkeypatch) == expected
 
@@ -286,7 +316,7 @@ def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypa
     alone = []
     for trial in (2, 5):
         with pytest.raises(InfeasibleError) as refusal:
-            _automaton(24, [sets[trial]])
+            _automaton(24, *_matchers_of([sets[trial]]))
         alone.append(str(refusal.value))
     assert cli.main(["montecarlo", "--config", str(path)]) == 3
     assert capsys.readouterr().err == f"infeasible: {alone[0]} on trial 2\n"

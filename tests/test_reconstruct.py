@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltrace import reconstruct
-from deltrace.bits import BitString, run_decompose
+from deltrace.bits import BitString, is_subsequence, run_decompose
 from deltrace.channel import RngSpec, sample_traces
 from deltrace.reconstruct import (
     EMPTY_TRACE_SET,
@@ -15,11 +15,13 @@ from deltrace.reconstruct import (
     ReconstructionResult,
     SufficiencyVerdict,
     _automaton,
+    _embeds,
+    _matchers,
     consistent_sources,
     is_levenshtein_sufficient,
     maximal_runs,
 )
-from oracles import consistent_sources_oracle
+from oracles import consistent_sources_oracle, is_subseq_str
 
 
 def bs(*texts):
@@ -93,6 +95,11 @@ class TestConsistentSources:
 
     def test_one_deletion(self):
         assert [str(x) for x in consistent_sources(2, bs("0"))] == ["00", "01", "10"]
+
+    def test_no_traces_read_as_one_empty_trace(self):
+        assert [str(x) for x in consistent_sources(2, [])] == ["00", "01", "10", "11"]
+        verdict = is_levenshtein_sufficient(BitString("01"), [])
+        assert (verdict.consistent_count, verdict.witness) == (4, BitString("00"))
 
     def test_two_traces(self):
         got = [str(x) for x in consistent_sources(3, bs("00", "0"))]
@@ -178,6 +185,13 @@ class TestSufficiency:
         assert verdict.witness == BitString("0" * (n - 1) + "1")
 
 
+def _matchers_of(trace_sets):
+    """The matcher table of nested lists of trace bit arrays, built as the
+    kernel builds it: every trace's bits concatenated, and their lengths."""
+    bits = np.concatenate([np.asarray(t, dtype=np.uint8) for ts in trace_sets for t in ts])
+    return _matchers(bits, [[len(t) for t in ts] for ts in trace_sets])
+
+
 @st.composite
 def _trace_sets(draw):
     """n <= 12 and up to 5 sets of the same T <= 4 traces, of any length up to
@@ -188,14 +202,31 @@ def _trace_sets(draw):
     return n, draw(st.lists(st.lists(trace, min_size=t_count, max_size=t_count), min_size=1, max_size=5))
 
 
+def _arrays(texts):
+    return [[np.array([int(c) for c in t], dtype=np.uint8) for t in ts] for ts in texts]
+
+
 class TestBatchedAutomaton:
     @settings(max_examples=60, deadline=None)
     @given(_trace_sets())
     def test_each_set_counted_as_alone(self, case):
         n, texts = case
-        sets = [[np.array([int(c) for c in t], dtype=np.uint8) for t in ts] for ts in texts]
-        counts = _automaton(n, sets)[1][0]
+        sets = _arrays(texts)
+        counts = _automaton(n, *_matchers_of(sets))[1][0]
         assert counts.size == len(sets) + 1 and counts[-1] == 0
         for b, ts in enumerate(sets):
-            assert counts[b] == _automaton(n, [ts])[1][0][0]
+            assert counts[b] == _automaton(n, *_matchers_of([ts]))[1][0][0]
             assert counts[b] == len(consistent_sources_oracle(n, texts[b]))
+
+
+class TestEmbeds:
+    @settings(max_examples=100, deadline=None)
+    @given(_trace_sets(), st.text(alphabet="01", max_size=12))
+    def test_each_set_embeds_as_by_is_subsequence(self, case, x):
+        # traces are ragged, empty or longer than x, and x may be empty
+        sets = _arrays(case[1])
+        embeds = _embeds(*_matchers_of(sets), BitString(x))
+        assert embeds.shape == (len(sets),)
+        for b, ts in enumerate(sets):
+            assert embeds[b] == all(is_subsequence(t, BitString(x)) for t in ts)
+            assert embeds[b] == all(is_subseq_str(t, x) for t in case[1][b])
