@@ -50,6 +50,7 @@ MGF_MAX_RUNS = 20
 DIRECT_SUM_MAX_TRACES = 10_000
 
 _LN_INT64_MAX = math.log(2**63 - 1)
+_LN_TENTH = math.log(0.1)
 
 
 @dataclass(frozen=True)
@@ -205,14 +206,21 @@ def prob_no_pattern_witness_exact(r: int, f: float, p: float, T) -> ProbReport:
 
 def prob_no_pattern_witness_asymptotic(params: ThresholdParams, c: float, T) -> ProbReport:
     """Large-n shape of the no-witness probability under T = exp(c * n^a):
-    exp(-T^E) with E = (ell / c) * ln(1 - p^r) + 1."""
+    exp(-T^E) with E = (ell / c) * ln(1 - p^r) + 1.
+
+    The shape takes -T * y for T * ln(1 - y), where y = T^(E - 1) =
+    (1 - p^r)^f is the chance a trace wipes no copy; at y >= 0.1 that is
+    off by over 5% and the report carries outside-validity-regime.
+    """
     if c <= 0:
         raise ValueError("growth rate c must be positive")
     count = _as_count(T)
-    exponent = (params.ell / c) * math.log1p(-params.p ** params.r) + 1.0
-    power = exponent * count.ln_value
+    slope = (params.ell / c) * math.log1p(-params.p ** params.r)
+    power = (slope + 1.0) * count.ln_value
     ln_value = NEG_INF if power > 709.0 else -math.exp(power)
-    return _report(ln_value, "asymptotic")
+    # ln y = slope * ln T, not (E - 1) * ln T: E rounds to 1 once |slope| < eps
+    flags = ("outside-validity-regime",) if slope * count.ln_value >= _LN_TENTH else ()
+    return _report(ln_value, "asymptotic", flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +250,11 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     """Probability that no trace both keeps every run alive and keeps some run
     fully intact, summed over traces by inclusion-exclusion on the run set.
 
-    Exact for any trace count, including analytic ones; the subset sum is
-    2^M - 1 terms, so M above MGF_MAX_RUNS raises InfeasibleError.
+    Exact for any trace count, including analytic ones.  Of the 2^M - 1
+    nonempty run subsets, a subset's term depends only on its sum of
+    ln(beta_i) and its sign on its parity, so each distinct sum is evaluated
+    once, weighted by its odd and even subsets; tied run lengths make the
+    sums few.  M above MGF_MAX_RUNS raises InfeasibleError.
     """
     lengths = _check_lengths(run_lengths)
     p = _check_p(p)
@@ -259,17 +270,32 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     flags: tuple[str, ...] = ()
     ln_beta, ln_px = _run_log_quantities(lengths, p)
     # Per nonempty subset K: sign (-1)^{|K|+1} times (1 - p_X (1 - prod beta))^T.
-    ln_beta_sum = np.zeros(1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        ln_beta_sum[mask] = ln_beta_sum[mask ^ low] + ln_beta[low.bit_length() - 1]
-    ln_mags = np.empty((1 << m) - 1)
-    signs = np.empty((1 << m) - 1)
-    for mask in range(1, 1 << m):
-        ln_gamma = ln_one_minus_exp(ln_beta_sum[mask])
-        ln_mags[mask - 1] = pow_one_minus_ln(ln_px + ln_gamma, count.ln_value)
-        signs[mask - 1] = 1.0 if (mask.bit_count() & 1) else -1.0
-    ln_total, sign, cancelled = signed_logsumexp(ln_mags, signs)
+    # Group the subsets by their float sum of ln(beta_i), as (even, odd)
+    # counts.  Built from the highest run down, each sum gets the additions
+    # a sum over its subset alone would, lowest run last; equal sums stay
+    # equal under one more addition, so merging them as they appear is exact.
+    groups = {0.0: (1, 0)}  # the empty subset
+    for b in reversed(ln_beta):
+        grown = dict(groups)
+        for v, (n_even, n_odd) in groups.items():
+            s = v + b
+            e, o = grown.get(s, (0, 0))
+            grown[s] = (e + n_odd, o + n_even)  # one more run flips the parity
+        groups = grown
+    n_even, n_odd = groups[0.0]
+    groups[0.0] = (n_even - 1, n_odd)  # drop the empty subset
+    # one term per distinct sum, weighted +1 per odd subset and -1 per even one
+    ln_mags = []
+    weights = []
+    for v, (n_even, n_odd) in groups.items():
+        ln_mag = pow_one_minus_ln(ln_px + ln_one_minus_exp(v), count.ln_value)
+        if n_odd:
+            ln_mags.append(ln_mag)
+            weights.append(n_odd)
+        if n_even:
+            ln_mags.append(ln_mag)
+            weights.append(-n_even)
+    ln_total, sign, cancelled = signed_logsumexp(ln_mags, weights)
     if cancelled:
         flags += ("catastrophic-cancellation",)
     if sign <= 0:

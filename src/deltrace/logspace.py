@@ -71,21 +71,34 @@ def logsumexp_pos(ln_values):
     return m + math.log(math.fsum(math.exp(v - m) for v in ln_values))
 
 
-def signed_logsumexp(ln_mags, signs):
-    """Sum of signed terms given as (log magnitude, sign).
+def signed_logsumexp(ln_mags, weights):
+    """Sum of weighted terms given as (log magnitude, integer weight).
 
-    Returns (log |sum|, sign of sum, cancelled).  The sum itself is exact
-    (fsum); `cancelled` is set when the input terms' own rounding, roughly
-    eps per term, is no longer negligible against the total, i.e. when
-    eps * sum|t| / |sum t| exceeds 1e-9, so an unflagged log is good to
-    about 1e-9.
+    A weight w stands for |w| copies of the term with the sign of w, so
+    weights of +-1 are plain signs.  Returns (log |sum|, sign of sum,
+    cancelled).  The sum itself is exact (fsum): each |w| * t enters as
+    the pieces t * 2^b, one per set bit b of |w|, each exact, so the result
+    is the one the |w| listed copies give.  `cancelled` is set when the
+    input terms' own rounding, roughly eps per term, is no longer
+    negligible against the total, i.e. when eps * sum|t| / |sum t| exceeds
+    1e-9, so an unflagged log is good to about 1e-9.
     """
-    if len(ln_mags) != len(signs):
-        raise ValueError("ln_mags and signs must have equal length")
+    if len(ln_mags) != len(weights):
+        raise ValueError("ln_mags and weights must have equal length")
     m = max((v for v in ln_mags if v != NEG_INF), default=NEG_INF)
     if m == NEG_INF:
         return NEG_INF, 0, False
-    scaled = [s * math.exp(v - m) for v, s in zip(ln_mags, signs)]
+    scaled = []
+    for v, w in zip(ln_mags, weights):
+        k = int(w)
+        if k != w:
+            raise ValueError(f"weights must be integers, got {w!r}")
+        x = math.copysign(math.exp(v - m), k)
+        k = abs(k)
+        while k:
+            bit = k & -k
+            scaled.append(x * bit)
+            k ^= bit
     total = math.fsum(scaled)
     gross = math.fsum(abs(x) for x in scaled)
     eps = math.ulp(1.0)

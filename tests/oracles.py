@@ -10,6 +10,19 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
+from deltrace.analytics import (
+    MGF_MAX_RUNS,
+    _as_count,
+    _check_lengths,
+    _check_p,
+    _report,
+    _run_log_quantities,
+)
+from deltrace.logspace import NEG_INF, ln_one_minus_exp, pow_one_minus_ln, signed_logsumexp
+from deltrace.reconstruct import InfeasibleError
+
 
 def is_subseq_str(t: str, x: str) -> bool:
     """Two-pointer subsequence check on text strings."""
@@ -103,3 +116,43 @@ def wilson_oracle(successes: int, trials: int, z: float) -> tuple[float, float]:
     lo = (-b - math.sqrt(disc)) / (2 * a)
     hi = (-b + math.sqrt(disc)) / (2 * a)
     return (max(0.0, lo), min(1.0, hi))
+
+
+# ---------------------------------------------------------------------------
+# inclusion-exclusion one subset at a time
+
+def mgf_per_subset(run_lengths, p: float, T):
+    """prob_uncovered_run_mgf with one term per nonempty run subset, built
+    by a Python loop over the 2^M - 1 masks.  The package groups equal
+    terms; this is the ungrouped sum its results must equal exactly."""
+    lengths = _check_lengths(run_lengths)
+    p = _check_p(p)
+    count = _as_count(T)
+    if p == 0.0:
+        return _report(NEG_INF, "exact-closed-form")
+    if p == 1.0:
+        return _report(0.0, "exact-closed-form")
+    m = len(lengths)
+    if m > MGF_MAX_RUNS:
+        raise InfeasibleError(
+            f"inclusion-exclusion over {m} runs exceeds the cap of {MGF_MAX_RUNS}")
+    flags: tuple[str, ...] = ()
+    ln_beta, ln_px = _run_log_quantities(lengths, p)
+    # Per nonempty subset K: sign (-1)^{|K|+1} times (1 - p_X (1 - prod beta))^T.
+    ln_beta_sum = np.zeros(1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        ln_beta_sum[mask] = ln_beta_sum[mask ^ low] + ln_beta[low.bit_length() - 1]
+    ln_mags = np.empty((1 << m) - 1)
+    signs = np.empty((1 << m) - 1)
+    for mask in range(1, 1 << m):
+        ln_gamma = ln_one_minus_exp(ln_beta_sum[mask])
+        ln_mags[mask - 1] = pow_one_minus_ln(ln_px + ln_gamma, count.ln_value)
+        signs[mask - 1] = 1.0 if (mask.bit_count() & 1) else -1.0
+    ln_total, sign, cancelled = signed_logsumexp(ln_mags, signs)
+    if cancelled:
+        flags += ("catastrophic-cancellation",)
+    if sign <= 0:
+        # alternating sum rounded below zero; the true value is nonnegative
+        return _report(NEG_INF, "exact-closed-form", flags=flags or ("catastrophic-cancellation",))
+    return _report(ln_total, "exact-closed-form", flags=flags)

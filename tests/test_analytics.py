@@ -24,6 +24,7 @@ from deltrace.reconstruct import InfeasibleError
 from oracles import (
     event_prob_oracle,
     every_trace_kills_a_copy,
+    mgf_per_subset,
     some_run_uncovered,
 )
 
@@ -206,6 +207,62 @@ class TestUncoveredRunExact:
             prob_uncovered_run_mgf([], 0.3, 4)
 
 
+@st.composite
+def _tied_lengths(draw):
+    """Up to 12 run lengths drawn from a small pool, so ties, interleaved
+    ties and runs of length 1 (beta = 0) are common."""
+    pool = draw(st.lists(
+        st.one_of(st.integers(1, 40), st.floats(0.5, 40.0)), min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+_COUNTS = st.one_of(
+    st.integers(1, 10**6),
+    st.builds(TraceCount.exponential, st.floats(0.01, 0.5), st.sampled_from([50, 100, 200, 400])),
+)
+
+
+class TestUncoveredRunGrouped:
+    """prob_uncovered_run_mgf evaluates each distinct subset term once; its
+    reports must equal the one-term-per-subset sum exactly, not nearly
+    (ProbReport equality compares value, ln_value, method and flags)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _tied_lengths(),
+        st.one_of(st.floats(1e-6, 1 - 1e-6), st.sampled_from([1e-12, 1e-9, 1 - 1e-9, 1 - 1e-12])),
+        _COUNTS,
+    )
+    def test_equals_per_subset_sum(self, lengths, p, count):
+        assert prob_uncovered_run_mgf(lengths, p, count) == mgf_per_subset(lengths, p, count)
+
+    @pytest.mark.parametrize("lengths", [
+        [3, 5, 3, 5],
+        [1, 4, 1, 4, 1],
+        [2.5, 7.0, 2.5, 7.0, 2.5, 7.0],
+        [1] * 12,
+        [6] * 12,
+        list(range(1, 13)),
+    ])
+    @pytest.mark.parametrize("p", [1e-9, 0.3, 1 - 1e-9])
+    def test_fixed_ties(self, lengths, p):
+        for count in (7, TraceCount.exponential(0.05, 200)):
+            assert prob_uncovered_run_mgf(lengths, p, count) == mgf_per_subset(lengths, p, count)
+
+    @pytest.mark.parametrize("c", [0.03, 0.05, 0.08])
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_sweep_bench_points(self, c, n):
+        # the sweep-ie bench source: 4 runs of 0.1 n and 12 of 0.05 n, p = 0.4
+        lengths = [0.1 * n] * 4 + [0.05 * n] * 12
+        count = TraceCount.exponential(c, n)
+        assert prob_uncovered_run_mgf(lengths, 0.4, count) == mgf_per_subset(lengths, 0.4, count)
+
+    def test_twenty_distinct_runs(self):
+        lengths = [1.0 + 0.37 * i for i in range(MGF_MAX_RUNS)]
+        count = TraceCount.exponential(0.05, 200)
+        assert prob_uncovered_run_mgf(lengths, 0.3, count) == mgf_per_subset(lengths, 0.3, count)
+
+
 class TestAsymptotics:
     def test_pattern_witness_agreement(self):
         params = ThresholdParams(r=1, ell=0.5, p=0.25)
@@ -215,6 +272,23 @@ class TestAsymptotics:
         asym = prob_no_pattern_witness_asymptotic(params, c, count)
         rel = abs(asym.ln_value - exact.ln_value) / abs(exact.ln_value)
         assert rel < 1e-6
+
+    def test_pattern_witness_flags_breakdown(self):
+        # pattern of 100 zeros then 100 ones, ell = 1: p^r underflows, so
+        # nearly every trace wipes no copy and -T^E reads -T, far off the
+        # exact T * ln(f p^r)
+        params = ThresholdParams(r=200, ell=1.0, p=0.01)
+        asym = prob_no_pattern_witness_asymptotic(params, 0.05, TraceCount.exponential(0.05, 200))
+        assert asym.flags == ("outside-validity-regime",)
+
+    @pytest.mark.parametrize("r, ell, p", [(1, 0.5, 0.25), (2, 1.0, 0.5)])
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_pattern_witness_unflagged_above_threshold(self, r, ell, p, n):
+        # criterion 9's parameter sets
+        c = 1.2 * critical_rate(r, ell, p)
+        asym = prob_no_pattern_witness_asymptotic(ThresholdParams(r, ell, p), c,
+                                                  TraceCount.exponential(c, n))
+        assert asym.flags == ()
 
     def test_uncovered_agreement(self):
         fractions = [0.25, 0.5, 0.25]

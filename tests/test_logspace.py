@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltrace.logspace import (
@@ -100,6 +100,38 @@ class TestAggregation:
         _, _, cancelled = signed_logsumexp([big, big], [1.0, -1.0])
         assert cancelled
 
+
+def _repeated(terms):
+    """(ln_mags, signs) listing a term of weight w as |w| entries of sign +-1."""
+    mags, signs = [], []
+    for v, w in terms:
+        mags += [v] * abs(w)
+        signs += [math.copysign(1.0, w)] * abs(w)
+    return mags, signs
+
+
+class TestSignedWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-700.0, 5.0), st.integers(-3000, 3000).filter(bool)),
+                    min_size=1, max_size=6))
+    def test_weight_equals_repeated_signs(self, terms):
+        mags = [v for v, _ in terms]
+        weights = [w for _, w in terms]
+        assert signed_logsumexp(mags, weights) == signed_logsumexp(*_repeated(terms))
+
+    @pytest.mark.parametrize("terms", [
+        [(0.0, 2**20), (-1e-9, -(2**20))],
+        [(-600.0, 2**20), (3.0, 1), (3.0, -1)],
+        [(-40.0, -(2**20)), (0.0, 1), (-20.0, 12345)],
+    ])
+    def test_large_weights(self, terms):
+        mags = [v for v, _ in terms]
+        weights = [w for _, w in terms]
+        assert signed_logsumexp(mags, weights) == signed_logsumexp(*_repeated(terms))
+
+    def test_fractional_weight_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            signed_logsumexp([0.0, -1.0], [1, 0.5])
 
 class TestInnerHelper:
     def test_ln_neg_ln_regimes(self):
