@@ -284,10 +284,12 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
         groups = grown
     n_even, n_odd = groups[0.0]
     groups[0.0] = (n_even - 1, n_odd)  # drop the empty subset
-    # one term per distinct sum, weighted +1 per odd subset and -1 per even one
+    # one term per distinct sum, weighted +1 per odd subset and -1 per even
+    # one; the dict is drained as the lists grow, so both are never held in full
     ln_mags = []
     weights = []
-    for v, (n_even, n_odd) in groups.items():
+    while groups:
+        v, (n_even, n_odd) = groups.popitem()
         ln_mag = pow_one_minus_ln(ln_px + ln_one_minus_exp(v), count.ln_value)
         if n_odd:
             ln_mags.append(ln_mag)

@@ -45,15 +45,21 @@ def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
     return np.vstack([mt.mask.flags for mt in traces])
 
 
+def _copy_windows(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
+    """Masks (..., n) -> the span's copies as a (..., copies, period) view."""
+    if span.end > flags.shape[-1]:
+        raise ValueError("span extends past the source")
+    return flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
+
+
 def _copies_violated(flags: np.ndarray, spans) -> np.ndarray:
     """For masks of shape (..., n): is some aligned copy of some span fully
     deleted?  Each span's window is viewed as a (..., copies, period) block,
     so the check ANDs the period columns of every copy at once, never a loop
     over copies."""
-    lead = flags.shape[:-1]
-    hit = np.zeros(lead, dtype=bool)
+    hit = np.zeros(flags.shape[:-1], dtype=bool)
     for span in spans:
-        window = flags[..., span.offset : span.end].reshape(*lead, span.copies, span.period)
+        window = _copy_windows(flags, span)
         deleted = window[..., 0].copy()
         for j in range(1, span.period):
             deleted &= window[..., j]
@@ -90,15 +96,12 @@ def copy_fully_deleted(mask, span: PatternSpan, copy_index: int) -> bool:
     """Did this mask delete every bit of the copy_index-th copy of the block?"""
     if not 0 <= copy_index < span.copies:
         raise ValueError(f"copy_index must be in [0, {span.copies}), got {copy_index}")
-    start = span.offset + copy_index * span.period
-    return bool(mask.flags[start : start + span.period].all())
+    return bool(_copy_windows(mask.flags, span)[copy_index].all())
 
 
 def has_pattern_witness(traces: list[MaskedTrace], span: PatternSpan) -> bool:
     """True iff some trace's mask deletes no copy of the block in the span."""
     flags = _flags_matrix(traces, traces[0].source_length if traces else 0)
-    if span.end > flags.shape[1]:
-        raise ValueError("span extends past the source")
     return bool(_pattern_witness_from_flags(flags, span))
 
 

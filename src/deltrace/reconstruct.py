@@ -82,11 +82,13 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
 
     Equals ``not (maximal_runs(n, traces_b).ok and .string == s)`` for every
     b.  The traces are read as one concatenation of their surviving bits: a
-    run starts at the first bit of a trace or where the bit changes.  Each
-    trace set keeps its traces with the most runs, needs them to agree on
-    the first bit, takes the longest i-th run over them and needs the runs
-    to add up to n; the result is s exactly when it starts with s's first
-    bit and has s's run lengths.
+    run starts at the first bit of a trace or where the bit changes.
+    maximal_runs keeps the traces with the most runs, m_hat, and returns s
+    exactly when those traces (i) have s's M runs, (ii) each start with s's
+    first bit and (iii) have elementwise-longest i-th runs equal to s's run
+    lengths.  Its other tests are implied for any trace set: (ii) makes the
+    kept traces agree on the first bit, (i) gives m_hat = M > 0, and (iii)
+    makes the runs add up to n.
     """
     B, T, n = kept.shape
     lengths = _run_lengths(s.bits)
@@ -117,29 +119,17 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     run_len[-1:] = size - run_at[-1:]
     del run_at
     runs = np.diff(first_run).reshape(B, T)
-    m_hat = runs.max(axis=1)
-    chosen = (runs == m_hat[:, np.newaxis]) & (m_hat[:, np.newaxis] > 0)
-    first_bit = first_bit.reshape(B, T)
-    first_max = np.where(chosen, first_bit, -1).max(axis=1)
-    first_min = np.where(chosen, first_bit, 2).min(axis=1)
-    agree = first_max == first_min
-
-    # run k of trace r goes to table[r, k]; only the chosen traces count
+    chosen = runs == runs.max(axis=1, keepdims=True)
+    # (i): only the kept traces of sets with m_hat = M fill their row of the
+    # table; every other set keeps zero rows, which fail (iii)
     m = lengths.size
-    width = max(m, int(m_hat.max()))
-    table = np.zeros((rows, width), dtype=np.int32)
-    at = np.repeat((np.arange(rows) * width - first_run[:-1]).astype(np.int32), runs.reshape(-1))
-    at += np.arange(run_len.size, dtype=np.int32)
-    table.reshape(-1)[at] = run_len
-    del at, run_len
-    table[~chosen.reshape(-1)] = 0
-    best = table.reshape(B, T, width).max(axis=1)
-    # for traces of s an exact match already implies agreement and the length
-    # test; they stay so that the verdict is maximal_runs' own, not a
-    # comparison of run counts that assumes its inputs
-    ok = (m_hat > 0) & agree & (best.sum(axis=1, dtype=np.int64) == n)
-    exact = (first_max == s.bits[0]) & (m_hat == m) & (best[:, :m] == lengths).all(axis=1)
-    return ~(ok & exact)
+    full = np.flatnonzero(chosen & (runs == m))
+    table = np.zeros((rows, m), dtype=np.int32)
+    table[full] = run_len[first_run[full].astype(np.int32)[:, np.newaxis] + np.arange(m, dtype=np.int32)]
+    del run_len
+    best = table.reshape(B, T, m).max(axis=1)
+    first_ok = (first_bit.reshape(B, T) == s.bits[0]) | ~chosen  # (ii)
+    return ~(first_ok.all(axis=1) & (best == lengths).all(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,9 @@ class TestPatternWitness:
         assert not copy_fully_deleted(mask, span, 1)
         with pytest.raises(ValueError):
             copy_fully_deleted(mask, span, 2)
+        for past in (PatternSpan(6, 2, 3), PatternSpan(3, 2, 1)):  # no bit of copy 0, half of it
+            with pytest.raises(ValueError, match="span extends past the source"):
+                copy_fully_deleted(DeletionMask([0, 0, 0, 1]), past, 0)
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32), st.floats(0.05, 0.95), st.integers(1, 4))
@@ -113,6 +116,12 @@ class TestRunCoverage:
         report = detect_events(traces, [PatternSpan(0, 1, 2)], run_decompose(s))
         assert report.run_covered == all(report.per_run)
         assert len(report.pattern_witness) == 1
+
+    def test_detect_events_rejects_span_past_source(self):
+        s = BitString("0011")
+        traces = sample_traces(s, 0.5, 2, RngSpec(master_seed=4))
+        with pytest.raises(ValueError, match="span extends past the source"):
+            detect_events(traces, [PatternSpan(2, 2, 3)], run_decompose(s))
 
 
 class TestSandwich:

@@ -55,6 +55,11 @@ def _source_string(source: dict) -> BitString:
 @example({"kind": "bits", "bits": "1"}, 0.5, 1, 3, 0)  # n = 1
 @example({"kind": "bits", "bits": "0110"}, 1.0, 1, 2, 0)  # every trace empty
 @example({"kind": "runs", "first_bit": 1, "fractions": [0.5, 0.5], "n": 6}, 0.0, 1, 1, 0)
+# the benchmark's shapes: mc-long's source, where every set keeps traces with
+# all 2000 runs, then where every set misses, and a full block of mc-short's
+@example({"kind": "repeat", "pattern": "001", "ell": 0.25, "n": 3000}, 1e-4, 32, 4, 5)
+@example({"kind": "repeat", "pattern": "001", "ell": 0.25, "n": 3000}, 0.17, 32, 2, 5)
+@example({"kind": "runs", "first_bit": 0, "fractions": [0.2, 0.3, 0.1, 0.25, 0.15], "n": 40}, 0.1, 8, 102, 5)
 def test_batched_alignment_matches_maximal_runs(source, p, t_count, block, seed):
     _check_alignment(_source_string(source), p, t_count, block, seed)
 
