@@ -53,7 +53,6 @@ from .harness import (
     ConfigError,
     EstimateRow,
     ExperimentConfig,
-    ImplicationBreach,
     InfeasibleError,
     audit_implications,
     estimate_difficulty,

@@ -9,8 +9,7 @@ stderr, never a traceback.  Exit codes:
     3  infeasible request: the inclusion-exclusion cap in exact and sweep, one
        trial's traces x n masks or an exact or generate source over the
        allocation cap, or one trial's oracle over its state budget
-    4  implication breach: audit found one, or montecarlo saw run coverage
-       hold on a trial whose reconstruction missed (the message names it)
+    4  audit found an implication breach (its summary names the trials)
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, ExperimentConfig, ImplicationBreach, InfeasibleError, run_mode
+from .harness import ConfigError, ExperimentConfig, InfeasibleError, run_mode
 
 __all__ = ["main"]
 
@@ -60,9 +59,6 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except ImplicationBreach as exc:
-        print(f"implication breach: {exc}", file=sys.stderr)
-        return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -54,7 +54,6 @@ from .reconstruct import InfeasibleError, _automaton, _embeds, _matchers, _run_a
 __all__ = [
     "ConfigError",
     "InfeasibleError",
-    "ImplicationBreach",
     "ExperimentConfig",
     "EstimateRow",
     "AuditReport",
@@ -75,10 +74,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration (exit code 2)."""
-
-
-class ImplicationBreach(RuntimeError):
-    """A per-trial implication that must always hold failed (exit 4)."""
 
 
 MODES = ("montecarlo", "exact", "asymptotic", "sweep", "audit", "generate")
@@ -481,9 +476,16 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     per block.  channel._mask_block fills a block's (B, T, n) mask, trial i
     from its own stream, taken in order from one RngSpec(seed).block_rngs
     over all trials (bit-equal to trial_rng(i)), so the counts do not
-    depend on B; the mask events, the run-alignment verdict, the oracle's
-    counts (one call, see _consistent_counts) and every audit check cover the
-    whole block, the last two reading one table of the traces' matchers."""
+    depend on B; the mask events, the oracle's counts (one call, see
+    _consistent_counts) and every audit check cover the whole block, the
+    last two reading one table of the traces' matchers.
+
+    montecarlo counts reconstruction-error as the uncovered trials: a trace
+    that wipes out a run has fewer runs than s, so maximal_runs uses exactly
+    the traces that wiped no run, and it returns s exactly when each run is
+    kept whole by one of them, which is run coverage.  audit computes the
+    verdict independently by run alignment and checks the two against each
+    other (covered-and-wrong)."""
     t_count, p, n = config.traces, config.p, config.source.n
     if t_count * n > MAX_TRIAL_ELEMENTS:
         raise InfeasibleError(
@@ -492,7 +494,6 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
             f"{MAX_TRIAL_ELEMENTS} bits (up to about {PEAK_BYTES_PER_BIT * MAX_TRIAL_ELEMENTS / 2**30:.0f} GiB)"
         )
     oracle = audit or "difficulty" in estimators
-    align = audit or "reconstruction-error" in estimators
     instance = config.source.instance()
     s = instance.s
     lengths = np.asarray(instance.profile.lengths, dtype=np.int64)
@@ -511,29 +512,23 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         flags = _mask_block(islice(rngs, size), p, masks[:size])
         no_witness = ~_pattern_witness_from_flags(flags, instance.span)
         covered = _run_coverage_from_flags(flags, lengths).all(axis=-1)
+        uncovered = int((~covered).sum())
         fired["no-pattern-witness"] += int(no_witness.sum())
-        fired["uncovered-run"] += int((~covered).sum())
-        if not (align or oracle):
-            continue
-        kept = ~flags
-        if align:  # always under audit, which counts breaches; montecarlo stops at one
-            wrong = _run_alignment_misses(s, kept)
-            fired["reconstruction-error"] += int(wrong.sum())
-            breach = covered & wrong
-            if breach.any() and not audit:
-                trial = first + int(np.argmax(breach))
-                raise ImplicationBreach(
-                    f"run coverage held but reconstruction missed on trial {trial}"
-                )
+        fired["uncovered-run"] += uncovered
+        if not audit:
+            fired["reconstruction-error"] += uncovered
         if not oracle:
             continue
+        kept = ~flags
         step, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
         sufficient = _consistent_counts(n, step, lens, first) == 1
         fired["difficulty"] += int((~sufficient).sum())
         if not audit:
             continue
+        wrong = _run_alignment_misses(s, kept)
+        fired["reconstruction-error"] += int(wrong.sum())
         names = ["covered-and-wrong", "no-witness-and-sufficient"]
-        failed = [breach, no_witness & sufficient]
+        failed = [covered & wrong, no_witness & sufficient]
         for spans, alt in patterns:
             hit = _copies_violated(flags, spans).all(axis=-1)
             if hit.any():
@@ -591,7 +586,13 @@ def estimate_event_probs(config: ExperimentConfig) -> list[EstimateRow]:
 
 def estimate_mr_error(config: ExperimentConfig) -> EstimateRow:
     """Fraction of trials where run-alignment reconstruction misses the
-    source; coverage implying success is asserted on every trial."""
+    source.  For traces of s this is the fraction with an uncovered run:
+    the paper's lemma gives that coverage implies success, and the converse
+    holds because a trace that wipes out a run merges its neighbours and so
+    has fewer runs than s.  maximal_runs therefore uses exactly the traces
+    that wiped no run and returns s exactly when each run is kept whole by
+    one of them.  So the count is read off coverage; audit recomputes it by
+    run alignment and counts any trial where the two disagree."""
     return _estimate(config, ("reconstruction-error",))[0]
 
 

@@ -301,20 +301,21 @@ def test_source_over_allocation_cap_exit_3(tmp_path, capsys, command):
 
 def test_coverage_breach_exit_4(tmp_path, monkeypatch, capsys):
     # a reconstruction that always misses breaks "coverage implies success"
-    # on the first trial with run coverage, which p = 0 makes trial 0
+    # on every trial with run coverage, which p = 0 makes every trial
     monkeypatch.setattr(harness, "_run_alignment_misses",
                         lambda s, kept: np.ones(len(kept), dtype=bool))
     path = write_config(tmp_path, {
-        "mode": "montecarlo",
+        "mode": "audit",
         "source": {"kind": "runs", "first_bit": 0, "fractions": [0.3, 0.4, 0.3], "n": 10},
         "p": 0.0,
         "traces": 2,
         "trials": 20,
         "seed": 5,
-        "estimators": ["reconstruction-error"],
     })
-    assert cli.main(["montecarlo", "--config", path]) == 4
+    assert cli.main(["audit", "--config", path]) == 4
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("implication breach: run coverage held but reconstruction "
-                            "missed on trial 0\n")
+    lines = captured.out.splitlines()
+    assert "audit covered-and-wrong: 20" in lines
+    assert "offender trial=0 check=covered-and-wrong" in lines
+    assert lines[-1] == "audit result: FAIL"
+    assert captured.err == ""

@@ -22,6 +22,7 @@ from deltrace.harness import (
     _audit_patterns,
     _consistent_counts,
     _simulate,
+    _simulation_estimators,
     run_mode,
 )
 from deltrace.reconstruct import (
@@ -116,7 +117,7 @@ def _tally(config, budget, monkeypatch):
 def test_counts_do_not_depend_on_block_size(source, p, t_count, trials, seed):
     # a function-scoped fixture would be shared by every hypothesis example
     audit = _audit_config(source, p, t_count, trials, seed)
-    # difficulty alone: the oracle runs without the run alignment or the audit
+    # difficulty alone: the oracle runs without the audit
     difficulty = ExperimentConfig.from_dict({"mode": "montecarlo", "source": source, "p": p,
                                              "traces": t_count, "trials": trials, "seed": seed,
                                              "estimators": ["difficulty"]})
@@ -173,6 +174,29 @@ def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
     config = _audit_config(source, p, t_count, trials, seed)
     tally = _simulate(config, ESTIMATORS, audit=True)
     assert (tally.fired, tally.offenders) == _replayed_counts(config)
+
+
+def _never_aligned(s, kept):
+    raise AssertionError("montecarlo called _run_alignment_misses")
+
+
+@settings(max_examples=60, deadline=None)
+@given(SOURCES, PROBS, st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32),
+       st.sampled_from([None, ["reconstruction-error"]]))
+def test_montecarlo_counts_match_replay_without_run_alignment(source, p, t_count, trials, seed, estimators):
+    # montecarlo reads reconstruction-error off coverage; the replay runs
+    # maximal_runs on every trial, so the two routes stay independent
+    obj = {"mode": "montecarlo", "source": source, "p": p, "traces": t_count,
+           "trials": trials, "seed": seed}
+    if estimators is not None:
+        obj["estimators"] = estimators
+    config = ExperimentConfig.from_dict(obj)
+    names = _simulation_estimators(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_run_alignment_misses", _never_aligned)
+        fired = _simulate(config, names).fired
+    expected = _replayed_counts(config)[0]
+    assert {name: fired[name] for name in names} == {name: expected[name] for name in names}
 
 
 # Each audit check fails on no correct trial.  Made to fail, each must still
