@@ -5,7 +5,8 @@ with --seed/--trials/--out as overrides.  Every failure is one line on
 stderr, never a traceback.  Exit codes:
 
     0  success
-    2  config error, including an output path that cannot be written
+    2  config error, including an output path that cannot be written and a
+       closed stdout
     3  infeasible request: the inclusion-exclusion cap in exact and sweep, one
        trial's traces x n masks or an exact or generate source over the
        allocation cap, or one trial's oracle over its state budget
@@ -15,6 +16,7 @@ stderr, never a traceback.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .harness import ConfigError, ExperimentConfig, InfeasibleError, run_mode
@@ -47,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # interpreter exit then skips the collector's walk over every module's objects
     args = _build_parser().parse_args(argv)
     mode = _COMMANDS[args.command][0]
     overrides = {"seed": args.seed, "trials": args.trials, "out": args.out}

@@ -12,6 +12,11 @@ Two events matter:
 * run coverage — for every run i of the source there is a trace whose mask
   deleted no run completely and left run i untouched.  With coverage the
   maximal-runs reconstructor provably returns the source.
+
+Coverage reads each (trace, run)'s count of deleted bits: np.add.reduceat
+over the run segments on sources with long runs, one np.bincount over the
+deleted bits per chunk of rows on sources with short runs
+(BINCOUNT_RUN_LENGTH).  Both give the same integers.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, PatternSpan, RunProfile, span_matches
-from .channel import MaskedTrace
+from .channel import BLOCK_ELEMENTS, MaskedTrace
 
 __all__ = [
     "EventReport",
@@ -34,6 +39,18 @@ __all__ = [
     "detect_events",
     "detect_ambiguities",
 ]
+
+
+# Run coverage counts each (trace, run)'s deleted bits.  np.add.reduceat costs
+# about 7 ns per (trace, run) segment whatever the dtype, so on short runs one
+# np.bincount over the deleted bits is faster; on long runs reduceat is.
+# Sources whose runs average under this many bits take bincount.  On 32 traces
+# of 3000 bits (in process, 2 cores, numpy 2.4), reduceat against bincount:
+# mean run length 2: 0.69 against 0.28-0.32 ms; 4: 0.31-0.33 against
+# 0.19-0.30; 6: 0.21-0.22 against 0.17-0.27; 8: 0.18-0.24 against 0.19-0.28;
+# 40: 0.06 against 0.19.  At p = 0.5 bincount stops winning near 4-6, at
+# p = 0.05-0.17 near 6-8.  Two runs over 2^23 bits: 5.5 against 97 ms.
+BINCOUNT_RUN_LENGTH = 4
 
 
 def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
@@ -83,13 +100,24 @@ def _run_starts(lengths: np.ndarray) -> np.ndarray:
 def _run_coverage_from_flags(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Masks (..., T, n) -> per_run (..., M): some trace deleted no run
     completely while leaving run i untouched."""
-    # reduceat casts all of flags to the count type; int32 holds any run of
-    # a mask with fewer than 2^31 columns at half the memory of int64
-    count_type = np.int32 if flags.shape[-1] < 2**31 else np.int64
-    counts = np.add.reduceat(flags, _run_starts(lengths), axis=-1, dtype=count_type)
-    clean = ~(counts == lengths).any(axis=-1)  # no run fully deleted
-    intact = counts == 0
-    return (clean[..., np.newaxis] & intact).any(axis=-2)
+    n, m = flags.shape[-1], len(lengths)
+    if n >= BINCOUNT_RUN_LENGTH * m:
+        # reduceat casts all of flags to the count type; int32 holds any run of
+        # a mask with fewer than 2^31 columns at half the memory of int64
+        count_type = np.int32 if n < 2**31 else np.int64
+        counts = np.add.reduceat(flags, _run_starts(lengths), axis=-1, dtype=count_type)
+        return ((counts == 0) & ~(counts == lengths).any(axis=-1, keepdims=True)).any(axis=-2)
+    # one bincount per chunk of rows: a deleted bit at column j of the chunk's
+    # row r falls in bin r * M + (the run holding j)
+    rows = flags.reshape(-1, n)
+    ok = np.empty((len(rows), m), dtype=bool)
+    chunk = min(len(rows), max(1, BLOCK_ELEMENTS // n))
+    bins = (np.arange(chunk)[:, np.newaxis] * m + np.repeat(np.arange(m), lengths)).ravel()
+    for lo in range(0, len(rows), chunk):
+        part = rows[lo : lo + chunk]
+        counts = np.bincount(bins[np.flatnonzero(part)], minlength=len(part) * m).reshape(-1, m)
+        ok[lo : lo + chunk] = (counts == 0) & ~(counts == lengths).any(axis=-1, keepdims=True)
+    return ok.reshape(*flags.shape[:-1], m).any(axis=-2)
 
 
 def copy_fully_deleted(mask, span: PatternSpan, copy_index: int) -> bool:

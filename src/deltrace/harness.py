@@ -373,10 +373,21 @@ def rows_to_csv(rows, regimes=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout now; a closed stdout is a ConfigError."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # shutdown flushes stdout again: give it somewhere that cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def write_outputs(config: ExperimentConfig, text: str) -> None:
     """Write the payload to config.out (plus a metadata sidecar) or stdout."""
     if config.out is None:
-        print(text, end="")
+        _write_stdout(text)
         return
     from . import __version__
 
@@ -402,12 +413,13 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 
 # Blocks hold B = max(1, BLOCK_ELEMENTS // (T * n)) trials (see channel).  One
 # trial's T x n mask bits above this are refused before anything is
-# allocated.  A trial larger than a block peaks at about 6 (few runs) to
-# PEAK_BYTES_PER_BIT (a run per bit) bytes per mask bit: CLI peak RSS on Linux,
-# measured at 2^25 and 2^26 bits and taken as linear beyond.  At the cap that
-# is up to 14 GiB.
+# allocated.  A trial larger than a block peaks at about 5 (a run per bit) to
+# PEAK_BYTES_PER_BIT (few runs, whose coverage counts cast the whole mask to
+# int32) bytes per mask bit: CLI peak RSS on Linux at 32 traces, measured at
+# 2^25 and 2^26 bits, p = 0.5 and 0.99, and taken as linear beyond.  At the
+# cap that is up to 7 GiB.
 MAX_TRIAL_ELEMENTS = 1 << 30
-PEAK_BYTES_PER_BIT = 14
+PEAK_BYTES_PER_BIT = 7
 
 _AUDIT_CHECKS = (
     "no-witness-and-sufficient",
@@ -754,5 +766,5 @@ def run_mode(config: ExperimentConfig) -> int:
         return 0
     report = audit_implications(config)
     write_outputs(config, rows_to_csv(report.rows))
-    print(report.summary(), end="")
+    _write_stdout(report.summary())
     return 0 if report.ok else 4

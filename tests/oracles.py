@@ -78,24 +78,26 @@ def every_trace_kills_a_copy(rows, windows) -> bool:
     return True
 
 
-def some_run_uncovered(rows, run_lengths) -> bool:
-    """True iff no mask both keeps a remnant of every run and leaves some
-    run untouched, for at least one run taken over all masks jointly."""
+def run_coverage_oracle(rows, run_lengths) -> list[bool]:
+    """Per run i: does some mask both keep a remnant of every run and leave
+    run i untouched?  Counts each mask's deleted bits run by run."""
     starts = [0]
     for length in run_lengths[:-1]:
         starts.append(starts[-1] + length)
     covered = [False] * len(run_lengths)
     for row in rows:
-        clean = all(
-            not all(row[s + j] for j in range(length))
-            for s, length in zip(starts, run_lengths)
-        )
-        if not clean:
+        deleted = [sum(1 for j in range(length) if row[s + j]) for s, length in zip(starts, run_lengths)]
+        if any(d == length for d, length in zip(deleted, run_lengths)):
             continue
-        for i, (s, length) in enumerate(zip(starts, run_lengths)):
-            if not any(row[s + j] for j in range(length)):
+        for i, d in enumerate(deleted):
+            if d == 0:
                 covered[i] = True
-    return not all(covered)
+    return covered
+
+
+def some_run_uncovered(rows, run_lengths) -> bool:
+    """True iff some run is covered by no mask, taken over all masks jointly."""
+    return not all(run_coverage_oracle(rows, run_lengths))
 
 
 def event_prob_oracle(n: int, p: float, t_count: int, event) -> float:

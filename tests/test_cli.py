@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -208,6 +209,32 @@ def test_unwritable_out_exit_2(tmp_path, runs_config):
     assert proc.stderr.count("\n") == 1
 
 
+def test_closed_stdout_exit_2(runs_config):
+    # the read end of stdout's pipe is closed before the child writes, as in `| true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(CLI + ["montecarlo", "--config", runs_config],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot write output:")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.fixture
+def unfrozen():
+    gc.unfreeze()
+    yield
+    gc.unfreeze()
+
+
+def test_main_freezes_the_collector(runs_config, unfrozen):
+    assert cli.main(["montecarlo", "--config", runs_config]) == 0
+    assert gc.get_freeze_count() > 0
+
+
 def test_unwritable_out_refused_before_any_trial(tmp_path, runs_config, monkeypatch, capsys):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the output path was checked")
@@ -235,7 +262,7 @@ def test_unwritable_out_refused_before_any_trial(tmp_path, runs_config, monkeypa
 
 
 def test_trial_size_cap_exit_3(tmp_path):
-    # 4000 traces x 2e6 bits: one trial would need over 100 GiB
+    # 4000 traces x 2e6 bits: one trial would need over 50 GiB
     path = write_config(tmp_path, {
         "mode": "montecarlo",
         "source": {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 2_000_000},
@@ -247,7 +274,7 @@ def test_trial_size_cap_exit_3(tmp_path):
     proc = run_cli("montecarlo", "--config", path)
     assert proc.returncode == 3
     assert proc.stderr.startswith("infeasible: one trial needs traces x n = 8000000000 mask bits, "
-                                  "up to about 104 GiB at peak")
+                                  "up to about 52 GiB at peak")
     assert proc.stderr.count("\n") == 1
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deltrace import events
 from deltrace.bits import BitString, PatternSpan, run_decompose
 from deltrace.channel import DeletionMask, MaskedTrace, RngSpec, apply_mask, sample_traces
 from deltrace.events import (
@@ -14,7 +15,7 @@ from deltrace.events import (
     has_pattern_witness,
     run_coverage,
 )
-from oracles import every_trace_kills_a_copy, is_subseq_str, some_run_uncovered
+from oracles import every_trace_kills_a_copy, is_subseq_str, run_coverage_oracle, some_run_uncovered
 
 
 def traces_from_masks(s: BitString, rows) -> list[MaskedTrace]:
@@ -109,6 +110,30 @@ class TestRunCoverage:
         rows = [tuple(bool(b) for b in mt.mask.flags) for mt in traces]
         covered, _ = run_coverage(traces, profile)
         assert covered == (not some_run_uncovered(rows, list(profile.lengths)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=12),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
+    @example([3], 0.0, 2, 2, 0)  # one run, no deleted bit
+    @example([1, 2, 1], 1.0, 3, 2, 0)  # every run wiped
+    # 3000 bits: 10-row chunks split each trial's 32 traces, and one chunk
+    # spans the two trials
+    @example([2, 1] * 1000, 0.17, 32, 2, 5)
+    def test_both_counting_routes_match_oracle(self, lengths, p, t_count, block, seed):
+        s = BitString(np.repeat(np.arange(len(lengths)) % 2, lengths))
+        profile = run_decompose(s)
+        flags = np.random.default_rng(seed).random((block, t_count, len(s))) < p
+        expected = [run_coverage_oracle(trial.tolist(), lengths) for trial in flags]
+        # 0 sends every source to reduceat, n + 1 every source to bincount
+        for threshold in (0, len(s) + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(events, "BINCOUNT_RUN_LENGTH", threshold)
+                per_run = events._run_coverage_from_flags(flags, np.asarray(lengths, dtype=np.int64))
+                assert per_run.tolist() == expected
+                traces = traces_from_masks(s, flags[0])
+                assert run_coverage(traces, profile) == (all(expected[0]), tuple(expected[0]))
+                assert detect_events(traces, [], profile).per_run == tuple(expected[0])
 
     def test_report_consistency(self):
         s = BitString("0011")
