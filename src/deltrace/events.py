@@ -16,7 +16,11 @@ Two events matter:
 Coverage reads each (trace, run)'s count of deleted bits: np.add.reduceat
 over the run segments on sources with long runs, one np.bincount over the
 deleted bits per chunk of rows on sources with short runs
-(BINCOUNT_RUN_LENGTH).  Both give the same integers.
+(BINCOUNT_RUN_LENGTH).  Both give the same integers, kept as the table of
+clean runs, which trace deleted no bit of which run (_clean_runs).  The
+harness's audit reads its declared patterns off the same table: each is a
+pair of runs whose copies are single bits, so every trace wipes a copy
+exactly when every trace deletes a bit of one run or of the other.
 """
 
 from __future__ import annotations
@@ -97,27 +101,33 @@ def _run_starts(lengths: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths[:-1])))
 
 
-def _run_coverage_from_flags(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Masks (..., T, n) -> per_run (..., M): some trace deleted no run
-    completely while leaving run i untouched."""
+def _clean_runs(flags: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (..., T, n) -> (clean (..., T, M), wiped (..., T)): trace t
+    deleted no bit of run i; trace t deleted every bit of some run."""
     n, m = flags.shape[-1], len(lengths)
     if n >= BINCOUNT_RUN_LENGTH * m:
         # reduceat casts all of flags to the count type; int32 holds any run of
         # a mask with fewer than 2^31 columns at half the memory of int64
         count_type = np.int32 if n < 2**31 else np.int64
         counts = np.add.reduceat(flags, _run_starts(lengths), axis=-1, dtype=count_type)
-        return ((counts == 0) & ~(counts == lengths).any(axis=-1, keepdims=True)).any(axis=-2)
+        return counts == 0, (counts == lengths).any(axis=-1)
     # one bincount per chunk of rows: a deleted bit at column j of the chunk's
     # row r falls in bin r * M + (the run holding j)
     rows = flags.reshape(-1, n)
-    ok = np.empty((len(rows), m), dtype=bool)
+    clean, wiped = np.empty((len(rows), m), dtype=bool), np.empty(len(rows), dtype=bool)
     chunk = min(len(rows), max(1, BLOCK_ELEMENTS // n))
     bins = (np.arange(chunk)[:, np.newaxis] * m + np.repeat(np.arange(m), lengths)).ravel()
     for lo in range(0, len(rows), chunk):
         part = rows[lo : lo + chunk]
         counts = np.bincount(bins[np.flatnonzero(part)], minlength=len(part) * m).reshape(-1, m)
-        ok[lo : lo + chunk] = (counts == 0) & ~(counts == lengths).any(axis=-1, keepdims=True)
-    return ok.reshape(*flags.shape[:-1], m).any(axis=-2)
+        clean[lo : lo + chunk], wiped[lo : lo + chunk] = counts == 0, (counts == lengths).any(axis=-1)
+    return clean.reshape(*flags.shape[:-1], m), wiped.reshape(flags.shape[:-1])
+
+
+def _covered_runs(clean: np.ndarray, wiped: np.ndarray) -> np.ndarray:
+    """_clean_runs' tables -> per_run (..., M): some trace deleted no run
+    completely while leaving run i untouched."""
+    return (clean & ~wiped[..., np.newaxis]).any(axis=-2)
 
 
 def copy_fully_deleted(mask, span: PatternSpan, copy_index: int) -> bool:
@@ -137,7 +147,7 @@ def run_coverage(traces: list[MaskedTrace], profile: RunProfile):
     """(covered, per_run): per_run[i] is True iff some trace deleted no run
     completely while leaving run i untouched; covered iff that holds for all i."""
     flags = _flags_matrix(traces, profile.total)
-    per_run = _run_coverage_from_flags(flags, np.asarray(profile.lengths, dtype=np.int64))
+    per_run = _covered_runs(*_clean_runs(flags, np.asarray(profile.lengths, dtype=np.int64)))
     return bool(per_run.all()), tuple(per_run.tolist())
 
 
@@ -158,7 +168,7 @@ class EventReport:
 def detect_events(traces: list[MaskedTrace], spans: list[PatternSpan], profile: RunProfile) -> EventReport:
     flags = _flags_matrix(traces, profile.total)
     witness = tuple(bool(_pattern_witness_from_flags(flags, span)) for span in spans)
-    per_run = _run_coverage_from_flags(flags, np.asarray(profile.lengths, dtype=np.int64))
+    per_run = _covered_runs(*_clean_runs(flags, np.asarray(profile.lengths, dtype=np.int64)))
     return EventReport(witness, bool(per_run.all()), tuple(per_run.tolist()))
 
 

@@ -34,19 +34,17 @@ from .bits import (
     PatternSpan,
     RepeatBlockSpec,
     RunFractionSpec,
-    RunProfile,
+    _run_bounds,
     make_repeat_instance,
     make_run_instance,
-    run_decompose,
 )
 from .channel import BLOCK_ELEMENTS, RngSpec, _mask_block
 from .events import (
     AdjacentPattern,
     SandwichPattern,
-    _copies_violated,
-    _copy_spans,
+    _clean_runs,
+    _covered_runs,
     _pattern_witness_from_flags,
-    _run_coverage_from_flags,
     _validated_alternative,
 )
 from .reconstruct import InfeasibleError, _automaton, _embeds, _matchers, _run_alignment_misses
@@ -119,11 +117,12 @@ def _check_keys(obj: dict, allowed: set, where: str):
 
 @dataclass(frozen=True)
 class _Instance:
-    """A concrete source string with everything the estimators consume."""
+    """A concrete source string with everything the estimators consume:
+    bounds is its run table, bits._run_bounds(s.bits)."""
 
     s: BitString
     span: PatternSpan
-    profile: RunProfile
+    bounds: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -188,16 +187,11 @@ class SourceSpec:
                 s = recipe
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        profile = run_decompose(s)
-        return _Instance(s, span or _longest_run_span(profile), profile)
-
-
-def _longest_run_span(profile) -> PatternSpan:
-    """The first longest run, declared as a single-bit repeat span."""
-    lengths = profile.lengths
-    idx = max(range(len(lengths)), key=lambda i: lengths[i])
-    offset = sum(lengths[:idx])
-    return PatternSpan(offset=offset, period=1, copies=lengths[idx])
+        bounds = _run_bounds(s.bits)
+        if span is None:
+            longest = int(np.diff(bounds).argmax())
+            span = PatternSpan(int(bounds[longest]), 1, int(bounds[longest + 1] - bounds[longest]))
+        return _Instance(s, span, bounds)
 
 
 @dataclass(frozen=True)
@@ -417,7 +411,10 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 # PEAK_BYTES_PER_BIT (few runs, whose coverage counts cast the whole mask to
 # int32) bytes per mask bit: CLI peak RSS on Linux at 32 traces, measured at
 # 2^25 and 2^26 bits, p = 0.5 and 0.99, and taken as linear beyond.  At the
-# cap that is up to 7 GiB.
+# cap that is up to 7 GiB.  With one trace the tables of n entries dominate
+# (the run table, run coverage's bin table and deleted positions, one row of
+# floats): 2^22 bits with a run per bit at p = 0.99 peaked at 247 MB, about
+# 60 bytes per mask bit.
 MAX_TRIAL_ELEMENTS = 1 << 30
 PEAK_BYTES_PER_BIT = 7
 
@@ -426,6 +423,9 @@ _AUDIT_CHECKS = (
     "covered-and-wrong",
     "ambiguity-alternative-inconsistent",
 )
+# the check behind each column of an audit block's failures; the last also
+# names every later column, one per audited pattern
+_OFFENDER_CHECKS = ("covered-and-wrong", "no-witness-and-sufficient", "ambiguity-alternative-inconsistent")
 
 
 @dataclass
@@ -435,38 +435,24 @@ class _Tally:
     offenders: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _audit_patterns(instance: _Instance):
-    """Declare the structural patterns audited on every trial: adjacent run
-    pairs at each boundary, and sandwiches around single-bit interior runs."""
-    lengths = instance.profile.lengths
-    first = instance.profile.first_bit
-    starts = [0]
-    for length in lengths[:-1]:
-        starts.append(starts[-1] + length)
-    bit_at = lambda i: (first + i) % 2  # noqa: E731  (run parity)
-    declared = []
-    for i in range(len(lengths) - 1):
-        declared.append(
-            AdjacentPattern(
-                offset=starts[i],
-                left=BitString([bit_at(i)]),
-                left_copies=lengths[i],
-                right=BitString([bit_at(i + 1)]),
-                right_copies=lengths[i + 1],
-            )
-        )
-    for i in range(1, len(lengths) - 1):
-        if lengths[i] == 1:
-            declared.append(
-                SandwichPattern(
-                    offset=starts[i - 1],
-                    outer=BitString([bit_at(i - 1)]),
-                    inner=BitString([bit_at(i)]),
-                    left_copies=lengths[i - 1],
-                    right_copies=lengths[i + 1],
-                )
-            )
-    return declared
+def _audit_patterns(bounds: np.ndarray) -> np.ndarray:
+    """The structural patterns audited on every trial, as (P, 2) run pairs (i, j):
+    the adjacent runs at each boundary, then the runs around each single-bit
+    interior run.  Each pattern's blocks are single bits, so every trace wipes
+    one of its copies exactly when it deletes a bit of run i or of run j."""
+    runs = np.arange(len(bounds) - 1)
+    single = runs[1:-1][np.diff(bounds)[1:-1] == 1]
+    return np.column_stack([np.concatenate([runs[:-1], single - 1]), np.concatenate([runs[1:], single + 1])])
+
+
+def _audit_pattern(s: BitString, bounds: np.ndarray, i: int, j: int):
+    """The pattern on runs i and j of _audit_patterns: adjacent blocks when
+    j = i + 1, otherwise the sandwich around the single-bit run i + 1."""
+    bit = lambda k: s[bounds[k] : bounds[k] + 1]  # noqa: E731
+    left, right = int(bounds[i + 1] - bounds[i]), int(bounds[j + 1] - bounds[j])
+    if j == i + 1:
+        return AdjacentPattern(int(bounds[i]), bit(i), left, bit(j), right)
+    return SandwichPattern(int(bounds[i]), bit(i), bit(i + 1), left, right)
 
 
 def _consistent_counts(n: int, step, lens, first: int) -> np.ndarray:
@@ -490,7 +476,10 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     over all trials (bit-equal to trial_rng(i)), so the counts do not
     depend on B; the mask events, the oracle's counts (one call, see
     _consistent_counts) and every audit check cover the whole block, the
-    last two reading one table of the traces' matchers.
+    last two reading one table of the traces' matchers.  The audit reads
+    every declared pattern's verdict off the (trace, run) table of clean
+    runs that coverage counts, and builds a pattern's competing source only
+    the first time every trace of some trial wipes one of its copies.
 
     montecarlo counts reconstruction-error as the uncovered trials: a trace
     that wipes out a run has fewer runs than s, so maximal_runs uses exactly
@@ -507,13 +496,10 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         )
     oracle = audit or "difficulty" in estimators
     instance = config.source.instance()
-    s = instance.s
-    lengths = np.asarray(instance.profile.lengths, dtype=np.int64)
-    patterns = []
-    if audit:
-        for pat in _audit_patterns(instance):
-            _, _, alt = _validated_alternative(s, pat)
-            patterns.append((_copy_spans(pat), alt))
+    s, bounds = instance.s, instance.bounds
+    lengths = np.diff(bounds)
+    pairs = _audit_patterns(bounds) if audit else None
+    alternatives = {}  # pattern index -> competing source, built when first fired
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
@@ -523,7 +509,8 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         size = min(block, config.trials - first)
         flags = _mask_block(islice(rngs, size), p, masks[:size])
         no_witness = ~_pattern_witness_from_flags(flags, instance.span)
-        covered = _run_coverage_from_flags(flags, lengths).all(axis=-1)
+        clean, wiped = _clean_runs(flags, lengths)
+        covered = _covered_runs(clean, wiped).all(axis=-1)
         uncovered = int((~covered).sum())
         fired["no-pattern-witness"] += int(no_witness.sum())
         fired["uncovered-run"] += uncovered
@@ -532,24 +519,26 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         if not oracle:
             continue
         kept = ~flags
-        step, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
+        bits = np.broadcast_to(s.bits, kept.shape)[kept]
+        step, lens = _matchers(bits, np.count_nonzero(kept, axis=-1))
         sufficient = _consistent_counts(n, step, lens, first) == 1
         fired["difficulty"] += int((~sufficient).sum())
         if not audit:
             continue
-        wrong = _run_alignment_misses(s, kept)
+        wrong = _run_alignment_misses(s, bits, lens)
         fired["reconstruction-error"] += int(wrong.sum())
-        names = ["covered-and-wrong", "no-witness-and-sufficient"]
-        failed = [covered & wrong, no_witness & sufficient]
-        for spans, alt in patterns:
-            hit = _copies_violated(flags, spans).all(axis=-1)
-            if hit.any():
-                names.append("ambiguity-alternative-inconsistent")
-                failed.append(hit.copy())
-                failed[-1][hit] = ~_embeds(step[:, hit], lens[hit], alt)
-        for k, check in np.argwhere(np.transpose(failed)):  # trial-major
-            tally.audit_counts[names[check]] += 1
-            tally.offenders.append((first + int(k), names[check]))
+        # pattern (i, j) fires where every trace deleted a bit of run i or of run j
+        hit = ~(clean[..., pairs[:, 0]] & clean[..., pairs[:, 1]]).any(axis=-2)
+        inconsistent = np.zeros_like(hit)
+        for k in np.flatnonzero(hit.any(axis=0)):
+            if k not in alternatives:
+                alternatives[k] = _validated_alternative(s, _audit_pattern(s, bounds, *pairs[k]))[2]
+            inconsistent[hit[:, k], k] = ~_embeds(step[:, hit[:, k]], lens[hit[:, k]], alternatives[k])
+        failed = np.column_stack([covered & wrong, no_witness & sufficient, inconsistent])
+        for trial, check in np.argwhere(failed):  # trial-major
+            name = _OFFENDER_CHECKS[min(check, 2)]
+            tally.audit_counts[name] += 1
+            tally.offenders.append((first + int(trial), name))
     return tally
 
 
@@ -657,7 +646,7 @@ def _formula_row(name, n, p, t_or_c, a, report) -> EstimateRow:
 
 def _formula_rows(config: ExperimentConfig) -> list[EstimateRow]:
     instance = config.source.instance()
-    n, p, span, lengths = len(instance.s), config.p, instance.span, instance.profile.lengths
+    n, p, span, lengths = len(instance.s), config.p, instance.span, np.diff(instance.bounds)
     if config.traces is not None:
         count, t_or_c, a = TraceCount.integer(config.traces), config.traces, None
     else:
@@ -728,11 +717,11 @@ def sweep_threshold(config: ExperimentConfig) -> tuple[list[EstimateRow], list[s
 
 def _generate_text(config: ExperimentConfig) -> str:
     instance = config.source.instance()
-    span, profile = instance.span, instance.profile
+    span, lengths = instance.span, np.diff(instance.bounds).tolist()
     lines = [
         str(instance.s),
         f"span offset={span.offset} period={span.period} copies={span.copies}",
-        "runs first_bit=%d lengths=%s" % (profile.first_bit, ",".join(map(str, profile.lengths))),
+        "runs first_bit=%d lengths=%s" % (instance.s[0], ",".join(map(str, lengths))),
     ]
     return "\n".join(lines) + "\n"
 

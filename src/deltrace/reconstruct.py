@@ -75,10 +75,11 @@ def maximal_runs(n: int, traces) -> ReconstructionResult:
     return ReconstructionResult(string=BitString(np.repeat(values, best)))
 
 
-def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
-    """maximal_runs over a block of trace sets at once: for kept of shape
-    (B, T, n), True where a bit of the nonempty source s survived, is the
-    reconstruction from trace set b anything other than s?
+def _run_alignment_misses(s: BitString, bits: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """maximal_runs over a block of trace sets at once: for B sets of T traces
+    of the nonempty source s, given as _matchers takes them (their bits trace
+    after trace and their (B, T) lengths), is the reconstruction from trace
+    set b anything other than s?
 
     Equals ``not (maximal_runs(n, traces_b).ok and .string == s)`` for every
     b.  The traces are read as one concatenation of their surviving bits: a
@@ -90,33 +91,28 @@ def _run_alignment_misses(s: BitString, kept: np.ndarray) -> np.ndarray:
     kept traces agree on the first bit, (i) gives m_hat = M > 0, and (iii)
     makes the runs add up to n.
     """
-    B, T, n = kept.shape
+    B, T = lens.shape
     lengths = _run_lengths(s.bits)
     rows = B * T
-    kept = kept.reshape(rows, n)
     # The temporaries scale with the block, so each is dropped once spent, and
     # per-run indexes are int32: the harness's blocks hold at most
     # max(BLOCK_ELEMENTS, MAX_TRIAL_ELEMENTS) < 2^31 bits.
-    count = np.count_nonzero(kept, axis=1)
+    count = lens.reshape(rows)
     row_start = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(count, out=row_start[1:])
     nonempty = count > 0
-    # surviving bits trace after trace; a run starts at the first bit of a
-    # trace or where the bit changes
-    val = np.broadcast_to(s.bits, (rows, n))[kept]
-    size = val.size
-    starts = np.empty(size, dtype=bool)
-    np.not_equal(val[1:], val[:-1], out=starts[1:])
+    # a run starts at the first bit of a trace or where the bit changes
+    starts = np.empty(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
     starts[row_start[:-1][nonempty]] = True
     first_bit = np.full(rows, -1, dtype=np.int64)
-    first_bit[nonempty] = val[row_start[:-1][nonempty]]
-    del val
+    first_bit[nonempty] = bits[row_start[:-1][nonempty]]
     run_at = np.flatnonzero(starts)
     del starts
     first_run = np.searchsorted(run_at, row_start)  # runs of trace r: first_run[r:r+2]
     run_len = np.empty(run_at.size, dtype=np.int32)
     np.subtract(run_at[1:], run_at[:-1], out=run_len[:-1], casting="same_kind")
-    run_len[-1:] = size - run_at[-1:]
+    run_len[-1:] = bits.size - run_at[-1:]
     del run_at
     runs = np.diff(first_run).reshape(B, T)
     chosen = runs == runs.max(axis=1, keepdims=True)

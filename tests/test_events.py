@@ -125,12 +125,18 @@ class TestRunCoverage:
         profile = run_decompose(s)
         flags = np.random.default_rng(seed).random((block, t_count, len(s))) < p
         expected = [run_coverage_oracle(trial.tolist(), lengths) for trial in flags]
+        bounds = np.cumsum([0, *lengths]).tolist()
+        runs = [[row[a:b] for a, b in zip(bounds, bounds[1:])] for row in flags.reshape(-1, len(s))]
+        clean = [[not run.any() for run in row] for row in runs]
+        wiped = [any(run.all() for run in row) for row in runs]
         # 0 sends every source to reduceat, n + 1 every source to bincount
         for threshold in (0, len(s) + 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(events, "BINCOUNT_RUN_LENGTH", threshold)
-                per_run = events._run_coverage_from_flags(flags, np.asarray(lengths, dtype=np.int64))
-                assert per_run.tolist() == expected
+                tables = events._clean_runs(flags, np.asarray(lengths, dtype=np.int64))
+                assert tables[0].reshape(-1, len(lengths)).tolist() == clean
+                assert tables[1].ravel().tolist() == wiped
+                assert events._covered_runs(*tables).tolist() == expected
                 traces = traces_from_masks(s, flags[0])
                 assert run_coverage(traces, profile) == (all(expected[0]), tuple(expected[0]))
                 assert detect_events(traces, [], profile).per_run == tuple(expected[0])

@@ -11,14 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltrace import channel, cli, harness, reconstruct
-from deltrace.bits import BitString, _run_lengths, is_subsequence
+from deltrace.bits import BitString, _run_lengths, is_subsequence, run_decompose
 from deltrace.channel import RngSpec, _mask_block, sample_traces
-from deltrace.events import _run_coverage_from_flags, detect_ambiguities, detect_events
+from deltrace.events import (
+    AdjacentPattern,
+    SandwichPattern,
+    _clean_runs,
+    _copies_violated,
+    _covered_runs,
+    detect_ambiguities,
+    detect_events,
+)
 from deltrace.harness import (
     ESTIMATORS,
     ExperimentConfig,
     InfeasibleError,
     SourceSpec,
+    _audit_pattern,
     _audit_patterns,
     _consistent_counts,
     _simulate,
@@ -75,14 +84,15 @@ def _check_alignment(s, p, t_count, block, seed):
     n = len(s)
     spec = RngSpec(master_seed=seed)
     flags = _mask_block(map(spec.trial_rng, range(block)), p, np.empty((block, t_count, n), dtype=bool))
-    misses = _run_alignment_misses(s, ~flags)
+    kept = ~flags
+    misses = _run_alignment_misses(s, np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
     assert misses.shape == (block,)
     for b in range(block):
         result = maximal_runs(n, [s.bits[~row] for row in flags[b]])
         assert misses[b] == (not (result.ok and result.string == s))
     # a trace that wipes out a run has fewer runs than s, so alignment uses
     # the traces that wiped no run: it misses exactly when some run is uncovered
-    assert np.array_equal(misses, ~_run_coverage_from_flags(flags, _run_lengths(s.bits)).all(axis=-1))
+    assert np.array_equal(misses, ~_covered_runs(*_clean_runs(flags, _run_lengths(s.bits))).all(axis=-1))
 
 
 @pytest.mark.parametrize("step", [1, 3, 4])  # 3 leaves a short last draw
@@ -98,6 +108,36 @@ def test_mask_block_draws_the_sample_traces_masks(step, monkeypatch):
     flags = _mask_block(map(spec.trial_rng, range(5, 8)), 0.4, np.empty((3, 4, len(s)), dtype=bool))
     for k in range(3):
         assert np.array_equal(flags[k], expected[k])
+
+
+def _declared_patterns(s):
+    """The audit's patterns as objects, from run_decompose: adjacent run pairs
+    at each boundary, then sandwiches around single-bit interior runs."""
+    profile = run_decompose(s)
+    lengths = profile.lengths
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    bit = lambda i: BitString([(profile.first_bit + i) % 2])  # noqa: E731
+    declared = [AdjacentPattern(starts[i], bit(i), lengths[i], bit(i + 1), lengths[i + 1])
+                for i in range(len(lengths) - 1)]
+    declared += [SandwichPattern(starts[i - 1], bit(i - 1), bit(i), lengths[i - 1], lengths[i + 1])
+                 for i in range(1, len(lengths) - 1) if lengths[i] == 1]
+    return declared
+
+
+@settings(max_examples=100, deadline=None)
+@given(SOURCES, PROBS, st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
+def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
+    instance = SourceSpec.from_dict(source, allow_missing_n=False).instance()
+    s, bounds = instance.s, instance.bounds
+    pairs = _audit_patterns(bounds)
+    declared = _declared_patterns(s)
+    assert [_audit_pattern(s, bounds, i, j) for i, j in pairs] == declared
+    # the kernel's verdict on pair (i, j): every trace deleted a bit of run i or of run j
+    flags = np.random.default_rng(seed).random((block, t_count, len(s))) < p
+    clean = _clean_runs(flags, np.diff(bounds))[0]
+    for (i, j), pattern in zip(pairs, declared):
+        fired = ~(clean[..., i] & clean[..., j]).any(axis=-1)
+        assert np.array_equal(fired, _copies_violated(flags, pattern.copy_spans()).all(axis=-1))
 
 
 def _audit_config(source, p, t_count, trials, seed):
@@ -142,8 +182,9 @@ def _replayed_counts(config, faults=None):
     sufficiency = faults.get("is_levenshtein_sufficient", is_levenshtein_sufficient)
     embeds = faults.get("is_subsequence", is_subsequence)
     instance = config.source.instance()
-    s, span, profile = instance.s, instance.span, instance.profile
-    patterns = _audit_patterns(instance)
+    s, span = instance.s, instance.span
+    profile = run_decompose(s)
+    patterns = _declared_patterns(s)
     spec = RngSpec(master_seed=config.seed)
     fired = dict.fromkeys(ESTIMATORS, 0)
     offenders = []
@@ -176,7 +217,7 @@ def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
     assert (tally.fired, tally.offenders) == _replayed_counts(config)
 
 
-def _never_aligned(s, kept):
+def _never_aligned(s, bits, lens):
     raise AssertionError("montecarlo called _run_alignment_misses")
 
 
@@ -203,13 +244,46 @@ def test_montecarlo_counts_match_replay_without_run_alignment(source, p, t_count
 # reach every trial it applies to, though the audit visits only suspect trials:
 # (kernel function, its stand-in, the replay's stand-in by name)
 _FAULTS = {
-    "covered-and-wrong": ("_run_alignment_misses", lambda s, kept: np.ones(len(kept), dtype=bool),
+    "covered-and-wrong": ("_run_alignment_misses", lambda s, bits, lens: np.ones(len(lens), dtype=bool),
                           {"maximal_runs": lambda n, traces: ReconstructionResult(failure="forced")}),
     "no-witness-and-sufficient": ("_consistent_counts", lambda n, step, lens, first: np.ones(len(lens), dtype=np.int64),
                                   {"is_levenshtein_sufficient": lambda s, traces: SufficiencyVerdict(1, True)}),
     "ambiguity-alternative-inconsistent": ("_embeds", lambda step, lens, x: np.zeros(len(lens), dtype=bool),
                                            {"is_subsequence": lambda t, x: False}),
 }
+
+
+def _built_alternatives(config):
+    """The patterns whose competing source an audit of config builds, in order."""
+    built = []
+
+    def recorded(s, pattern):
+        built.append(pattern)
+        return validated(s, pattern)
+
+    validated = harness._validated_alternative
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_validated_alternative", recorded)
+        _simulate(config, ESTIMATORS, audit=True)
+    return built
+
+
+@pytest.mark.parametrize("trials", [12, 60])  # 15 of the 17 patterns fire, then all 17
+def test_competing_sources_are_built_when_a_pattern_first_fires(trials, monkeypatch):
+    source = {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}
+    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", 3 * 2 * 10)  # blocks of 3 trials
+    assert _built_alternatives(_audit_config(source, 0.0, 2, trials, 4)) == []
+    config = _audit_config(source, 0.15, 2, trials, 4)
+    s = config.source.instance().s
+    patterns = _declared_patterns(s)
+    spec = RngSpec(master_seed=config.seed)
+    fired = [witness.pattern for trial in range(config.trials)
+             for witness in detect_ambiguities(s, sample_traces(s, config.p, config.traces,
+                                                                spec.trial_rng(trial)), patterns)]
+    assert len(fired) > len(set(fired)) and 0 < len(set(fired)) <= len(patterns)
+    built = _built_alternatives(config)
+    assert len(built) == len(set(built)) and set(built) == set(fired)
+    assert (len(built) < len(patterns)) == (trials == 12)
 
 
 @pytest.mark.parametrize("check", list(_FAULTS))
@@ -242,8 +316,8 @@ def test_offenders_keep_check_order_within_a_trial(monkeypatch):
     assert any(sum(entry[0] == trial for entry in wiped) > 1 for trial in range(config.trials))
     for name, kernel_fault, _ in _FAULTS.values():
         monkeypatch.setattr(harness, name, kernel_fault)
-    monkeypatch.setattr(harness, "_run_coverage_from_flags",
-                        lambda flags, lengths: np.ones((*flags.shape[:-2], len(lengths)), dtype=bool))
+    monkeypatch.setattr(harness, "_covered_runs",
+                        lambda clean, wiped: np.ones(clean.shape[:-2] + clean.shape[-1:], dtype=bool))
     monkeypatch.setattr(harness, "_pattern_witness_from_flags", lambda flags, span: np.zeros(len(flags), dtype=bool))
     assert _simulate(config, ESTIMATORS, audit=True).offenders == expected
 
