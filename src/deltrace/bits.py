@@ -288,15 +288,6 @@ class RunFractionSpec:
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must sum to 1")
 
-    @property
-    def num_runs(self) -> int:
-        return len(self.fractions)
-
-    @property
-    def ell_star(self) -> float:
-        """Largest run fraction."""
-        return max(self.fractions)
-
 
 def rounded_run_lengths(fractions: Sequence[float], n: int) -> list[int]:
     """Deterministic rounding of fractions[i] * n to integer run lengths summing to n.

@@ -39,14 +39,7 @@ from .bits import (
     make_run_instance,
 )
 from .channel import BLOCK_ELEMENTS, RngSpec, _mask_block
-from .events import (
-    AdjacentPattern,
-    SandwichPattern,
-    _clean_runs,
-    _covered_runs,
-    _pattern_witness_from_flags,
-    _validated_alternative,
-)
+from .events import _clean_runs, _covered_runs, _pattern_witness_from_flags
 from .reconstruct import InfeasibleError, _automaton, _embeds, _matchers, _run_alignment_misses
 
 __all__ = [
@@ -445,28 +438,30 @@ def _audit_patterns(bounds: np.ndarray) -> np.ndarray:
     return np.column_stack([np.concatenate([runs[:-1], single - 1]), np.concatenate([runs[1:], single + 1])])
 
 
-def _audit_pattern(s: BitString, bounds: np.ndarray, i: int, j: int):
-    """The pattern on runs i and j of _audit_patterns: adjacent blocks when
-    j = i + 1, otherwise the sandwich around the single-bit run i + 1."""
-    bit = lambda k: s[bounds[k] : bounds[k] + 1]  # noqa: E731
-    left, right = int(bounds[i + 1] - bounds[i]), int(bounds[j + 1] - bounds[j])
-    if j == i + 1:
-        return AdjacentPattern(int(bounds[i]), bit(i), left, bit(j), right)
-    return SandwichPattern(int(bounds[i]), bit(i), bit(i + 1), left, right)
+def _competing_source(s: BitString, bounds: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The competing source of run pair (i, j) of _audit_patterns: s with the
+    bits where run i meets run j flipped, [bounds[i + 1] - 1, bounds[j] + 1):
+    2 bits for adjacent runs, 3 around a single-bit run, as the alternative
+    windows of events.AdjacentPattern and SandwichPattern swap them."""
+    alt = s.bits.copy()
+    alt[bounds[i + 1] - 1 : bounds[j] + 1] ^= 1
+    return alt
 
 
 def _consistent_counts(n: int, step, lens, first: int) -> np.ndarray:
     """Each trace set's consistent-source count (trials first, first + 1, ...) from
-    one oracle call.  A call over its budget is split in half, left half first,
-    so a refusal names the first trial that passes the budget on its own."""
+    one oracle call.  A call over its budget is split into its first trace set
+    alone, then the two halves of the rest, so a refusal names the first trial
+    that passes the budget on its own, and a block whose first trial passes it
+    is refused on the second call."""
     try:
         return _automaton(n, step, lens)[1][0][:len(lens)]
     except InfeasibleError as exc:
         if len(lens) == 1:
             raise InfeasibleError(f"{exc} on trial {first}") from None
-    half = len(lens) // 2
-    return np.concatenate([_consistent_counts(n, step[:, :half], lens[:half], first),
-                           _consistent_counts(n, step[:, half:], lens[half:], first + half)])
+    edges = [0, 1, 1 + (len(lens) - 1) // 2, len(lens)]
+    return np.concatenate([_consistent_counts(n, step[:, lo:hi], lens[lo:hi], first + lo)
+                           for lo, hi in zip(edges, edges[1:]) if lo < hi])
 
 
 def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _Tally:
@@ -478,15 +473,16 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     _consistent_counts) and every audit check cover the whole block, the
     last two reading one table of the traces' matchers.  The audit reads
     every declared pattern's verdict off the (trace, run) table of clean
-    runs that coverage counts, and builds a pattern's competing source only
-    the first time every trace of some trial wipes one of its copies.
+    runs that coverage counts; in each block it forms the competing source
+    of a pattern that fired on some trial, s with the junction bits of its
+    run pair flipped (_competing_source), and of no other.
 
     montecarlo counts reconstruction-error as the uncovered trials: a trace
     that wipes out a run has fewer runs than s, so maximal_runs uses exactly
     the traces that wiped no run, and it returns s exactly when each run is
     kept whole by one of them, which is run coverage.  audit computes the
-    verdict independently by run alignment and checks the two against each
-    other (covered-and-wrong)."""
+    verdict independently by run alignment and counts the covered trials it
+    misses (covered-and-wrong)."""
     t_count, p, n = config.traces, config.p, config.source.n
     if t_count * n > MAX_TRIAL_ELEMENTS:
         raise InfeasibleError(
@@ -499,7 +495,6 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     s, bounds = instance.s, instance.bounds
     lengths = np.diff(bounds)
     pairs = _audit_patterns(bounds) if audit else None
-    alternatives = {}  # pattern index -> competing source, built when first fired
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
@@ -531,9 +526,8 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         hit = ~(clean[..., pairs[:, 0]] & clean[..., pairs[:, 1]]).any(axis=-2)
         inconsistent = np.zeros_like(hit)
         for k in np.flatnonzero(hit.any(axis=0)):
-            if k not in alternatives:
-                alternatives[k] = _validated_alternative(s, _audit_pattern(s, bounds, *pairs[k]))[2]
-            inconsistent[hit[:, k], k] = ~_embeds(step[:, hit[:, k]], lens[hit[:, k]], alternatives[k])
+            alt = _competing_source(s, bounds, *pairs[k])
+            inconsistent[hit[:, k], k] = ~_embeds(step[:, hit[:, k]], lens[hit[:, k]], alt)
         failed = np.column_stack([covered & wrong, no_witness & sufficient, inconsistent])
         for trial, check in np.argwhere(failed):  # trial-major
             name = _OFFENDER_CHECKS[min(check, 2)]
@@ -593,7 +587,7 @@ def estimate_mr_error(config: ExperimentConfig) -> EstimateRow:
     has fewer runs than s.  maximal_runs therefore uses exactly the traces
     that wiped no run and returns s exactly when each run is kept whole by
     one of them.  So the count is read off coverage; audit recomputes it by
-    run alignment and counts any trial where the two disagree."""
+    run alignment and counts the covered trials it misses."""
     return _estimate(config, ("reconstruction-error",))[0]
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltrace import events
-from deltrace.bits import BitString, PatternSpan, run_decompose
+from deltrace.bits import BitString, PatternSpan, RepeatBlockSpec, make_repeat_instance, run_decompose
 from deltrace.channel import DeletionMask, MaskedTrace, RngSpec, apply_mask, sample_traces
 from deltrace.events import (
     AdjacentPattern,
@@ -259,6 +259,25 @@ class TestDetectAmbiguities:
                               left_copies=2, right_copies=2)
         rows = [[0, 0, 1, 0, 0]]  # only the inner bit went missing
         assert detect_ambiguities(s, traces_from_masks(s, rows), [pat]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["0", "01", "001", "0110", "110"]), st.integers(4, 16),
+           st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), st.integers(1, 4), st.integers(0, 2**32))
+    def test_repeated_block_yields_witness(self, pattern, n, p, t_count, seed):
+        # condition 1: the declared span is the repeated block A^f of a repeat source
+        s, span = make_repeat_instance(RepeatBlockSpec(pattern, 0.25), n)
+        traces = sample_traces(s, p, t_count, RngSpec(master_seed=seed))
+        rows = [tuple(bool(b) for b in mt.mask.flags) for mt in traces]
+        windows = [(span.offset + k * span.period, span.period) for k in range(span.copies)]
+        witnesses = detect_ambiguities(s, traces, [span])
+        if not every_trace_kills_a_copy(rows, windows):
+            assert witnesses == []
+            return
+        assert [(w.condition, w.pattern) for w in witnesses] == [(1, span)]
+        alt = witnesses[0].alternative
+        assert len(alt) == n and alt != s
+        for mt in traces:
+            assert is_subseq_str(str(mt.trace), str(alt))
 
 
 class TestMonotonicity:

@@ -19,6 +19,7 @@ from deltrace.events import (
     _clean_runs,
     _copies_violated,
     _covered_runs,
+    _validated_alternative,
     detect_ambiguities,
     detect_events,
 )
@@ -27,8 +28,8 @@ from deltrace.harness import (
     ExperimentConfig,
     InfeasibleError,
     SourceSpec,
-    _audit_pattern,
     _audit_patterns,
+    _competing_source,
     _consistent_counts,
     _simulate,
     _simulation_estimators,
@@ -131,7 +132,10 @@ def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
     s, bounds = instance.s, instance.bounds
     pairs = _audit_patterns(bounds)
     declared = _declared_patterns(s)
-    assert [_audit_pattern(s, bounds, i, j) for i, j in pairs] == declared
+    assert len(pairs) == len(declared)
+    # the flipped junction bits are the declared pattern's competing source
+    for (i, j), pattern in zip(pairs, declared):
+        assert BitString(_competing_source(s, bounds, i, j)) == _validated_alternative(s, pattern)[2]
     # the kernel's verdict on pair (i, j): every trace deleted a bit of run i or of run j
     flags = np.random.default_rng(seed).random((block, t_count, len(s))) < p
     clean = _clean_runs(flags, np.diff(bounds))[0]
@@ -253,37 +257,44 @@ _FAULTS = {
 }
 
 
-def _built_alternatives(config):
-    """The patterns whose competing source an audit of config builds, in order."""
-    built = []
+def _formed_sources(config):
+    """The run pairs whose competing source an audit of config forms, in order."""
+    formed = []
 
-    def recorded(s, pattern):
-        built.append(pattern)
-        return validated(s, pattern)
+    def recorded(s, bounds, i, j):
+        formed.append((int(i), int(j)))
+        return competing(s, bounds, i, j)
 
-    validated = harness._validated_alternative
+    competing = harness._competing_source
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_validated_alternative", recorded)
+        mp.setattr(harness, "_competing_source", recorded)
         _simulate(config, ESTIMATORS, audit=True)
-    return built
+    return formed
 
 
 @pytest.mark.parametrize("trials", [12, 60])  # 15 of the 17 patterns fire, then all 17
 def test_competing_sources_are_built_when_a_pattern_first_fires(trials, monkeypatch):
+    # each block forms the competing source of every pair that fired on one of
+    # its trials, in pair order, and of no other pair
     source = {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", 3 * 2 * 10)  # blocks of 3 trials
-    assert _built_alternatives(_audit_config(source, 0.0, 2, trials, 4)) == []
+    assert _formed_sources(_audit_config(source, 0.0, 2, trials, 4)) == []
     config = _audit_config(source, 0.15, 2, trials, 4)
-    s = config.source.instance().s
+    instance = config.source.instance()
+    s = instance.s
+    pairs = [tuple(pair) for pair in _audit_patterns(instance.bounds).tolist()]
     patterns = _declared_patterns(s)
     spec = RngSpec(master_seed=config.seed)
-    fired = [witness.pattern for trial in range(config.trials)
-             for witness in detect_ambiguities(s, sample_traces(s, config.p, config.traces,
-                                                                spec.trial_rng(trial)), patterns)]
-    assert len(fired) > len(set(fired)) and 0 < len(set(fired)) <= len(patterns)
-    built = _built_alternatives(config)
-    assert len(built) == len(set(built)) and set(built) == set(fired)
-    assert (len(built) < len(patterns)) == (trials == 12)
+    expected = []
+    for first in range(0, config.trials, 3):
+        fired = {patterns.index(witness.pattern) for trial in range(first, min(first + 3, config.trials))
+                 for witness in detect_ambiguities(s, sample_traces(s, config.p, config.traces,
+                                                                    spec.trial_rng(trial)), patterns)}
+        expected += [pairs[k] for k in sorted(fired)]
+    formed = _formed_sources(config)
+    assert formed == expected
+    assert len(formed) > len(set(formed))  # some pair fires in more than one block
+    assert (len(set(formed)) < len(pairs)) == (trials == 12)
 
 
 @pytest.mark.parametrize("check", list(_FAULTS))
@@ -423,3 +434,26 @@ def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypa
         alone.append(str(refusal.value))
     assert cli.main(["montecarlo", "--config", str(path)]) == 3
     assert capsys.readouterr().err == f"infeasible: {alone[0]} on trial 2\n"
+
+
+def test_refusal_of_a_block_over_the_budget_takes_two_calls(monkeypatch):
+    # every trial passes the budget on its own: the block's call fails, then
+    # its first trial's alone, where halving the block would take log2(B) + 1
+    source = {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 24}
+    config = {"mode": "montecarlo", "source": source, "p": 0.3, "traces": 4, "trials": 16,
+              "seed": 5, "estimators": ["difficulty"]}
+    sets = _trace_sets(ExperimentConfig.from_dict(config))
+    monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 8)
+    for trial in sets:
+        with pytest.raises(InfeasibleError):
+            _automaton(24, *_matchers_of([trial]))
+    calls = []
+
+    def recorded(n, step, lens):
+        calls.append(len(lens))
+        return _automaton(n, step, lens)
+
+    monkeypatch.setattr(harness, "_automaton", recorded)
+    with pytest.raises(InfeasibleError, match="on trial 5$"):
+        _consistent_counts(24, *_matchers_of(sets), 5)
+    assert calls == [16, 1]
