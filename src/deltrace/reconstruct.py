@@ -134,9 +134,10 @@ def _run_alignment_misses(s: BitString, bits: np.ndarray, lens: np.ndarray) -> n
 # States one oracle call may visit, summed over lengths and trace sets, and
 # sources consistent_sources may list.  Layer k of one set holds at most 2^k
 # states, so no n <= 20 is refused.  A montecarlo process running into it
-# peaked at 76 MB with 4 traces and 682 MB with 32 (n = 100).  The block's
-# matcher table (_matchers, 8 bytes per trace and bit of the longest trace) is
-# built once before any call and split by view, so it is not counted.
+# peaked at 68-74 MB with 4 traces and 442-663 MB with 32 (n = 100, p = 0.3,
+# three random sources).  The block's matcher table (_matchers, 8 bytes per
+# trace and bit of the longest trace) is built once before any call and split
+# by view, so it is not counted.
 MAX_ORACLE_STATES = 1 << 21
 
 
@@ -165,6 +166,23 @@ def _embeds(step, lens, x) -> np.ndarray:
     return (pointer == lens).all(axis=1)
 
 
+def _state_keys(nxt, live, owner, pointer_bits: int, owner_bits: int) -> list[np.ndarray]:
+    """Pack the live states, pointer row nxt[j] and owner[j] for j in live, into
+    int64 words: pointer_bits bits per pointer, then owner_bits for the owner,
+    at most 63 bits per word and no field split across two words.  Equal words
+    mean equal states.  The words are built one field at a time, so the pointer
+    table is never widened to int64 as a whole."""
+    fields = [(nxt[:, t], pointer_bits) for t in range(nxt.shape[1])] + [(owner, owner_bits)]
+    words, used = [], 0
+    for column, bits in fields:
+        if not words or used + bits > 63:
+            words.append(np.zeros(live.size, dtype=np.int64))
+            used = 0
+        words[-1] |= np.left_shift(column[live], used, dtype=np.int64)
+        used += bits
+    return words
+
+
 def _automaton(n: int, step, lens):
     """Product automaton of the B sets of T greedy matchers (step, lens) from
     _matchers (after V. I. Levenshtein, J. Combin. Theory Ser. A 93, 2001).  A
@@ -175,23 +193,34 @@ def _automaton(n: int, step, lens):
     j after bit b, or -1; counts[k][j] counts the (n - k)-bit strings taking
     state j to every trace's end, counts[k][-1] is 0, and counts[0][:B] are the
     sets' counts."""
-    traces = np.arange(lens.shape[1])
+    bit, traces = np.arange(2).reshape(2, 1, 1), np.arange(lens.shape[1])
     owner, rows = np.arange(lens.shape[0]), np.zeros(lens.shape, dtype=np.int32)
+    pointer_bits, owner_bits = int(lens.max(initial=0)).bit_length(), (lens.shape[0] - 1).bit_length()
     visited = lens.shape[0]
     children = []
     for k in range(n):
-        nxt = step[:, owner[:, None], traces, rows].reshape(-1, traces.size)
-        owner = np.tile(owner, 2)
-        live = np.flatnonzero((nxt >= lens[owner] - (n - k - 1)).all(axis=1))
-        # deduplicate: sort the live states by owner, then pointers, keep the first of each equal run
-        order = live[np.lexsort((*nxt[live].T, owner[live]))]
-        rows, owner = nxt[order], owner[order]
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1) | (owner[1:] != owner[:-1])
+        # the pointers after each bit, (2, states, T) in C order, so the reshape
+        # below copies nothing; no trace of a live state needs more than the
+        # n - k - 1 bits left
+        nxt = step[bit, owner[:, None], traces, rows]
+        live = np.flatnonzero((nxt >= lens[owner] - (n - k - 1)).all(axis=-1))
+        nxt, owner = nxt.reshape(-1, traces.size), np.tile(owner, 2)
+        # deduplicate: sort the live states on their packed keys, keep the first of
+        # each equal run; equal keys are equal states, so the sort need not be stable
+        keys = _state_keys(nxt, live, owner, pointer_bits, owner_bits)
+        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+        new = np.zeros(order.size, dtype=bool)
+        new[:1] = True
+        for word in keys:
+            word = word[order]
+            new[1:] |= word[1:] != word[:-1]
+        del keys, word  # held through the next layer's gather, they would raise the peak
+        order = live[order]
         child = np.full(nxt.shape[0], -1, dtype=np.int32)
         child[order] = np.cumsum(new) - 1
         children.append(child.reshape(2, -1))
-        rows, owner = rows[new], owner[new]
+        order = order[new]
+        rows, owner = nxt[order], owner[order]
         visited += rows.shape[0]
         if visited > MAX_ORACLE_STATES:
             raise InfeasibleError(f"the sufficiency oracle passed its budget of "

@@ -24,6 +24,7 @@ CASES = [
     ("montecarlo", "mc-repeat-short"),
     ("montecarlo", "mc-small"),
     ("montecarlo", "mc-bits"),
+    ("montecarlo", "mc-wide"),
     ("exact", "exact"),
     ("exact", "exact-schedule"),
     ("exact", "exact-repeat"),

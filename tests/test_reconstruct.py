@@ -17,6 +17,7 @@ from deltrace.reconstruct import (
     _automaton,
     _embeds,
     _matchers,
+    _state_keys,
     consistent_sources,
     is_levenshtein_sufficient,
     maximal_runs,
@@ -217,6 +218,90 @@ class TestBatchedAutomaton:
         for b, ts in enumerate(sets):
             assert counts[b] == _automaton(n, *_matchers_of([ts]))[1][0][0]
             assert counts[b] == len(consistent_sources_oracle(n, texts[b]))
+
+
+@st.composite
+def _wide_trace_sets(draw):
+    """Sets of 15 to 20 traces, each set of its own source of n = 8 to 10 bits
+    through a deletion channel, whose states need two or more key words.  The
+    first trace of set 0 is its whole source, so every pointer takes 4 bits:
+    16 or more traces fill 64 bits, and with 15 traces the owner of 9 or more
+    sets starts a word of its own."""
+    n = draw(st.integers(8, 10))
+    t_count = draw(st.integers(15, 20))
+    set_count = draw(st.integers(9 if t_count == 15 else 1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6]))
+    sources = rng.integers(0, 2, (set_count, n)).astype(np.uint8)
+    sets = [[source[rng.random(n) >= p] for _ in range(t_count)] for source in sources]
+    sets[0][0] = sources[0]
+    return n, sets
+
+
+class TestStateKeys:
+    @staticmethod
+    def _keys(rows, owner, pointer_bits, owner_bits, live=None):
+        rows, owner = np.asarray(rows, dtype=np.int32), np.asarray(owner, dtype=np.int64)
+        live = np.arange(len(owner)) if live is None else np.asarray(live)
+        return _state_keys(rows, live, owner, pointer_bits, owner_bits)
+
+    @pytest.mark.parametrize("t_count,pointer_bits,owner_bits,words", [
+        (9, 7, 0, 1),   # 63 bits: one full word
+        (9, 7, 1, 2),   # 64 bits: the owner starts a second word
+        (8, 8, 0, 2),   # 64 bits: the eighth pointer starts a second word
+        (21, 3, 0, 1),  # 63 bits of narrow fields
+        (16, 5, 7, 2),  # the wide golden case: 80 pointer bits and 128 sets
+        (30, 31, 31, 16),  # two 31-bit fields per word
+    ])
+    def test_boundary_layout(self, t_count, pointer_bits, owner_bits, words):
+        top, owner_top = (1 << pointer_bits) - 1, (1 << owner_bits) - 1
+        keys = self._keys(np.full((1, t_count), top), [owner_top], pointer_bits, owner_bits)
+        assert len(keys) == words
+        assert all(k.dtype == np.int64 and k[0] >= 0 for k in keys)  # each word below 2^63
+        set_bits = sum(bin(int(k[0])).count("1") for k in keys)
+        assert set_bits == t_count * pointer_bits + owner_bits
+        # no field is split: a field at its largest value alone sets all of its
+        # bits in one word
+        for field in range(t_count + 1):
+            rows, owner = np.zeros((1, t_count), dtype=np.int32), [0]
+            if field < t_count:
+                rows[0, field], width = top, pointer_bits
+            else:
+                owner, width = [owner_top], owner_bits
+            values = [int(k[0]) for k in self._keys(rows, owner, pointer_bits, owner_bits)]
+            assert sum(v != 0 for v in values) == (width > 0)
+            assert sum(bin(v).count("1") for v in values) == width
+
+    @pytest.mark.parametrize("t_count,pointer_bits,owner_bits", [(9, 7, 1), (8, 8, 3), (5, 2, 2)])
+    def test_distinct_states_distinct_keys(self, t_count, pointer_bits, owner_bits):
+        # fields take only their smallest and largest values, so high bits are
+        # set often, and repeated states are common
+        rng = np.random.default_rng(t_count)
+        size = 4000
+        rows = rng.integers(0, 2, (size, t_count)) * ((1 << pointer_bits) - 1)
+        owner = rng.integers(0, 2, size) * ((1 << owner_bits) - 1)
+        live = np.flatnonzero(rng.random(size) < 0.8)
+        keys = np.stack(self._keys(rows, owner, pointer_bits, owner_bits, live), axis=1)
+        states = np.column_stack([rows[live], owner[live]])
+        # the two groupings are the same partition: pairing each state's group
+        # with its key's group makes no more pairs than there are groups
+        distinct = len(np.unique(states, axis=0))
+        assert distinct < live.size
+        assert len(np.unique(keys, axis=0)) == distinct
+        assert len(np.unique(np.column_stack([states, keys]), axis=0)) == distinct
+
+
+class TestWideAutomaton:
+    @settings(max_examples=25, deadline=None)
+    @given(_wide_trace_sets())
+    def test_counts_match_brute_force(self, case):
+        n, sets = case
+        step, lens = _matchers_of(sets)
+        pointer_bits, owner_bits = int(lens.max()).bit_length(), (len(sets) - 1).bit_length()
+        assert lens.shape[1] * pointer_bits + owner_bits > 63  # two or more words
+        counts = _automaton(n, step, lens)[1][0]
+        texts = [["".join(map(str, t)) for t in ts] for ts in sets]
+        assert counts.tolist() == [len(consistent_sources_oracle(n, ts)) for ts in texts] + [0]
 
 
 class TestEmbeds:
