@@ -40,7 +40,7 @@ from .bits import (
 )
 from .channel import BLOCK_ELEMENTS, RngSpec, _mask_block
 from .events import _clean_runs, _covered_runs, _pattern_witness_from_flags
-from .reconstruct import InfeasibleError, _automaton, _embeds, _matchers, _run_alignment_misses
+from .reconstruct import InfeasibleError, _embedding_tables, _embeds_flipped, _matchers, _run_alignment_misses, _sufficient
 
 __all__ = [
     "ConfigError",
@@ -438,29 +438,27 @@ def _audit_patterns(bounds: np.ndarray) -> np.ndarray:
     return np.column_stack([np.concatenate([runs[:-1], single - 1]), np.concatenate([runs[1:], single + 1])])
 
 
-def _competing_source(s: BitString, bounds: np.ndarray, i: int, j: int) -> np.ndarray:
-    """The competing source of run pair (i, j) of _audit_patterns: s with the
-    bits where run i meets run j flipped, [bounds[i + 1] - 1, bounds[j] + 1):
-    2 bits for adjacent runs, 3 around a single-bit run, as the alternative
-    windows of events.AdjacentPattern and SandwichPattern swap them."""
-    alt = s.bits.copy()
-    alt[bounds[i + 1] - 1 : bounds[j] + 1] ^= 1
-    return alt
+def _junction(bounds: np.ndarray, i: int, j: int) -> tuple[int, int]:
+    """The bits [lo, hi) where run i meets run j, for run pair (i, j) of
+    _audit_patterns: 2 bits for adjacent runs, 3 around a single-bit run.  Its
+    competing source is s with them flipped, as the alternative windows of
+    events.AdjacentPattern and SandwichPattern swap them."""
+    return int(bounds[i + 1]) - 1, int(bounds[j]) + 1
 
 
-def _consistent_counts(n: int, step, lens, first: int) -> np.ndarray:
-    """Each trace set's consistent-source count (trials first, first + 1, ...) from
-    one oracle call.  A call over its budget is split into its first trace set
-    alone, then the two halves of the rest, so a refusal names the first trial
-    that passes the budget on its own, and a block whose first trial passes it
-    is refused on the second call."""
+def _sufficient_sets(s: BitString, step, lens, first: int) -> np.ndarray:
+    """Whether each trace set (trials first, first + 1, ...) admits s as its only
+    source, from one oracle call.  A call over its budget is split into its
+    first trace set alone, then the two halves of the rest, so a refusal names
+    the first trial that passes the budget on its own, and a block whose first
+    trial passes it is refused on the second call."""
     try:
-        return _automaton(n, step, lens)[1][0][:len(lens)]
+        return _sufficient(s.bits, step, lens)
     except InfeasibleError as exc:
         if len(lens) == 1:
             raise InfeasibleError(f"{exc} on trial {first}") from None
     edges = [0, 1, 1 + (len(lens) - 1) // 2, len(lens)]
-    return np.concatenate([_consistent_counts(n, step[:, lo:hi], lens[lo:hi], first + lo)
+    return np.concatenate([_sufficient_sets(s, step[:, lo:hi], lens[lo:hi], first + lo)
                            for lo, hi in zip(edges, edges[1:]) if lo < hi])
 
 
@@ -469,13 +467,16 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     per block.  channel._mask_block fills a block's (B, T, n) mask, trial i
     from its own stream, taken in order from one RngSpec(seed).block_rngs
     over all trials (bit-equal to trial_rng(i)), so the counts do not
-    depend on B; the mask events, the oracle's counts (one call, see
-    _consistent_counts) and every audit check cover the whole block, the
-    last two reading one table of the traces' matchers.  The audit reads
-    every declared pattern's verdict off the (trace, run) table of clean
-    runs that coverage counts; in each block it forms the competing source
-    of a pattern that fired on some trial, s with the junction bits of its
-    run pair flipped (_competing_source), and of no other.
+    depend on B; the mask events, the oracle's verdicts (one call, see
+    _sufficient_sets) and every audit check cover the whole block, the last
+    two reading one table of the traces' matchers.  The oracle decides
+    whether s is each trial's only length-n source and stops at the first
+    witness of another; it never counts them.  The audit reads every
+    declared pattern's verdict off the (trace, run) table of clean runs that
+    coverage counts; in each block it checks the competing source of each
+    pattern that fired on some trial, s with the junction bits of its run
+    pair flipped (_junction), and of no other.  Where the traces stand on s
+    is tabulated once per block, so the check steps only the flipped bits.
 
     montecarlo counts reconstruction-error as the uncovered trials: a trace
     that wipes out a run has fewer runs than s, so maximal_runs uses exactly
@@ -516,7 +517,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         kept = ~flags
         bits = np.broadcast_to(s.bits, kept.shape)[kept]
         step, lens = _matchers(bits, np.count_nonzero(kept, axis=-1))
-        sufficient = _consistent_counts(n, step, lens, first) == 1
+        sufficient = _sufficient_sets(s, step, lens, first)
         fired["difficulty"] += int((~sufficient).sum())
         if not audit:
             continue
@@ -525,9 +526,10 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         # pattern (i, j) fires where every trace deleted a bit of run i or of run j
         hit = ~(clean[..., pairs[:, 0]] & clean[..., pairs[:, 1]]).any(axis=-2)
         inconsistent = np.zeros_like(hit)
+        tables = _embedding_tables(s.bits, step, lens)
         for k in np.flatnonzero(hit.any(axis=0)):
-            alt = _competing_source(s, bounds, *pairs[k])
-            inconsistent[hit[:, k], k] = ~_embeds(step[:, hit[:, k]], lens[hit[:, k]], alt)
+            sets = np.flatnonzero(hit[:, k])
+            inconsistent[sets, k] = ~_embeds_flipped(s.bits, step, lens, tables, sets, *_junction(bounds, *pairs[k]))
         failed = np.column_stack([covered & wrong, no_witness & sufficient, inconsistent])
         for trial, check in np.argwhere(failed):  # trial-major
             name = _OFFENDER_CHECKS[min(check, 2)]

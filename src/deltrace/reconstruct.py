@@ -1,6 +1,8 @@
-"""Reconstruction from traces: the linear-time maximal-runs algorithm and the
-product-automaton oracle that decides whether a trace set pins down a unique
-length-n source.
+"""Reconstruction from traces: the linear-time maximal-runs algorithm, the
+product-automaton oracle that counts and lists the length-n sources consistent
+with a trace set, and the uniqueness oracle the Monte Carlo kernel runs, which
+only decides whether the source is the one such string and stops at the first
+witness of another.
 """
 
 from __future__ import annotations
@@ -133,11 +135,14 @@ def _run_alignment_misses(s: BitString, bits: np.ndarray, lens: np.ndarray) -> n
 
 # States one oracle call may visit, summed over lengths and trace sets, and
 # sources consistent_sources may list.  Layer k of one set holds at most 2^k
-# states, so no n <= 20 is refused.  A montecarlo process running into it
-# peaked at 68-74 MB with 4 traces and 442-663 MB with 32 (n = 100, p = 0.3,
-# three random sources).  The block's matcher table (_matchers, 8 bytes per
-# trace and bit of the longest trace) is built once before any call and split
-# by view, so it is not counted.
+# automaton states, and at most 2^k - 1 states of _sufficient, one per prefix
+# other than s's own, so no n <= 20 is refused by either.  Of three random
+# sources at n = 100, p = 0.3, one trial, only one still runs into it with 32
+# traces, and its montecarlo process peaked at about 400 MB; with 4 to 16
+# traces none does.  Neither the block's matcher table (_matchers, 8 bytes per trace
+# and bit of the longest trace, built once and split by view) nor
+# _sufficient's two tables (_embedding_tables, 8 bytes per trace and bit of s,
+# built once per call) is counted.
 MAX_ORACLE_STATES = 1 << 21
 
 
@@ -156,14 +161,34 @@ def _matchers(bits, lens):
     return pointer + (padded == np.arange(2).reshape(2, 1, 1, 1)), lens
 
 
-def _embeds(step, lens, x) -> np.ndarray:
-    """For each set of the matchers, is every one of its traces a subsequence
-    of x?  x is read once, through every trace's matcher at once."""
+def _embedding_tables(s_bits, step, lens):
+    """Where the traces of the matchers (step, lens) stand on a string s, its
+    bits s_bits: fwd[j, o, i] is trace i of set o's greedy pointer after
+    s[:j], and back[j, o, i] how many trailing bits of that trace s[j:]
+    embeds, matched greedily from the end.  So the trace is a subsequence of
+    x + s[j:] exactly when x takes its pointer to at least lens - back[j].
+    One pass over s each, every trace at once."""
     sets, traces = np.ogrid[:lens.shape[0], :lens.shape[1]]
-    pointer = np.zeros(lens.shape, dtype=np.int32)
-    for bit in _bits_of(x):
-        pointer = step[bit, sets, traces, pointer]
-    return (pointer == lens).all(axis=1)
+    fwd = np.zeros((s_bits.size + 1, *lens.shape), dtype=np.int32)
+    back = np.zeros_like(fwd)
+    for j, bit in enumerate(s_bits):
+        fwd[j + 1] = step[bit, sets, traces, fwd[j]]
+    for j in range(s_bits.size - 1, -1, -1):
+        # trace bit q, the next from the end, equals s[j] when s[j]'s matcher steps past it
+        q = lens - back[j + 1] - 1
+        back[j] = back[j + 1] + ((q >= 0) & (step[s_bits[j], sets, traces, q] > q))
+    return fwd, back
+
+
+def _embeds_flipped(s_bits, step, lens, tables, sets, lo: int, hi: int) -> np.ndarray:
+    """For each set named in sets, is every one of its traces a subsequence of s
+    with the bits [lo, hi) flipped?  s's own bits before lo and from hi on are
+    read off tables, from _embedding_tables; only the flipped bits are stepped."""
+    fwd, back = tables
+    pointer = fwd[lo, sets]
+    for bit in 1 - s_bits[lo:hi]:
+        pointer = step[bit, sets[:, np.newaxis], np.arange(lens.shape[1]), pointer]
+    return (lens[sets] - pointer <= back[hi, sets]).all(axis=1)
 
 
 def _state_keys(nxt, live, owner, pointer_bits: int, owner_bits: int) -> list[np.ndarray]:
@@ -181,6 +206,25 @@ def _state_keys(nxt, live, owner, pointer_bits: int, owner_bits: int) -> list[np
         words[-1] |= np.left_shift(column[live], used, dtype=np.int64)
         used += bits
     return words
+
+
+def _distinct(keys):
+    """Deduplicate states on their packed keys (_state_keys): the order that
+    sorts the keys, and along it whether each is the first of its equal run.
+    Equal keys are equal states, so the sort need not be stable."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for word in keys:
+        word = word[order]
+        new[1:] |= word[1:] != word[:-1]
+    return order, new
+
+
+def _check_budget(visited: int, k: int, n: int):
+    if visited > MAX_ORACLE_STATES:
+        raise InfeasibleError(f"the sufficiency oracle passed its budget of "
+                              f"{MAX_ORACLE_STATES} automaton states at bit {k + 1} of {n}")
 
 
 def _automaton(n: int, step, lens):
@@ -205,16 +249,7 @@ def _automaton(n: int, step, lens):
         nxt = step[bit, owner[:, None], traces, rows]
         live = np.flatnonzero((nxt >= lens[owner] - (n - k - 1)).all(axis=-1))
         nxt, owner = nxt.reshape(-1, traces.size), np.tile(owner, 2)
-        # deduplicate: sort the live states on their packed keys, keep the first of
-        # each equal run; equal keys are equal states, so the sort need not be stable
-        keys = _state_keys(nxt, live, owner, pointer_bits, owner_bits)
-        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-        new = np.zeros(order.size, dtype=bool)
-        new[:1] = True
-        for word in keys:
-            word = word[order]
-            new[1:] |= word[1:] != word[:-1]
-        del keys, word  # held through the next layer's gather, they would raise the peak
+        order, new = _distinct(_state_keys(nxt, live, owner, pointer_bits, owner_bits))
         order = live[order]
         child = np.full(nxt.shape[0], -1, dtype=np.int32)
         child[order] = np.cumsum(new) - 1
@@ -222,14 +257,60 @@ def _automaton(n: int, step, lens):
         order = order[new]
         rows, owner = nxt[order], owner[order]
         visited += rows.shape[0]
-        if visited > MAX_ORACLE_STATES:
-            raise InfeasibleError(f"the sufficiency oracle passed its budget of "
-                                  f"{MAX_ORACLE_STATES} automaton states at bit {k + 1} of {n}")
+        _check_budget(visited, k, n)
     # counts reach 2^n, past int64 from n = 63 on
     counts = [np.append((rows == lens[owner]).all(axis=1), 0).astype(np.int64 if n < 63 else object)]
     for child in reversed(children):
         counts.append(np.append(counts[-1][child[0]] + counts[-1][child[1]], 0))
     return children, counts[::-1]
+
+
+def _sufficient(s_bits, step, lens) -> np.ndarray:
+    """Is s the only length-n source of each set of the matchers (step, lens),
+    traces of s given by its bits s_bits?  Equals _automaton's count == 1 set by
+    set, but decides uniqueness instead of counting.  Its states are the
+    automaton's whose prefix has left s: at bit k, the successors of the
+    previous ones and the flip of s's own state fwd[k] (_embedding_tables),
+    kept while live as in _automaton.  A state that s's own suffix finishes,
+    lens - pointer <= back[k + 1] on every trace, is a witness: that completion
+    is a length-n source other than s.  Its set is then insufficient, drops its
+    states and makes no more flips, and the call returns once no set is open.
+    A live state at layer n has every pointer at its trace's end, so it is a
+    witness too: the sets still open at the end are exactly the sufficient ones.
+    The budget counts the states kept, summed over layers and sets."""
+    n, bit, traces = s_bits.size, np.arange(2).reshape(2, 1, 1), np.arange(lens.shape[1])
+    fwd, back = _embedding_tables(s_bits, step, lens)
+    pointer_bits, owner_bits = int(lens.max(initial=0)).bit_length(), (lens.shape[0] - 1).bit_length()
+    undecided = np.ones(lens.shape[0], dtype=bool)
+    owner, rows = np.zeros(0, dtype=np.intp), np.zeros((0, traces.size), dtype=np.int32)
+    visited = 0
+    for k in range(n):
+        # s's own state rides along in each undecided set, after the diverged
+        # states; the pointers after each bit are (2, states, T) in C order, as
+        # in _automaton, and of s's own state only the flip leaves s
+        own = np.flatnonzero(undecided)
+        owner, rows = np.concatenate([owner, own]), np.concatenate([rows, fwd[k, own]])
+        nxt = step[bit, owner[:, None], traces, rows]
+        del rows  # held to the layer's end, it and floor below would raise its peak
+        # live: no trace needs more than the n - k - 1 bits left; a witness: the
+        # rest of s, s[k + 1:], takes every pointer to its trace's end
+        floor = lens[owner]
+        live = (nxt >= floor - (n - k - 1)).all(axis=-1)
+        live[s_bits[k], owner.size - own.size:] = False
+        floor -= back[k + 1, owner]
+        witness = live & (nxt >= floor).all(axis=-1)
+        del floor
+        undecided[np.broadcast_to(owner, witness.shape)[witness]] = False
+        live = np.flatnonzero(live & undecided[owner])
+        nxt, owner = nxt.reshape(-1, traces.size), np.tile(owner, 2)
+        order, new = _distinct(_state_keys(nxt, live, owner, pointer_bits, owner_bits))
+        order = live[order[new]]
+        rows, owner = nxt[order], owner[order]
+        visited += order.size
+        _check_budget(visited, k, n)
+        if not undecided.any():
+            break
+    return undecided
 
 
 def _sources(n: int, children, counts, limit: int) -> list[BitString]:

@@ -43,6 +43,30 @@ def consistent_sources_oracle(n: int, traces: list[str]) -> list[str]:
     return [x for x in all_strings(n) if all(is_subseq_str(t, x) for t in traces)]
 
 
+def diverged_states_oracle(s: str, traces: list[str]) -> tuple[bool, list[int]]:
+    """Whether s is the only length-|s| string embedding every trace (each a
+    subsequence of s), and the states a uniqueness search keeps after each
+    bit: the distinct greedy pointer tuples of the prefixes other than s's own
+    from which no trace needs more bits than are left.  The list ends before
+    the first bit at which one of them, followed by the rest of s, embeds
+    every trace: s is then not the only source, and the search stops."""
+    n = len(s)
+
+    def advance(state, bit):
+        return tuple(q + (q < len(t) and t[q] == bit) for q, t in zip(state, traces))
+
+    own, states, kept = (0,) * len(traces), set(), []
+    for k in range(n):
+        flip = "1" if s[k] == "0" else "0"
+        reached = {advance(state, bit) for state in states for bit in "01"} | {advance(own, flip)}
+        own = advance(own, s[k])
+        states = {state for state in reached if all(len(t) - q <= n - k - 1 for q, t in zip(state, traces))}
+        if any(all(is_subseq_str(t[q:], s[k + 1:]) for q, t in zip(state, traces)) for state in states):
+            return False, kept
+        kept.append(len(states))
+    return True, kept
+
+
 def subsequences_oracle(x: str) -> set[str]:
     """Every subsequence of x, by enumerating kept-index subsets."""
     out = set()

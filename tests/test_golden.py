@@ -25,6 +25,7 @@ CASES = [
     ("montecarlo", "mc-small"),
     ("montecarlo", "mc-bits"),
     ("montecarlo", "mc-wide"),
+    ("montecarlo", "mc-oracle"),
     ("exact", "exact"),
     ("exact", "exact-schedule"),
     ("exact", "exact-repeat"),

@@ -395,13 +395,14 @@ class TestMonteCarlo:
         assert row.ci[0] <= row.value <= row.ci[1]
 
     def test_difficulty_needs_small_n(self, monkeypatch):
-        # any n runs; the oracle's state budget is the only limit
+        # any n runs; the oracle's state budget is the only limit.  Trials 0 to 2
+        # find a second source at bit 1, and trial 3's search passes 50 states at bit 9
         cfg = mc_config(source={"kind": "runs", "first_bit": 0,
                                 "fractions": [0.5, 0.5], "n": 22}, trials=20)
         assert 0.0 <= estimate_difficulty(cfg).value <= 1.0
         monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 50)
         with pytest.raises(InfeasibleError,
-                           match=r"budget of 50 automaton states at bit \d+ of 22 on trial 0$"):
+                           match=r"budget of 50 automaton states at bit 9 of 22 on trial 3$"):
             estimate_difficulty(cfg)
 
     def test_seed_determinism(self):

@@ -29,21 +29,25 @@ from deltrace.harness import (
     InfeasibleError,
     SourceSpec,
     _audit_patterns,
-    _competing_source,
-    _consistent_counts,
+    _junction,
     _simulate,
     _simulation_estimators,
+    _sufficient_sets,
     run_mode,
 )
 from deltrace.reconstruct import (
     ReconstructionResult,
     SufficiencyVerdict,
     _automaton,
+    _embedding_tables,
+    _embeds_flipped,
     _matchers,
     _run_alignment_misses,
+    _sufficient,
     is_levenshtein_sufficient,
     maximal_runs,
 )
+from oracles import diverged_states_oracle
 
 SOURCES = st.one_of(
     st.builds(lambda bits: {"kind": "bits", "bits": bits},
@@ -125,6 +129,14 @@ def _declared_patterns(s):
     return declared
 
 
+def _competing_source(s, bounds, i, j):
+    """s with the junction bits of run pair (i, j) flipped."""
+    lo, hi = _junction(bounds, i, j)
+    alt = s.bits.copy()
+    alt[lo:hi] ^= 1
+    return alt
+
+
 @settings(max_examples=100, deadline=None)
 @given(SOURCES, PROBS, st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
 def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
@@ -142,6 +154,26 @@ def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
     for (i, j), pattern in zip(pairs, declared):
         fired = ~(clean[..., i] & clean[..., j]).any(axis=-1)
         assert np.array_equal(fired, _copies_violated(flags, pattern.copy_spans()).all(axis=-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SOURCES, PROBS, st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32))
+@example({"kind": "bits", "bits": "1"}, 0.5, 1, 2, 0)  # n = 1: no run pair
+@example({"kind": "bits", "bits": "0110"}, 1.0, 2, 2, 0)  # every trace empty
+@example({"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}, 0.0, 3, 2, 0)  # traces are s
+def test_competing_source_embedding_read_off_the_tables(source, p, t_count, block, seed):
+    # for every run pair, on every set: the tables' check against is_subsequence
+    # on the whole competing source, with the sets picked out of order
+    instance = SourceSpec.from_dict(source, allow_missing_n=False).instance()
+    s, bounds = instance.s, instance.bounds
+    kept = np.random.default_rng(seed).random((block, t_count, len(s))) >= p
+    step, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
+    tables = _embedding_tables(s.bits, step, lens)
+    sets = np.arange(block)[::-1]
+    for i, j in _audit_patterns(bounds):
+        alt = BitString(_competing_source(s, bounds, i, j))
+        expected = [all(is_subsequence(s.bits[row], alt) for row in kept[b]) for b in sets]
+        assert _embeds_flipped(s.bits, step, lens, tables, sets, *_junction(bounds, i, j)).tolist() == expected
 
 
 def _audit_config(source, p, t_count, trials, seed):
@@ -250,9 +282,10 @@ def test_montecarlo_counts_match_replay_without_run_alignment(source, p, t_count
 _FAULTS = {
     "covered-and-wrong": ("_run_alignment_misses", lambda s, bits, lens: np.ones(len(lens), dtype=bool),
                           {"maximal_runs": lambda n, traces: ReconstructionResult(failure="forced")}),
-    "no-witness-and-sufficient": ("_consistent_counts", lambda n, step, lens, first: np.ones(len(lens), dtype=np.int64),
+    "no-witness-and-sufficient": ("_sufficient_sets", lambda s, step, lens, first: np.ones(len(lens), dtype=bool),
                                   {"is_levenshtein_sufficient": lambda s, traces: SufficiencyVerdict(1, True)}),
-    "ambiguity-alternative-inconsistent": ("_embeds", lambda step, lens, x: np.zeros(len(lens), dtype=bool),
+    "ambiguity-alternative-inconsistent": ("_embeds_flipped",
+                                           lambda s_bits, step, lens, tables, sets, lo, hi: np.zeros(len(sets), dtype=bool),
                                            {"is_subsequence": lambda t, x: False}),
 }
 
@@ -261,13 +294,13 @@ def _formed_sources(config):
     """The run pairs whose competing source an audit of config forms, in order."""
     formed = []
 
-    def recorded(s, bounds, i, j):
+    def recorded(bounds, i, j):
         formed.append((int(i), int(j)))
-        return competing(s, bounds, i, j)
+        return junction(bounds, i, j)
 
-    competing = harness._competing_source
+    junction = harness._junction
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_competing_source", recorded)
+        mp.setattr(harness, "_junction", recorded)
         _simulate(config, ESTIMATORS, audit=True)
     return formed
 
@@ -380,80 +413,94 @@ def _matchers_of(trace_sets):
     return _matchers(bits, [[len(t) for t in ts] for ts in trace_sets])
 
 
-def _states(n, trace_sets):
-    """Automaton states one call visits, summed over lengths."""
-    children = _automaton(n, *_matchers_of(trace_sets))[0]
-    return len(trace_sets) + sum(int(child.max(initial=-1)) + 1 for child in children)
+def _states(s, trace_sets):
+    """The states the uniqueness oracle keeps on each trace set alone, after
+    each bit, by the plain-Python reference."""
+    text = "".join(map(str, s.bits))
+    return [diverged_states_oracle(text, ["".join(map(str, t)) for t in ts])[1] for ts in trace_sets]
+
+
+def _refusal(kept, budget):
+    """The bit at which a search keeping kept[k] states after bit k + 1 passes
+    the budget, or None."""
+    passed = np.flatnonzero(np.cumsum(kept) > budget)
+    return int(passed[0]) + 1 if passed.size else None
 
 
 def test_oversized_block_is_split(monkeypatch):
     source = {"kind": "runs", "first_bit": 0, "fractions": [0.3, 0.4, 0.3], "n": 12}
     config = _audit_config(source, 0.4, 3, 40, 3)
     sets = _trace_sets(config)
+    s = config.source.instance().s
     expected = _tally(config, harness.BLOCK_ELEMENTS, monkeypatch)  # one block of 40 trials
-    counts = _automaton(12, *_matchers_of(sets))[1][0][:40]
-    states = [_states(12, [trial]) for trial in sets]
+    sufficient = _automaton(12, *_matchers_of(sets))[1][0][:40] == 1
+    states = [sum(kept) for kept in _states(s, sets)]
     # every trial fits the budget on its own; the block passes it in aggregate
     monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", max(states))
     assert sum(states) > max(states)
     with pytest.raises(InfeasibleError):
-        _automaton(12, *_matchers_of(sets))
+        _sufficient(s.bits, *_matchers_of(sets))
     calls = []
 
-    def recorded(n, step, lens):
+    def recorded(s_bits, step, lens):
         calls.append(len(lens))
-        return _automaton(n, step, lens)
+        return _sufficient(s_bits, step, lens)
 
-    monkeypatch.setattr(harness, "_automaton", recorded)
-    assert np.array_equal(_consistent_counts(12, *_matchers_of(sets), 0), counts)
+    monkeypatch.setattr(harness, "_sufficient", recorded)
+    assert np.array_equal(_sufficient_sets(s, *_matchers_of(sets), 0), sufficient)
     assert calls[0] == 40 and len(calls) > 1
     assert _tally(config, harness.BLOCK_ELEMENTS, monkeypatch) == expected
 
 
+def _half_runs_config(trials):
+    return {"mode": "montecarlo", "source": {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 24},
+            "p": 0.3, "traces": 4, "trials": trials, "seed": 5, "estimators": ["difficulty"]}
+
+
 def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypatch, capsys):
-    # trials 2 and 5 keep their masks and pass a budget of 40 states on their
-    # own; every other trial keeps every bit, 25 states
-    source = {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 24}
-    config = {"mode": "montecarlo", "source": source, "p": 0.3, "traces": 4, "trials": 10,
-              "seed": 5, "estimators": ["difficulty"]}
+    # trials 4 and 9 keep their masks and pass a budget of 40 states on their
+    # own; every other trial keeps every bit, and its search keeps no state
+    config = _half_runs_config(10)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    sets = _trace_sets(ExperimentConfig.from_dict(config))
+    config = ExperimentConfig.from_dict(config)
+    s, sets = config.source.instance().s, _trace_sets(config)
+    assert [_refusal(kept, 40) for kept in _states(s, [sets[4], sets[9]])] == [11, 12]
 
-    def two_and_five(rngs, p, out):
+    def four_and_nine(rngs, p, out):
         flags = _mask_block(rngs, p, out)
-        flags[[0, 1, 3, 4, 6, 7, 8, 9]] = False
+        flags[[0, 1, 2, 3, 5, 6, 7, 8]] = False
         return flags
 
-    monkeypatch.setattr(harness, "_mask_block", two_and_five)
+    monkeypatch.setattr(harness, "_mask_block", four_and_nine)
     monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 40)
     alone = []
-    for trial in (2, 5):
+    for trial in (4, 9):
         with pytest.raises(InfeasibleError) as refusal:
-            _automaton(24, *_matchers_of([sets[trial]]))
+            _sufficient(s.bits, *_matchers_of([sets[trial]]))
         alone.append(str(refusal.value))
+    assert alone[0] == "the sufficiency oracle passed its budget of 40 automaton states at bit 11 of 24"
     assert cli.main(["montecarlo", "--config", str(path)]) == 3
-    assert capsys.readouterr().err == f"infeasible: {alone[0]} on trial 2\n"
+    assert capsys.readouterr().err == f"infeasible: {alone[0]} on trial 4\n"
 
 
 def test_refusal_of_a_block_over_the_budget_takes_two_calls(monkeypatch):
     # every trial passes the budget on its own: the block's call fails, then
     # its first trial's alone, where halving the block would take log2(B) + 1
-    source = {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 24}
-    config = {"mode": "montecarlo", "source": source, "p": 0.3, "traces": 4, "trials": 16,
-              "seed": 5, "estimators": ["difficulty"]}
-    sets = _trace_sets(ExperimentConfig.from_dict(config))
+    config = ExperimentConfig.from_dict(_half_runs_config(10))
+    s, sets = config.source.instance().s, _trace_sets(config)
+    sets = [sets[4], sets[9]] * 8  # the two trials whose searches pass 8 states
     monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 8)
     for trial in sets:
         with pytest.raises(InfeasibleError):
-            _automaton(24, *_matchers_of([trial]))
+            _sufficient(s.bits, *_matchers_of([trial]))
     calls = []
 
-    def recorded(n, step, lens):
+    def recorded(s_bits, step, lens):
         calls.append(len(lens))
-        return _automaton(n, step, lens)
+        return _sufficient(s_bits, step, lens)
 
-    monkeypatch.setattr(harness, "_automaton", recorded)
+    monkeypatch.setattr(harness, "_sufficient", recorded)
     with pytest.raises(InfeasibleError, match="on trial 5$"):
-        _consistent_counts(24, *_matchers_of(sets), 5)
+        _sufficient_sets(s, *_matchers_of(sets), 5)
     assert calls == [16, 1]

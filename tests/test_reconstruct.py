@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltrace import reconstruct
@@ -15,14 +15,16 @@ from deltrace.reconstruct import (
     ReconstructionResult,
     SufficiencyVerdict,
     _automaton,
-    _embeds,
+    _embedding_tables,
+    _embeds_flipped,
     _matchers,
     _state_keys,
+    _sufficient,
     consistent_sources,
     is_levenshtein_sufficient,
     maximal_runs,
 )
-from oracles import consistent_sources_oracle, is_subseq_str
+from oracles import consistent_sources_oracle, diverged_states_oracle, is_subseq_str
 
 
 def bs(*texts):
@@ -304,14 +306,97 @@ class TestWideAutomaton:
         assert counts.tolist() == [len(consistent_sources_oracle(n, ts)) for ts in texts] + [0]
 
 
+@st.composite
+def _source_blocks(draw):
+    """A source of n = 1 to 13 bits and 1 to 5 sets of T = 1 to 5 of its traces
+    through a deletion channel: p = 0 keeps every bit, p near 1 leaves empty
+    traces."""
+    n = draw(st.integers(1, 13))
+    t_count = draw(st.integers(1, 5))
+    p = draw(st.one_of(st.sampled_from([0.0, 0.9, 1.0]), st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    s = rng.integers(0, 2, n).astype(np.uint8)
+    return s, [[s[rng.random(n) >= p] for _ in range(t_count)] for _ in range(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def _wide_source_blocks(draw):
+    """_wide_trace_sets with one source for every set, as the kernel's blocks
+    have: two or more key words."""
+    n = draw(st.integers(8, 10))
+    t_count = draw(st.integers(15, 20))
+    set_count = draw(st.integers(9 if t_count == 15 else 1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6]))
+    s = rng.integers(0, 2, n).astype(np.uint8)
+    sets = [[s[rng.random(n) >= p] for _ in range(t_count)] for _ in range(set_count)]
+    sets[0][0] = s
+    return s, sets
+
+
+def _text(bits) -> str:
+    return "".join(map(str, bits))
+
+
+class TestSufficient:
+    @settings(max_examples=150, deadline=None)
+    @given(_source_blocks())
+    @example((np.array([1], dtype=np.uint8), [[np.array([1], dtype=np.uint8)]]))  # n = 1, T = 1, p = 0
+    @example((np.array([1], dtype=np.uint8), [[np.zeros(0, dtype=np.uint8)]]))  # n = 1, empty
+    @example((np.array([0, 1, 1], dtype=np.uint8), [[np.zeros(0, dtype=np.uint8)] * 2] * 2))  # every trace empty
+    @example((np.array([0, 1, 1, 0], dtype=np.uint8), [[np.array([0, 1, 1, 0], dtype=np.uint8)] * 3]))  # p = 0
+    # sufficient: only the bit after each layer, not the one at it, may finish a trace
+    @example((np.array([0, 1, 1, 0], dtype=np.uint8), [[np.array([0, 1, 1], dtype=np.uint8),
+                                                        np.array([1, 1, 0], dtype=np.uint8)]]))
+    def test_verdicts_match_the_counting_automaton(self, case):
+        s, sets = case
+        step, lens = _matchers_of(sets)
+        assert _sufficient(s, step, lens).tolist() == (_automaton(s.size, step, lens)[1][0][:len(sets)] == 1).tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(_wide_source_blocks())
+    def test_wide_keys(self, case):
+        s, sets = case
+        step, lens = _matchers_of(sets)
+        pointer_bits, owner_bits = int(lens.max()).bit_length(), (len(sets) - 1).bit_length()
+        assert lens.shape[1] * pointer_bits + owner_bits > 63  # two or more words
+        assert _sufficient(s, step, lens).tolist() == (_automaton(s.size, step, lens)[1][0][:len(sets)] == 1).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_source_blocks())
+    def test_budget_counts_the_kept_states(self, case):
+        # one set at a time: the verdict and the states kept after each bit by the
+        # plain-Python search, which passes a budget one below their sum at the
+        # last bit that keeps a state
+        s, sets = case
+        for ts in sets:
+            sufficient, kept = diverged_states_oracle(_text(s), [_text(t) for t in ts])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reconstruct, "MAX_ORACLE_STATES", sum(kept))
+                assert _sufficient(s, *_matchers_of([ts])).tolist() == [sufficient]
+                if sum(kept) == 0:
+                    continue
+                mp.setattr(reconstruct, "MAX_ORACLE_STATES", sum(kept) - 1)
+                last = max(k for k, count in enumerate(kept) if count) + 1
+                with pytest.raises(InfeasibleError, match=f"at bit {last} of {s.size}$"):
+                    _sufficient(s, *_matchers_of([ts]))
+
+
 class TestEmbeds:
     @settings(max_examples=100, deadline=None)
-    @given(_trace_sets(), st.text(alphabet="01", max_size=12))
-    def test_each_set_embeds_as_by_is_subsequence(self, case, x):
-        # traces are ragged, empty or longer than x, and x may be empty
+    @given(_trace_sets(), st.text(alphabet="01", max_size=12), st.integers(0, 12), st.integers(0, 3))
+    def test_each_set_embeds_as_by_is_subsequence(self, case, x, lo, width):
+        # traces are ragged, empty or longer than x, and x may be empty: the
+        # tables of x, and x with the bits [lo, hi) flipped, hi - lo of 0 to 3
         sets = _arrays(case[1])
-        embeds = _embeds(*_matchers_of(sets), BitString(x))
+        step, lens = _matchers_of(sets)
+        x_bits = np.array([int(c) for c in x], dtype=np.uint8)
+        lo = min(lo, len(x))
+        hi = min(lo + width, len(x))
+        flipped = x[:lo] + "".join("10"[int(c)] for c in x[lo:hi]) + x[hi:]
+        order = np.arange(len(sets))[::-1]
+        embeds = _embeds_flipped(x_bits, step, lens, _embedding_tables(x_bits, step, lens), order, lo, hi)
         assert embeds.shape == (len(sets),)
-        for b, ts in enumerate(sets):
-            assert embeds[b] == all(is_subsequence(t, BitString(x)) for t in ts)
-            assert embeds[b] == all(is_subseq_str(t, x) for t in case[1][b])
+        for r, b in enumerate(order):  # sets picked out of order
+            assert embeds[r] == all(is_subsequence(t, BitString(flipped)) for t in sets[b])
+            assert embeds[r] == all(is_subseq_str(t, flipped) for t in case[1][b])
