@@ -232,7 +232,7 @@ class RepeatBlockSpec:
     """Recipe for strings containing ``pattern`` repeated floor(ell * n**a) times.
 
     The block sits at offset 0; the suffix is filled with alternating single
-    bits starting with the complement of the pattern's last bit, so the
+    bits starting with the complement of the pattern's first bit, so the
     repeated block is never accidentally extended.
     """
 

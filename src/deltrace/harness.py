@@ -446,20 +446,20 @@ def _junction(bounds: np.ndarray, i: int, j: int) -> tuple[int, int]:
     return int(bounds[i + 1]) - 1, int(bounds[j]) + 1
 
 
-def _sufficient_sets(s: BitString, step, lens, first: int) -> np.ndarray:
+def _sufficient_sets(s: BitString, step, lens, tables, first: int) -> np.ndarray:
     """Whether each trace set (trials first, first + 1, ...) admits s as its only
     source, from one oracle call.  A call over its budget is split into its
     first trace set alone, then the two halves of the rest, so a refusal names
     the first trial that passes the budget on its own, and a block whose first
     trial passes it is refused on the second call."""
     try:
-        return _sufficient(s.bits, step, lens)
+        return _sufficient(s.bits, step, lens, tables)
     except InfeasibleError as exc:
         if len(lens) == 1:
             raise InfeasibleError(f"{exc} on trial {first}") from None
     edges = [0, 1, 1 + (len(lens) - 1) // 2, len(lens)]
-    return np.concatenate([_sufficient_sets(s, step[:, lo:hi], lens[lo:hi], first + lo)
-                           for lo, hi in zip(edges, edges[1:]) if lo < hi])
+    return np.concatenate([_sufficient_sets(s, step[:, lo:hi], lens[lo:hi], [t[:, lo:hi] for t in tables],
+                                            first + lo) for lo, hi in zip(edges, edges[1:]) if lo < hi])
 
 
 def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _Tally:
@@ -469,14 +469,15 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     over all trials (bit-equal to trial_rng(i)), so the counts do not
     depend on B; the mask events, the oracle's verdicts (one call, see
     _sufficient_sets) and every audit check cover the whole block, the last
-    two reading one table of the traces' matchers.  The oracle decides
-    whether s is each trial's only length-n source and stops at the first
-    witness of another; it never counts them.  The audit reads every
-    declared pattern's verdict off the (trace, run) table of clean runs that
-    coverage counts; in each block it checks the competing source of each
-    pattern that fired on some trial, s with the junction bits of its run
-    pair flipped (_junction), and of no other.  Where the traces stand on s
-    is tabulated once per block, so the check steps only the flipped bits.
+    two reading the traces only through their matchers (_matchers), and the
+    oracle and the pattern checks also through one pair of embedding tables
+    (_embedding_tables), built once per block.  The oracle decides whether s
+    is each trial's only length-n source and stops at the first witness of
+    another; it never counts them.  The audit reads every declared pattern's
+    verdict off the (trace, run) table of clean runs that coverage counts; in
+    each block it checks the competing source of each pattern that fired on
+    some trial, s with the junction bits of its run pair flipped (_junction),
+    and of no other.
 
     montecarlo counts reconstruction-error as the uncovered trials: a trace
     that wipes out a run has fewer runs than s, so maximal_runs uses exactly
@@ -515,18 +516,19 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
         if not oracle:
             continue
         kept = ~flags
-        bits = np.broadcast_to(s.bits, kept.shape)[kept]
-        step, lens = _matchers(bits, np.count_nonzero(kept, axis=-1))
-        sufficient = _sufficient_sets(s, step, lens, first)
+        step, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
+        if audit:
+            # before the tables, so that they never sit next to hit's (B, T, P) temporaries
+            wrong = _run_alignment_misses(s, step, lens)
+            # pattern (i, j) fires where every trace deleted a bit of run i or of run j
+            hit = ~(clean[..., pairs[:, 0]] & clean[..., pairs[:, 1]]).any(axis=-2)
+        tables = _embedding_tables(s.bits, step, lens)
+        sufficient = _sufficient_sets(s, step, lens, tables, first)
         fired["difficulty"] += int((~sufficient).sum())
         if not audit:
             continue
-        wrong = _run_alignment_misses(s, bits, lens)
         fired["reconstruction-error"] += int(wrong.sum())
-        # pattern (i, j) fires where every trace deleted a bit of run i or of run j
-        hit = ~(clean[..., pairs[:, 0]] & clean[..., pairs[:, 1]]).any(axis=-2)
         inconsistent = np.zeros_like(hit)
-        tables = _embedding_tables(s.bits, step, lens)
         for k in np.flatnonzero(hit.any(axis=0)):
             sets = np.flatnonzero(hit[:, k])
             inconsistent[sets, k] = ~_embeds_flipped(s.bits, step, lens, tables, sets, *_junction(bounds, *pairs[k]))

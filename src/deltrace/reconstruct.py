@@ -77,15 +77,15 @@ def maximal_runs(n: int, traces) -> ReconstructionResult:
     return ReconstructionResult(string=BitString(np.repeat(values, best)))
 
 
-def _run_alignment_misses(s: BitString, bits: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _run_alignment_misses(s: BitString, step, lens) -> np.ndarray:
     """maximal_runs over a block of trace sets at once: for B sets of T traces
-    of the nonempty source s, given as _matchers takes them (their bits trace
-    after trace and their (B, T) lengths), is the reconstruction from trace
-    set b anything other than s?
+    of the nonempty source s, given as their matchers (step, lens) from
+    _matchers, is the reconstruction from trace set b anything other than s?
 
     Equals ``not (maximal_runs(n, traces_b).ok and .string == s)`` for every
-    b.  The traces are read as one concatenation of their surviving bits: a
-    run starts at the first bit of a trace or where the bit changes.
+    b.  Bit q of a trace is 1 where its 1-matcher steps past q; a run starts
+    at bit 0, where the bit changes, and at the trace's end, where the
+    padding opens one more.  The padding reads 0, so no run starts past it.
     maximal_runs keeps the traces with the most runs, m_hat, and returns s
     exactly when those traces (i) have s's M runs, (ii) each start with s's
     first bit and (iii) have elementwise-longest i-th runs equal to s's run
@@ -93,41 +93,21 @@ def _run_alignment_misses(s: BitString, bits: np.ndarray, lens: np.ndarray) -> n
     kept traces agree on the first bit, (i) gives m_hat = M > 0, and (iii)
     makes the runs add up to n.
     """
-    B, T = lens.shape
     lengths = _run_lengths(s.bits)
-    rows = B * T
-    # The temporaries scale with the block, so each is dropped once spent, and
-    # per-run indexes are int32: the harness's blocks hold at most
-    # max(BLOCK_ELEMENTS, MAX_TRIAL_ELEMENTS) < 2^31 bits.
-    count = lens.reshape(rows)
-    row_start = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(count, out=row_start[1:])
-    nonempty = count > 0
-    # a run starts at the first bit of a trace or where the bit changes
-    starts = np.empty(bits.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    starts[row_start[:-1][nonempty]] = True
-    first_bit = np.full(rows, -1, dtype=np.int64)
-    first_bit[nonempty] = bits[row_start[:-1][nonempty]]
-    run_at = np.flatnonzero(starts)
-    del starts
-    first_run = np.searchsorted(run_at, row_start)  # runs of trace r: first_run[r:r+2]
-    run_len = np.empty(run_at.size, dtype=np.int32)
-    np.subtract(run_at[1:], run_at[:-1], out=run_len[:-1], casting="same_kind")
-    run_len[-1:] = bits.size - run_at[-1:]
-    del run_at
-    runs = np.diff(first_run).reshape(B, T)
+    m = lengths.size
+    bit = step[1] > np.arange(step.shape[-1])
+    starts = np.ones_like(bit)
+    np.not_equal(bit[..., 1:], bit[..., :-1], out=starts[..., 1:])
+    np.put_along_axis(starts, lens[..., np.newaxis], True, axis=-1)
+    runs = np.count_nonzero(starts, axis=-1) - 1
     chosen = runs == runs.max(axis=1, keepdims=True)
     # (i): only the kept traces of sets with m_hat = M fill their row of the
     # table; every other set keeps zero rows, which fail (iii)
-    m = lengths.size
-    full = np.flatnonzero(chosen & (runs == m))
-    table = np.zeros((rows, m), dtype=np.int32)
-    table[full] = run_len[first_run[full].astype(np.int32)[:, np.newaxis] + np.arange(m, dtype=np.int32)]
-    del run_len
-    best = table.reshape(B, T, m).max(axis=1)
-    first_ok = (first_bit.reshape(B, T) == s.bits[0]) | ~chosen  # (ii)
-    return ~(first_ok.all(axis=1) & (best == lengths).all(axis=1))
+    full = chosen & (runs == m)
+    table = np.zeros((*lens.shape, m), dtype=np.int32)
+    table[full] = np.diff(np.flatnonzero(starts[full]).reshape(-1, m + 1))
+    first_ok = (bit[..., 0] == s.bits[0]) | ~chosen  # (ii)
+    return ~(first_ok.all(axis=1) & (table.max(axis=1) == lengths).all(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +119,10 @@ def _run_alignment_misses(s: BitString, bits: np.ndarray, lens: np.ndarray) -> n
 # other than s's own, so no n <= 20 is refused by either.  Of three random
 # sources at n = 100, p = 0.3, one trial, only one still runs into it with 32
 # traces, and its montecarlo process peaked at about 400 MB; with 4 to 16
-# traces none does.  Neither the block's matcher table (_matchers, 8 bytes per trace
-# and bit of the longest trace, built once and split by view) nor
-# _sufficient's two tables (_embedding_tables, 8 bytes per trace and bit of s,
-# built once per call) is counted.
+# traces none does.  Neither the block's matcher table (_matchers, 8 bytes per
+# trace and bit of the longest trace) nor its two embedding tables
+# (_embedding_tables, 8 bytes per trace and bit of s) is counted; each is built
+# once per block and split by view.
 MAX_ORACLE_STATES = 1 << 21
 
 
@@ -265,21 +245,22 @@ def _automaton(n: int, step, lens):
     return children, counts[::-1]
 
 
-def _sufficient(s_bits, step, lens) -> np.ndarray:
+def _sufficient(s_bits, step, lens, tables) -> np.ndarray:
     """Is s the only length-n source of each set of the matchers (step, lens),
-    traces of s given by its bits s_bits?  Equals _automaton's count == 1 set by
-    set, but decides uniqueness instead of counting.  Its states are the
-    automaton's whose prefix has left s: at bit k, the successors of the
-    previous ones and the flip of s's own state fwd[k] (_embedding_tables),
-    kept while live as in _automaton.  A state that s's own suffix finishes,
-    lens - pointer <= back[k + 1] on every trace, is a witness: that completion
-    is a length-n source other than s.  Its set is then insufficient, drops its
-    states and makes no more flips, and the call returns once no set is open.
-    A live state at layer n has every pointer at its trace's end, so it is a
-    witness too: the sets still open at the end are exactly the sufficient ones.
-    The budget counts the states kept, summed over layers and sets."""
+    traces of s given by its bits s_bits and tables = (fwd, back) from
+    _embedding_tables?  Equals _automaton's count == 1 set by set, but decides
+    uniqueness instead of counting.  Its states are the automaton's whose
+    prefix has left s: at bit k, the successors of the previous ones and the
+    flip of s's own state fwd[k], kept while live as in _automaton.  A state
+    that s's own suffix finishes, lens - pointer <= back[k + 1] on every
+    trace, is a witness: that completion is a length-n source other than s.
+    Its set is then insufficient, drops its states and makes no more flips,
+    and the call returns once no set is open.  A live state at layer n has
+    every pointer at its trace's end, so it is a witness too: the sets still
+    open at the end are exactly the sufficient ones.  The budget counts the
+    states kept, summed over layers and sets."""
     n, bit, traces = s_bits.size, np.arange(2).reshape(2, 1, 1), np.arange(lens.shape[1])
-    fwd, back = _embedding_tables(s_bits, step, lens)
+    fwd, back = tables
     pointer_bits, owner_bits = int(lens.max(initial=0)).bit_length(), (lens.shape[0] - 1).bit_length()
     undecided = np.ones(lens.shape[0], dtype=bool)
     owner, rows = np.zeros(0, dtype=np.intp), np.zeros((0, traces.size), dtype=np.int32)

@@ -4,7 +4,7 @@ cannot catch a refactor that changes the numbers; these files can.
 
 Each case is a config `golden/NAME.json` with its expected output
 `golden/NAME.csv` (`golden/NAME.txt` for `generate`, which writes text); the
-audit case also pins its summary text.  To record a case again after an
+audit cases also pin their summary text.  To record a case again after an
 intended change of output:
 
     python -m deltrace.cli COMMAND --config tests/golden/NAME.json > tests/golden/NAME.csv
@@ -51,11 +51,13 @@ def test_csv_matches_golden(command, name, tmp_path):
     assert out.read_bytes() == _expected(command, name).read_bytes()
 
 
-def test_audit_matches_golden(tmp_path, capsys):
-    out = tmp_path / "audit.csv"
-    assert main(["audit", "--config", str(GOLDEN / "audit.json"), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "audit.csv").read_bytes()
-    assert capsys.readouterr().out == (GOLDEN / "audit.summary.txt").read_text()
+# audit-repeat is a many-run repeat source with sandwich pairs
+@pytest.mark.parametrize("name", ["audit", "audit-repeat"])
+def test_audit_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    assert main(["audit", "--config", str(GOLDEN / f"{name}.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.summary.txt").read_text()
 
 
 def test_every_subcommand_is_pinned():

@@ -81,7 +81,8 @@ def test_batched_alignment_matches_maximal_runs(source, p, t_count, block, seed)
 
 def test_blocks_fit_int32_run_indexes():
     # a block holds at most max(BLOCK_ELEMENTS, MAX_TRIAL_ELEMENTS) mask bits,
-    # which is why _run_alignment_misses indexes runs with int32
+    # so no trace reaches 2^31 bits: _matchers' int32 pointers and _clean_runs'
+    # int32 counts hold any of them
     assert max(harness.BLOCK_ELEMENTS, harness.MAX_TRIAL_ELEMENTS) < 2**31
 
 
@@ -90,7 +91,8 @@ def _check_alignment(s, p, t_count, block, seed):
     spec = RngSpec(master_seed=seed)
     flags = _mask_block(map(spec.trial_rng, range(block)), p, np.empty((block, t_count, n), dtype=bool))
     kept = ~flags
-    misses = _run_alignment_misses(s, np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
+    misses = _run_alignment_misses(s, *_matchers(np.broadcast_to(s.bits, kept.shape)[kept],
+                                                 np.count_nonzero(kept, axis=-1)))
     assert misses.shape == (block,)
     for b in range(block):
         result = maximal_runs(n, [s.bits[~row] for row in flags[b]])
@@ -253,7 +255,7 @@ def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
     assert (tally.fired, tally.offenders) == _replayed_counts(config)
 
 
-def _never_aligned(s, bits, lens):
+def _never_aligned(s, step, lens):
     raise AssertionError("montecarlo called _run_alignment_misses")
 
 
@@ -280,9 +282,10 @@ def test_montecarlo_counts_match_replay_without_run_alignment(source, p, t_count
 # reach every trial it applies to, though the audit visits only suspect trials:
 # (kernel function, its stand-in, the replay's stand-in by name)
 _FAULTS = {
-    "covered-and-wrong": ("_run_alignment_misses", lambda s, bits, lens: np.ones(len(lens), dtype=bool),
+    "covered-and-wrong": ("_run_alignment_misses", lambda s, step, lens: np.ones(len(lens), dtype=bool),
                           {"maximal_runs": lambda n, traces: ReconstructionResult(failure="forced")}),
-    "no-witness-and-sufficient": ("_sufficient_sets", lambda s, step, lens, first: np.ones(len(lens), dtype=bool),
+    "no-witness-and-sufficient": ("_sufficient_sets",
+                                  lambda s, step, lens, tables, first: np.ones(len(lens), dtype=bool),
                                   {"is_levenshtein_sufficient": lambda s, traces: SufficiencyVerdict(1, True)}),
     "ambiguity-alternative-inconsistent": ("_embeds_flipped",
                                            lambda s_bits, step, lens, tables, sets, lo, hi: np.zeros(len(sets), dtype=bool),
@@ -413,6 +416,13 @@ def _matchers_of(trace_sets):
     return _matchers(bits, [[len(t) for t in ts] for ts in trace_sets])
 
 
+def _oracle_of(s, trace_sets):
+    """The matchers of trace sets of s and their embedding tables on s, as
+    the kernel passes them to the oracle."""
+    step, lens = _matchers_of(trace_sets)
+    return step, lens, _embedding_tables(s.bits, step, lens)
+
+
 def _states(s, trace_sets):
     """The states the uniqueness oracle keeps on each trace set alone, after
     each bit, by the plain-Python reference."""
@@ -439,15 +449,15 @@ def test_oversized_block_is_split(monkeypatch):
     monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", max(states))
     assert sum(states) > max(states)
     with pytest.raises(InfeasibleError):
-        _sufficient(s.bits, *_matchers_of(sets))
+        _sufficient(s.bits, *_oracle_of(s, sets))
     calls = []
 
-    def recorded(s_bits, step, lens):
+    def recorded(s_bits, step, lens, tables):
         calls.append(len(lens))
-        return _sufficient(s_bits, step, lens)
+        return _sufficient(s_bits, step, lens, tables)
 
     monkeypatch.setattr(harness, "_sufficient", recorded)
-    assert np.array_equal(_sufficient_sets(s, *_matchers_of(sets), 0), sufficient)
+    assert np.array_equal(_sufficient_sets(s, *_oracle_of(s, sets), 0), sufficient)
     assert calls[0] == 40 and len(calls) > 1
     assert _tally(config, harness.BLOCK_ELEMENTS, monkeypatch) == expected
 
@@ -477,7 +487,7 @@ def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypa
     alone = []
     for trial in (4, 9):
         with pytest.raises(InfeasibleError) as refusal:
-            _sufficient(s.bits, *_matchers_of([sets[trial]]))
+            _sufficient(s.bits, *_oracle_of(s, [sets[trial]]))
         alone.append(str(refusal.value))
     assert alone[0] == "the sufficiency oracle passed its budget of 40 automaton states at bit 11 of 24"
     assert cli.main(["montecarlo", "--config", str(path)]) == 3
@@ -493,14 +503,14 @@ def test_refusal_of_a_block_over_the_budget_takes_two_calls(monkeypatch):
     monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 8)
     for trial in sets:
         with pytest.raises(InfeasibleError):
-            _sufficient(s.bits, *_matchers_of([trial]))
+            _sufficient(s.bits, *_oracle_of(s, [trial]))
     calls = []
 
-    def recorded(s_bits, step, lens):
+    def recorded(s_bits, step, lens, tables):
         calls.append(len(lens))
-        return _sufficient(s_bits, step, lens)
+        return _sufficient(s_bits, step, lens, tables)
 
     monkeypatch.setattr(harness, "_sufficient", recorded)
     with pytest.raises(InfeasibleError, match="on trial 5$"):
-        _sufficient_sets(s, *_matchers_of(sets), 5)
+        _sufficient_sets(s, *_oracle_of(s, sets), 5)
     assert calls == [16, 1]

@@ -18,6 +18,7 @@ from deltrace.reconstruct import (
     _embedding_tables,
     _embeds_flipped,
     _matchers,
+    _run_alignment_misses,
     _state_keys,
     _sufficient,
     consistent_sources,
@@ -195,6 +196,13 @@ def _matchers_of(trace_sets):
     return _matchers(bits, [[len(t) for t in ts] for ts in trace_sets])
 
 
+def _oracle_of(s_bits, trace_sets):
+    """The matchers of trace sets of s, its bits s_bits, and their embedding
+    tables on s, as the kernel passes them to the oracle."""
+    step, lens = _matchers_of(trace_sets)
+    return step, lens, _embedding_tables(s_bits, step, lens)
+
+
 @st.composite
 def _trace_sets(draw):
     """n <= 12 and up to 5 sets of the same T <= 4 traces, of any length up to
@@ -350,17 +358,19 @@ class TestSufficient:
                                                         np.array([1, 1, 0], dtype=np.uint8)]]))
     def test_verdicts_match_the_counting_automaton(self, case):
         s, sets = case
-        step, lens = _matchers_of(sets)
-        assert _sufficient(s, step, lens).tolist() == (_automaton(s.size, step, lens)[1][0][:len(sets)] == 1).tolist()
+        step, lens, tables = _oracle_of(s, sets)
+        verdicts = _sufficient(s, step, lens, tables)
+        assert verdicts.tolist() == (_automaton(s.size, step, lens)[1][0][:len(sets)] == 1).tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(_wide_source_blocks())
     def test_wide_keys(self, case):
         s, sets = case
-        step, lens = _matchers_of(sets)
+        step, lens, tables = _oracle_of(s, sets)
         pointer_bits, owner_bits = int(lens.max()).bit_length(), (len(sets) - 1).bit_length()
         assert lens.shape[1] * pointer_bits + owner_bits > 63  # two or more words
-        assert _sufficient(s, step, lens).tolist() == (_automaton(s.size, step, lens)[1][0][:len(sets)] == 1).tolist()
+        verdicts = _sufficient(s, step, lens, tables)
+        assert verdicts.tolist() == (_automaton(s.size, step, lens)[1][0][:len(sets)] == 1).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(_source_blocks())
@@ -373,13 +383,13 @@ class TestSufficient:
             sufficient, kept = diverged_states_oracle(_text(s), [_text(t) for t in ts])
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(reconstruct, "MAX_ORACLE_STATES", sum(kept))
-                assert _sufficient(s, *_matchers_of([ts])).tolist() == [sufficient]
+                assert _sufficient(s, *_oracle_of(s, [ts])).tolist() == [sufficient]
                 if sum(kept) == 0:
                     continue
                 mp.setattr(reconstruct, "MAX_ORACLE_STATES", sum(kept) - 1)
                 last = max(k for k, count in enumerate(kept) if count) + 1
                 with pytest.raises(InfeasibleError, match=f"at bit {last} of {s.size}$"):
-                    _sufficient(s, *_matchers_of([ts]))
+                    _sufficient(s, *_oracle_of(s, [ts]))
 
 
 class TestEmbeds:
@@ -400,3 +410,33 @@ class TestEmbeds:
         for r, b in enumerate(order):  # sets picked out of order
             assert embeds[r] == all(is_subsequence(t, BitString(flipped)) for t in sets[b])
             assert embeds[r] == all(is_subseq_str(t, flipped) for t in case[1][b])
+
+
+@st.composite
+def _any_trace_sets(draw):
+    """A source of 1 to 8 bits and 1 to 4 sets of the same T <= 4 traces that
+    need not be its traces: each is s, a subsequence of s, or any string up to
+    3 bits longer than s.  So the sets hold empty traces, traces longer than n,
+    traces of either first bit and traces with more runs than s."""
+    s = draw(st.text(alphabet="01", min_size=1, max_size=8))
+    t_count = draw(st.integers(1, 4))
+    subsequence = st.lists(st.booleans(), min_size=len(s), max_size=len(s)).map(
+        lambda keep: "".join(bit for bit, kept in zip(s, keep) if kept))
+    trace = st.one_of(st.just(s), subsequence, st.text(alphabet="01", max_size=len(s) + 3))
+    return s, draw(st.lists(st.lists(trace, min_size=t_count, max_size=t_count), min_size=1, max_size=4))
+
+
+class TestRunAlignment:
+    @settings(max_examples=300, deadline=None)
+    @given(_any_trace_sets())
+    @example(("01", [["01", "010"]]))  # the traces with the most runs have more than s
+    @example(("01", [["01", "1"]]))  # a trace with fewer runs starts with the other bit
+    @example(("10", [["10", "0"], ["", ""]]))  # traces end in 0, as the padding reads; all empty
+    def test_misses_match_maximal_runs_on_any_trace_sets(self, case):
+        text, texts = case
+        s = BitString(text)
+        misses = _run_alignment_misses(s, *_matchers_of(_arrays(texts)))
+        assert misses.shape == (len(texts),)
+        for b, ts in enumerate(texts):
+            result = maximal_runs(len(s), bs(*ts))
+            assert misses[b] == (not (result.ok and result.string == s))
