@@ -4,7 +4,9 @@ detectors need to know which positions were deleted, not just what survived.
 
 One function, _mask_block, turns uniforms into deletion flags: sample_traces,
 sample_mask and the harness's Monte Carlo kernel all draw their masks through
-it, at most BLOCK_ELEMENTS uniforms (at least one trace) at a time.
+it.  A block whose uniforms fit BLOCK_ELEMENTS is drawn into one buffer and
+compared once; a larger one is drawn a trial, or a chunk of a trial's traces,
+at a time.  Either way at most max(BLOCK_ELEMENTS, n) uniforms are held.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ __all__ = ["DeletionMask", "MaskedTrace", "RngSpec", "sample_mask", "apply_mask"
 # Uniforms one mask draw holds at once.  The harness's Monte Carlo kernel also
 # sizes its blocks by it: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share
 # one (B, T, n) mask, so every verdict is computed for B trials at once.  On
-# 6000 trials of T * n = 320, the kernel took 170 ms at 2^13, 115 ms at 2^15
-# and 100-107 ms at 2^17 (in process, 2 cores): from 2^15 on, each trial's
-# stream setting and draws are about 3/4 of it, so larger blocks gain little
-# and add peak memory.
+# 6000 trials of T * n = 320, the kernel took 84-92 ms at 2^13, 75-76 ms at
+# 2^15 and 70-74 ms at 2^17 (medians of 7-9 runs in each of three rounds, in
+# process, 2 cores): each trial's stream setting and draw, about 7 us, do not
+# shrink with the block, so 2^17 gains about 5% for four times the buffers.
 BLOCK_ELEMENTS = 1 << 15
 
 # Trial indexes whose PCG64 seeds RngSpec.block_rngs computes in one numpy
@@ -171,6 +173,8 @@ class RngSpec:
 
         Every item is one reused Generator whose PCG64 state is set to trial
         i's when the item is taken, so draw from it before taking the next.
+        The state is set from one shared dict: only its state and inc words
+        change, and has_uint32 and uinteger stay 0, as seeding leaves them.
         """
         if first < 0 or size < 0 or first + size > 2**64:
             raise ValueError("trial indexes must lie in [0, 2**64)")
@@ -179,14 +183,17 @@ class RngSpec:
     def _streams(self, first: int, size: int) -> Iterator[np.random.Generator]:
         bit_gen = np.random.PCG64(0)
         rng = np.random.Generator(bit_gen)
+        # the setter copies the values out, so one dict serves every trial
+        words: dict[str, int] = {}
+        state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
         for start in range(first, first + size, SEED_CHUNK):
-            words = _pcg64_seed_words(self.master_seed, start, min(SEED_CHUNK, first + size - start))
-            for s_hi, s_lo, i_hi, i_lo in words.tolist():
+            seeds = _pcg64_seed_words(self.master_seed, start, min(SEED_CHUNK, first + size - start))
+            for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
                 # PCG64's seeding: inc = 2 * seq + 1, then two LCG steps from 0
                 inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-                state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
-                bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                 "has_uint32": 0, "uinteger": 0}
+                words["state"] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
+                words["inc"] = inc
+                bit_gen.state = state
                 yield rng
 
 
@@ -200,17 +207,26 @@ def _coerce_rng(rng) -> np.random.Generator:
 
 def _mask_block(rngs, p: float, out: np.ndarray) -> np.ndarray:
     """Fill the (B, T, n) bool array out with deletion masks, trial k's from
-    the k-th generator of the iterable rngs, and return it.
+    the k-th generator of the iterable rngs, and return it.  It takes no more
+    than B generators, so consecutive blocks can share one iterable.
 
-    Each trial draws its T x n uniforms in order, max(1, BLOCK_ELEMENTS // n)
-    rows at a time, into one float scratch.  The draws continue one stream, so
-    trial k's flags are rng.random((T, n)) < p whatever the row count, while
-    no more than about BLOCK_ELEMENTS uniforms are held at once.
+    When the block's B * T rows fit max(1, BLOCK_ELEMENTS // n), trial k draws
+    its T x n uniforms into row k of one (B, T, n) float buffer, and the
+    block is compared with p once.  Otherwise each trial draws its uniforms in
+    order, that many rows at a time, into one float scratch.  The draws
+    continue one stream, so trial k's flags are rng.random((T, n)) < p on
+    either path, while at most max(BLOCK_ELEMENTS, n) uniforms are held.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"deletion probability must be in [0, 1], got {p}")
-    _, t_count, n = out.shape
-    scratch = np.empty((min(t_count, max(1, BLOCK_ELEMENTS // max(n, 1))), n))
+    b_count, t_count, n = out.shape
+    rows = max(1, BLOCK_ELEMENTS // max(n, 1))
+    if b_count * t_count <= rows:
+        uniforms = np.empty(out.shape)
+        for trial, rng in zip(uniforms, rngs):
+            rng.random(out=trial)
+        return np.less(uniforms, p, out=out)
+    scratch = np.empty((min(t_count, rows), n))
     for flags, rng in zip(out, rngs):
         for r in range(0, t_count, len(scratch)):
             uniforms = scratch[: t_count - r]

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deltrace import channel
 from deltrace.bits import BitString
 from deltrace.channel import (
     SEED_CHUNK,
     DeletionMask,
     MaskedTrace,
     RngSpec,
+    _mask_block,
     apply_mask,
     sample_mask,
     sample_traces,
@@ -144,3 +146,36 @@ class TestBlockRngs:
         for first, size in ((-1, 2), (0, -1), (2**64 - 1, 2)):
             with pytest.raises(ValueError):
                 spec.block_rngs(first, size)
+
+
+# mask draw budgets around both of _mask_block's paths: a block whose B * T
+# rows fit max(1, BLOCK_ELEMENTS // n) is compared at once, a larger one trial
+# by trial and a trial larger than the budget in chunks of rows
+BUDGETS = {
+    "one": lambda b, t, n: 1,
+    "row": lambda b, t, n: n,
+    "trial-1": lambda b, t, n: t * n - 1,
+    "trial": lambda b, t, n: t * n,
+    "block-1": lambda b, t, n: b * t * n - 1,
+    "block": lambda b, t, n: b * t * n,
+}
+
+
+class TestMaskBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 40),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           st.sampled_from(sorted(BUDGETS)), st.booleans(), SEEDS, st.integers(0, 3 * SEED_CHUNK))
+    @example(3, 4, 10, 0.4, "block", True, 77, 5)  # one comparison per block
+    @example(3, 4, 10, 0.4, "row", True, 77, 5)  # a draw per row
+    def test_each_trial_draws_its_own_stream(self, b_count, t_count, n, p, budget, block_rngs, seed, first):
+        spec = RngSpec(master_seed=seed)
+        # two consecutive blocks from one iterable: a block that takes one
+        # stream too many shifts every trial of the next
+        indexes = range(first, first + 2 * b_count)
+        rngs = spec.block_rngs(first, len(indexes)) if block_rngs else map(spec.trial_rng, indexes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "BLOCK_ELEMENTS", BUDGETS[budget](b_count, t_count, n))
+            blocks = [_mask_block(rngs, p, np.empty((b_count, t_count, n), dtype=bool)) for _ in range(2)]
+        for i, flags in zip(indexes, np.concatenate(blocks)):
+            assert np.array_equal(flags, spec.trial_rng(i).random((t_count, n)) < p)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from deltrace import cli, harness, reconstruct
+from test_golden import CASES, GOLDEN
 
 CLI = [sys.executable, "-m", "deltrace.cli"]
 
@@ -233,6 +234,34 @@ def unfrozen():
 def test_main_freezes_the_collector(runs_config, unfrozen):
     assert cli.main(["montecarlo", "--config", runs_config]) == 0
     assert gc.get_freeze_count() > 0
+
+
+# numpy 2 loads numpy.random on first use, about 10 ms with secrets and hmac;
+# only montecarlo and audit draw anything, so only they may pay for it.  Under
+# a numpy whose own import loads it, only scipy is left to check.
+_START_UP = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import deltrace.cli
+
+def added():
+    return sorted(m for m in set(sys.modules) - before if m == "numpy.random" or m.split(".")[0] == "scipy")
+
+on_import = added()
+codes = [deltrace.cli.main([command, "--config", config, "--out", out])
+         for command, config, out in json.loads(sys.argv[1])]
+print(json.dumps([codes, on_import, added()]))
+"""
+
+
+def test_formula_modes_load_no_random_module(tmp_path):
+    runs = [(command, str(GOLDEN / f"{name}.json"), str(tmp_path / name))
+            for command, name in CASES if command != "montecarlo"]
+    assert {command for command, _, _ in runs} == {"sweep", "exact", "asympt", "generate"}
+    proc = subprocess.run([sys.executable, "-c", _START_UP, json.dumps(runs)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(runs), [], []]
 
 
 def test_unwritable_out_refused_before_any_trial(tmp_path, runs_config, monkeypatch, capsys):

@@ -26,6 +26,7 @@ CASES = [
     ("montecarlo", "mc-bits"),
     ("montecarlo", "mc-wide"),
     ("montecarlo", "mc-oracle"),
+    ("montecarlo", "mc-chunked"),  # T * n over a block: each trial draws in two chunks
     ("exact", "exact"),
     ("exact", "exact-schedule"),
     ("exact", "exact-repeat"),

@@ -102,11 +102,13 @@ def _check_alignment(s, p, t_count, block, seed):
     assert np.array_equal(misses, ~_covered_runs(*_clean_runs(flags, _run_lengths(s.bits))).all(axis=-1))
 
 
-@pytest.mark.parametrize("step", [1, 3, 4])  # 3 leaves a short last draw
+# 3 leaves a short last draw; 12 rows hold the whole block, compared at once
+@pytest.mark.parametrize("step", [1, 3, 4, 12])
 def test_mask_block_draws_the_sample_traces_masks(step, monkeypatch):
     s = BitString("0010111010")
     spec = RngSpec(master_seed=77)
-    # at the default constant each trial draws its 4 x 10 uniforms at once
+    # at the default constant sample_traces draws a trial's 4 x 10 uniforms
+    # into one buffer and compares them at once
     expected = [np.vstack([mt.mask.flags for mt in sample_traces(s, 0.4, 4, spec.trial_rng(5 + k))])
                 for k in range(3)]
     for k in range(3):
