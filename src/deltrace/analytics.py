@@ -329,12 +329,18 @@ def prob_uncovered_run_sum(run_lengths, p: float, T) -> ProbReport:
         # ln P(covered | j clean traces) summed out of the complement
         if j == 0:
             ln_miss = 0.0
+        elif j * max(ln_beta) < _TINY_LOG:
+            # every beta_i^j is below e^-500, where 1 - prod(1 - beta_i^j) is
+            # their sum to double precision and 1 - beta_i^j rounds to 1
+            ln_miss = logsumexp_pos([j * lb for lb in ln_beta])
         else:
             ln_phi = math.fsum(ln_one_minus_exp(j * lb) for lb in ln_beta)
             ln_miss = ln_one_minus_exp(ln_phi)
         if ln_miss == NEG_INF:
             continue
-        ln_weight = log_comb(t_count, j) + j * ln_px + (t_count - j) * ln_qx
+        # no trace lost a run at j = T; ln_qx is -inf where every p^r underflows
+        ln_lost = (t_count - j) * ln_qx if j < t_count else 0.0
+        ln_weight = log_comb(t_count, j) + j * ln_px + ln_lost
         terms.append(ln_weight + ln_miss)
     if not terms:
         return _report(NEG_INF, "exact-direct-sum")

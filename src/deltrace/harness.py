@@ -438,14 +438,6 @@ def _audit_patterns(bounds: np.ndarray) -> np.ndarray:
     return np.column_stack([np.concatenate([runs[:-1], single - 1]), np.concatenate([runs[1:], single + 1])])
 
 
-def _junction(bounds: np.ndarray, i: int, j: int) -> tuple[int, int]:
-    """The bits [lo, hi) where run i meets run j, for run pair (i, j) of
-    _audit_patterns: 2 bits for adjacent runs, 3 around a single-bit run.  Its
-    competing source is s with them flipped, as the alternative windows of
-    events.AdjacentPattern and SandwichPattern swap them."""
-    return int(bounds[i + 1]) - 1, int(bounds[j]) + 1
-
-
 def _sufficient_sets(s: BitString, step, lens, tables, first: int) -> np.ndarray:
     """Whether each trace set (trials first, first + 1, ...) admits s as its only
     source, from one oracle call.  A call over its budget is split into its
@@ -475,9 +467,11 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     is each trial's only length-n source and stops at the first witness of
     another; it never counts them.  The audit reads every declared pattern's
     verdict off the (trace, run) table of clean runs that coverage counts; in
-    each block it checks the competing source of each pattern that fired on
-    some trial, s with the junction bits of its run pair flipped (_junction),
-    and of no other.
+    each block it checks every (trial, run pair) hit, a pair that fired on the
+    trial, against the pair's competing source: s with the bits where run i
+    meets run j flipped, 2 for adjacent runs and 3 around a single-bit run, as
+    events.AdjacentPattern and SandwichPattern swap them.  The hits go to
+    _embeds_flipped in chunks of at most max(1, BLOCK_ELEMENTS // T).
 
     montecarlo counts reconstruction-error as the uncovered trials: a trace
     that wipes out a run has fewer runs than s, so maximal_runs uses exactly
@@ -529,9 +523,12 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
             continue
         fired["reconstruction-error"] += int(wrong.sum())
         inconsistent = np.zeros_like(hit)
-        for k in np.flatnonzero(hit.any(axis=0)):
-            sets = np.flatnonzero(hit[:, k])
-            inconsistent[sets, k] = ~_embeds_flipped(s.bits, step, lens, tables, sets, *_junction(bounds, *pairs[k]))
+        sets, k = np.nonzero(hit)
+        chunk = max(1, BLOCK_ELEMENTS // t_count)
+        for c in range(0, sets.size, chunk):
+            b, pair = sets[c:c + chunk], k[c:c + chunk]
+            i, j = pairs[pair].T  # flip the junction bits [bounds[i + 1] - 1, bounds[j] + 1)
+            inconsistent[b, pair] = ~_embeds_flipped(s.bits, step, lens, tables, b, bounds[i + 1] - 1, bounds[j] + 1)
         failed = np.column_stack([covered & wrong, no_witness & sufficient, inconsistent])
         for trial, check in np.argwhere(failed):  # trial-major
             name = _OFFENDER_CHECKS[min(check, 2)]

@@ -160,14 +160,17 @@ def _embedding_tables(s_bits, step, lens):
     return fwd, back
 
 
-def _embeds_flipped(s_bits, step, lens, tables, sets, lo: int, hi: int) -> np.ndarray:
-    """For each set named in sets, is every one of its traces a subsequence of s
-    with the bits [lo, hi) flipped?  s's own bits before lo and from hi on are
-    read off tables, from _embedding_tables; only the flipped bits are stepped."""
+def _embeds_flipped(s_bits, step, lens, tables, sets, lo, hi) -> np.ndarray:
+    """One row per hit: is every trace of set sets[h] a subsequence of s with
+    the bits [lo[h], hi[h]) flipped?  s's own bits before lo and from hi on are
+    read off tables, from _embedding_tables.  Only the flipped bits are
+    stepped: bit d of every hit whose window is still open, all at once."""
     fwd, back = tables
     pointer = fwd[lo, sets]
-    for bit in 1 - s_bits[lo:hi]:
-        pointer = step[bit, sets[:, np.newaxis], np.arange(lens.shape[1]), pointer]
+    for d in range(int((hi - lo).max(initial=0))):
+        open_ = np.flatnonzero(lo + d < hi)
+        bit = 1 - s_bits[lo[open_] + d]
+        pointer[open_] = step[bit[:, np.newaxis], sets[open_, np.newaxis], np.arange(lens.shape[1]), pointer[open_]]
     return (lens[sets] - pointer <= back[hi, sets]).all(axis=1)
 
 

@@ -187,6 +187,20 @@ class TestUncoveredRunExact:
         direct = prob_uncovered_run_sum(lengths, p, t_count)
         assert mgf.value == pytest.approx(direct.value, abs=1e-9)
 
+    # true ln_value from 3000-digit mpmath.  Every p^r underflows in the first
+    # and third rows, so ln p_X = 0 and ln(1 - p_X) = -inf; in the last three
+    # beta_i^j underflows at the j that carry the sum
+    @pytest.mark.parametrize("lengths,p,t_count,ln_true", [
+        ([400, 400], 0.1, 3, -2.2297186216104693e-36),  # runs [0.5, 0.5] at n = 800
+        ([5, 5], 1e-3, 150, -794.35445775158564),
+        ([5, 5], 1e-110, 3, -754.33161977017283),
+        ([1, 1, 2], 1e-3, 300, -1656.8883128211411),
+    ])
+    def test_direct_sum_where_terms_underflow(self, lengths, p, t_count, ln_true):
+        report = prob_uncovered_run_sum(lengths, p, t_count)
+        assert report.ln_value == pytest.approx(ln_true, rel=1e-12)
+        assert report.value == pytest.approx(math.exp(ln_true), rel=1e-12)
+
     def test_real_valued_run_lengths(self):
         report = prob_uncovered_run_mgf([2.5, 5.0, 2.5], 0.25, 16)
         assert 0.0 < report.value < 1.0

@@ -29,7 +29,6 @@ from deltrace.harness import (
     InfeasibleError,
     SourceSpec,
     _audit_patterns,
-    _junction,
     _simulate,
     _simulation_estimators,
     _sufficient_sets,
@@ -133,12 +132,22 @@ def _declared_patterns(s):
     return declared
 
 
-def _competing_source(s, bounds, i, j):
-    """s with the junction bits of run pair (i, j) flipped."""
-    lo, hi = _junction(bounds, i, j)
+def _junction(bounds, i, j):
+    """The bits [lo, hi) where run i meets run j of the run pair (i, j): 2 for
+    adjacent runs, 3 around a single-bit run."""
+    return int(bounds[i + 1]) - 1, int(bounds[j]) + 1
+
+
+def _flipped(s, lo, hi):
+    """s with the bits [lo, hi) flipped."""
     alt = s.bits.copy()
     alt[lo:hi] ^= 1
     return alt
+
+
+def _competing_source(s, bounds, i, j):
+    """s with the junction bits of run pair (i, j) flipped."""
+    return _flipped(s, *_junction(bounds, i, j))
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,18 +175,26 @@ def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
 @example({"kind": "bits", "bits": "0110"}, 1.0, 2, 2, 0)  # every trace empty
 @example({"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}, 0.0, 3, 2, 0)  # traces are s
 def test_competing_source_embedding_read_off_the_tables(source, p, t_count, block, seed):
-    # for every run pair, on every set: the tables' check against is_subsequence
-    # on the whole competing source, with the sets picked out of order
+    # in one call, every set against every run pair's junction and against
+    # windows of 0 to 3 bits anywhere, each (set, window) hit twice and in
+    # random order: the tables' check against is_subsequence on the whole
+    # flipped source
     instance = SourceSpec.from_dict(source, allow_missing_n=False).instance()
     s, bounds = instance.s, instance.bounds
-    kept = np.random.default_rng(seed).random((block, t_count, len(s))) >= p
+    rng = np.random.default_rng(seed)
+    kept = rng.random((block, t_count, len(s))) >= p
     step, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
     tables = _embedding_tables(s.bits, step, lens)
-    sets = np.arange(block)[::-1]
-    for i, j in _audit_patterns(bounds):
-        alt = BitString(_competing_source(s, bounds, i, j))
-        expected = [all(is_subsequence(s.bits[row], alt) for row in kept[b]) for b in sets]
-        assert _embeds_flipped(s.bits, step, lens, tables, sets, *_junction(bounds, i, j)).tolist() == expected
+    windows = [_junction(bounds, i, j) for i, j in _audit_patterns(bounds)]
+    windows += [(lo, min(lo + width, len(s)))
+                for lo, width in zip(rng.integers(0, len(s) + 1, 8), rng.integers(0, 4, 8))]
+    hits = rng.permutation(np.repeat(np.arange(block * len(windows)), 2))
+    sets, w = np.divmod(hits, len(windows))
+    lo, hi = np.array(windows)[w].T
+    assert set((hi - lo).tolist()) <= {0, 1, 2, 3}
+    expected = [all(is_subsequence(s.bits[row], BitString(_flipped(s, *windows[k]))) for row in kept[b])
+                for b, k in zip(sets, w)]
+    assert _embeds_flipped(s.bits, step, lens, tables, sets, lo, hi).tolist() == expected
 
 
 def _audit_config(source, p, t_count, trials, seed):
@@ -295,28 +312,41 @@ _FAULTS = {
 }
 
 
-def _formed_sources(config):
-    """The run pairs whose competing source an audit of config forms, in order."""
-    formed = []
+def _checked_hits(config, embeds=_embeds_flipped):
+    """An audit of config with _embeds_flipped replaced by embeds: its tally,
+    the (trial, run pair) hits it checks, in order, and for each call the
+    index of its block and its number of hits."""
+    bounds = config.source.instance().bounds
+    pairs = _audit_patterns(bounds)
+    pair_of = {_junction(bounds, i, j): (int(i), int(j)) for i, j in pairs}
+    assert len(pair_of) == len(pairs)  # one window per pair
+    blocks, hits, calls = [], [], []
 
-    def recorded(bounds, i, j):
-        formed.append((int(i), int(j)))
-        return junction(bounds, i, j)
+    def masked(rngs, p, out):
+        blocks.append(len(out))
+        return _mask_block(rngs, p, out)
 
-    junction = harness._junction
+    def checked(s_bits, step, lens, tables, sets, lo, hi):
+        first = sum(blocks[:-1])
+        hits.extend((first + int(b), pair_of[int(l), int(h)]) for b, l, h in zip(sets, lo, hi))
+        calls.append((len(blocks) - 1, len(sets)))
+        return embeds(s_bits, step, lens, tables, sets, lo, hi)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_junction", recorded)
-        _simulate(config, ESTIMATORS, audit=True)
-    return formed
+        mp.setattr(harness, "_mask_block", masked)
+        mp.setattr(harness, "_embeds_flipped", checked)
+        tally = _simulate(config, ESTIMATORS, audit=True)
+    return tally, hits, calls
 
 
 @pytest.mark.parametrize("trials", [12, 60])  # 15 of the 17 patterns fire, then all 17
 def test_competing_sources_are_built_when_a_pattern_first_fires(trials, monkeypatch):
-    # each block forms the competing source of every pair that fired on one of
-    # its trials, in pair order, and of no other pair
+    # each block checks exactly the (trial, run pair) hits that
+    # detect_ambiguities fires on its trials, each once, trial by trial in
+    # pair order, and makes no call where none fires
     source = {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", 3 * 2 * 10)  # blocks of 3 trials
-    assert _formed_sources(_audit_config(source, 0.0, 2, trials, 4)) == []
+    assert _checked_hits(_audit_config(source, 0.0, 2, trials, 4))[1:] == ([], [])
     config = _audit_config(source, 0.15, 2, trials, 4)
     instance = config.source.instance()
     s = instance.s
@@ -324,15 +354,44 @@ def test_competing_sources_are_built_when_a_pattern_first_fires(trials, monkeypa
     patterns = _declared_patterns(s)
     spec = RngSpec(master_seed=config.seed)
     expected = []
-    for first in range(0, config.trials, 3):
-        fired = {patterns.index(witness.pattern) for trial in range(first, min(first + 3, config.trials))
+    for trial in range(config.trials):
+        fired = {patterns.index(witness.pattern)
                  for witness in detect_ambiguities(s, sample_traces(s, config.p, config.traces,
-                                                                    spec.trial_rng(trial)), patterns)}
-        expected += [pairs[k] for k in sorted(fired)]
-    formed = _formed_sources(config)
-    assert formed == expected
-    assert len(formed) > len(set(formed))  # some pair fires in more than one block
-    assert (len(set(formed)) < len(pairs)) == (trials == 12)
+                                                                   spec.trial_rng(trial)), patterns)}
+        expected += [(trial, pairs[k]) for k in sorted(fired)]
+    _, hits, calls = _checked_hits(config)
+    assert hits == expected
+    checked = [pair for _, pair in hits]
+    assert len(checked) > len(set(checked))  # some pair fires on more than one trial
+    assert (len(set(checked)) < len(pairs)) == (trials == 12)
+    assert sum(size for _, size in calls) == len(hits)
+
+
+def _parity_verdict(s_bits, step, lens, tables, sets, lo, hi):
+    """A stand-in verdict that depends on the trial, through its traces'
+    lengths, and on the run pair, through its junction."""
+    return (lens[sets].sum(axis=1) + lo) % 2 == 0
+
+
+# chunks of 1 and 2 hits on blocks of one trial, then of 30 hits on blocks of 3
+@pytest.mark.parametrize("budget", [1, 2 * 2, 3 * 2 * 10])
+def test_hits_are_checked_in_chunks_of_the_block_budget(budget, monkeypatch):
+    # a block's hits span several calls, none with more than
+    # max(1, BLOCK_ELEMENTS // T) hits, and each verdict reaches its own hit:
+    # the tally and offenders equal those of one call over one block
+    source = {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}
+    config = _audit_config(source, 0.6, 2, 60, 4)
+    expected, hits, calls = _checked_hits(config, _parity_verdict)
+    assert [block for block, _ in calls] == [0]  # at the default budget
+    assert 0 < expected.audit_counts["ambiguity-alternative-inconsistent"] < len(hits)
+    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
+    tally, chunked, calls = _checked_hits(config, _parity_verdict)
+    assert chunked == hits
+    assert max(size for _, size in calls) <= max(1, budget // config.traces)
+    blocks = [block for block, _ in calls]
+    assert len(blocks) > len(set(blocks))  # some block's hits span several calls
+    assert (tally.fired, tally.audit_counts, tally.offenders) == (expected.fired, expected.audit_counts,
+                                                                  expected.offenders)
 
 
 @pytest.mark.parametrize("check", list(_FAULTS))

@@ -394,20 +394,24 @@ class TestSufficient:
 
 class TestEmbeds:
     @settings(max_examples=100, deadline=None)
-    @given(_trace_sets(), st.text(alphabet="01", max_size=12), st.integers(0, 12), st.integers(0, 3))
-    def test_each_set_embeds_as_by_is_subsequence(self, case, x, lo, width):
+    @given(_trace_sets(), st.text(alphabet="01", max_size=12), st.integers(0, 12), st.integers(0, 3),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12), st.integers(0, 3)), max_size=12))
+    def test_each_set_embeds_as_by_is_subsequence(self, case, x, lo, width, rows):
         # traces are ragged, empty or longer than x, and x may be empty: the
-        # tables of x, and x with the bits [lo, hi) flipped, hi - lo of 0 to 3
+        # tables of x, and in one call x with the bits [lo, hi) flipped, hi - lo
+        # of 0 to 3 hit by hit: every set with the same window, last set first,
+        # then more hits on sets picked out of order and repeated
         sets = _arrays(case[1])
         step, lens = _matchers_of(sets)
         x_bits = np.array([int(c) for c in x], dtype=np.uint8)
-        lo = min(lo, len(x))
-        hi = min(lo + width, len(x))
-        flipped = x[:lo] + "".join("10"[int(c)] for c in x[lo:hi]) + x[hi:]
-        order = np.arange(len(sets))[::-1]
-        embeds = _embeds_flipped(x_bits, step, lens, _embedding_tables(x_bits, step, lens), order, lo, hi)
-        assert embeds.shape == (len(sets),)
-        for r, b in enumerate(order):  # sets picked out of order
+        rows = [(b, lo, width) for b in reversed(range(len(sets)))] + rows
+        picked = np.array([b % len(sets) for b, _, _ in rows], dtype=np.intp)
+        lo = np.array([min(start, len(x)) for _, start, _ in rows], dtype=np.intp)
+        hi = np.array([min(start + width, len(x)) for _, start, width in rows], dtype=np.intp)
+        embeds = _embeds_flipped(x_bits, step, lens, _embedding_tables(x_bits, step, lens), picked, lo, hi)
+        assert embeds.shape == (len(rows),)
+        for r, (b, start, end) in enumerate(zip(picked, lo, hi)):
+            flipped = x[:start] + "".join("10"[int(c)] for c in x[start:end]) + x[end:]
             assert embeds[r] == all(is_subsequence(t, BitString(flipped)) for t in sets[b])
             assert embeds[r] == all(is_subseq_str(t, flipped) for t in case[1][b])
 
