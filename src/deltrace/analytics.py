@@ -217,7 +217,7 @@ def prob_no_pattern_witness_asymptotic(params: ThresholdParams, c: float, T) -> 
     count = _as_count(T)
     slope = (params.ell / c) * math.log1p(-params.p ** params.r)
     power = (slope + 1.0) * count.ln_value
-    ln_value = NEG_INF if power > 709.0 else -math.exp(power)
+    ln_value = NEG_INF if power > _EXP_OVERFLOW else -math.exp(power)
     # ln y = slope * ln T, not (E - 1) * ln T: E rounds to 1 once |slope| < eps
     flags = ("outside-validity-regime",) if slope * count.ln_value >= _LN_TENTH else ()
     return _report(ln_value, "asymptotic", flags=flags)
@@ -368,7 +368,7 @@ def prob_uncovered_run_asymptotic(fractions, p: float, c: float, T) -> ProbRepor
     ln_power = (q[i_star] * ln_q + 1.0) * ln_t
     ln_d = math.log1p(-math.exp(q[i_star] * ln_p * ln_t))
     drop = ln_f + ln_power - ln_d
-    ln_value = NEG_INF if drop > 709.0 else math.log(multiplicity) - math.exp(drop)
+    ln_value = NEG_INF if drop > _EXP_OVERFLOW else math.log(multiplicity) - math.exp(drop)
     flags: tuple[str, ...] = ()
     if c <= critical_rate(1, ell_star, p):
         flags = ("outside-validity-regime",)

@@ -146,9 +146,8 @@ def has_pattern_witness(traces: list[MaskedTrace], span: PatternSpan) -> bool:
 def run_coverage(traces: list[MaskedTrace], profile: RunProfile):
     """(covered, per_run): per_run[i] is True iff some trace deleted no run
     completely while leaving run i untouched; covered iff that holds for all i."""
-    flags = _flags_matrix(traces, profile.total)
-    per_run = _covered_runs(*_clean_runs(flags, np.asarray(profile.lengths, dtype=np.int64)))
-    return bool(per_run.all()), tuple(per_run.tolist())
+    report = detect_events(traces, [], profile)
+    return report.run_covered, report.per_run
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -67,7 +68,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration (exit code 2)."""
 
 
-MODES = ("montecarlo", "exact", "asymptotic", "sweep", "audit", "generate")
 ESTIMATORS = ("difficulty", "no-pattern-witness", "uncovered-run", "reconstruction-error")
 DIFFICULTY_DEFAULT_MAX_N = 20  # above it, montecarlo runs difficulty only if named
 CSV_HEADER = "estimator,n,p,T_or_c,a,value,ln_value,ci_low,ci_high,trials,seed,method"
@@ -81,6 +81,7 @@ _MODE_KEYS = {
     "audit": {"mode", "source", "p", "traces", "trials", "seed", "out"},
     "generate": {"mode", "source", "out"},
 }
+MODES = tuple(_MODE_KEYS)
 
 
 def _require(condition: bool, message: str):
@@ -421,13 +422,6 @@ _AUDIT_CHECKS = (
 _OFFENDER_CHECKS = ("covered-and-wrong", "no-witness-and-sufficient", "ambiguity-alternative-inconsistent")
 
 
-@dataclass
-class _Tally:
-    fired: dict[str, int]  # estimator name -> trials on which its event occurred
-    audit_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_AUDIT_CHECKS, 0))
-    offenders: list[tuple[int, str]] = field(default_factory=list)
-
-
 def _audit_patterns(bounds: np.ndarray) -> np.ndarray:
     """The structural patterns audited on every trial, as (P, 2) run pairs (i, j):
     the adjacent runs at each boundary, then the runs around each single-bit
@@ -454,24 +448,26 @@ def _sufficient_sets(s: BitString, step, lens, tables, first: int) -> np.ndarray
                                             first + lo) for lo, hi in zip(edges, edges[1:]) if lo < hi])
 
 
-def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _Tally:
-    """One pass over all trials, B = max(1, BLOCK_ELEMENTS // (T * n)) trials
-    per block.  channel._mask_block fills a block's (B, T, n) mask, trial i
-    from its own stream, taken in order from one RngSpec(seed).block_rngs
-    over all trials (bit-equal to trial_rng(i)), so the counts do not
-    depend on B; the mask events, the oracle's verdicts (one call, see
-    _sufficient_sets) and every audit check cover the whole block, the last
-    two reading the traces only through their matchers (_matchers), and the
-    oracle and the pattern checks also through one pair of embedding tables
-    (_embedding_tables), built once per block.  The oracle decides whether s
-    is each trial's only length-n source and stops at the first witness of
-    another; it never counts them.  The audit reads every declared pattern's
-    verdict off the (trace, run) table of clean runs that coverage counts; in
-    each block it checks every (trial, run pair) hit, a pair that fired on the
-    trial, against the pair's competing source: s with the bits where run i
-    meets run j flipped, 2 for adjacent runs and 3 around a single-bit run, as
-    events.AdjacentPattern and SandwichPattern swap them.  The hits go to
-    _embeds_flipped in chunks of at most max(1, BLOCK_ELEMENTS // T).
+def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
+    """(fired, offenders): the trials on which each estimator's event
+    occurred, by name, and an audit's breaches as (trial, check), trial by
+    trial.  One pass, B = max(1, BLOCK_ELEMENTS // (T * n)) trials per block.
+    channel._mask_block fills a block's (B, T, n) mask, trial i from its own
+    stream, taken in order from one RngSpec(seed).block_rngs over all trials
+    (bit-equal to trial_rng(i)), so the counts do not depend on B; the mask
+    events, the oracle's verdicts (one call, see _sufficient_sets) and every
+    audit check cover the whole block, the last two reading the traces only
+    through their matchers (_matchers), and the oracle and the pattern checks
+    also through one pair of embedding tables (_embedding_tables), built once
+    per block.  The oracle decides whether s is each trial's only length-n
+    source and stops at the first witness of another; it never counts them.
+    The audit reads every declared pattern's verdict off the (trace, run)
+    table of clean runs that coverage counts; in each block it checks every
+    (trial, run pair) hit, a pair that fired on the trial, against the pair's
+    competing source: s with the bits where run i meets run j flipped, 2 for
+    adjacent runs and 3 around a single-bit run, as events.AdjacentPattern and
+    SandwichPattern swap them.  The hits go to _embeds_flipped in chunks of at
+    most max(1, BLOCK_ELEMENTS // T).
 
     montecarlo counts reconstruction-error as the uncovered trials: a trace
     that wipes out a run has fewer runs than s, so maximal_runs uses exactly
@@ -494,8 +490,8 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
-    tally = _Tally(fired=dict.fromkeys(ESTIMATORS, 0))
-    fired = tally.fired
+    fired = dict.fromkeys(ESTIMATORS, 0)
+    offenders = []
     for first in range(0, config.trials, block):
         size = min(block, config.trials - first)
         flags = _mask_block(islice(rngs, size), p, masks[:size])
@@ -530,11 +526,9 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False) -> _
             i, j = pairs[pair].T  # flip the junction bits [bounds[i + 1] - 1, bounds[j] + 1)
             inconsistent[b, pair] = ~_embeds_flipped(s.bits, step, lens, tables, b, bounds[i + 1] - 1, bounds[j] + 1)
         failed = np.column_stack([covered & wrong, no_witness & sufficient, inconsistent])
-        for trial, check in np.argwhere(failed):  # trial-major
-            name = _OFFENDER_CHECKS[min(check, 2)]
-            tally.audit_counts[name] += 1
-            tally.offenders.append((first + int(trial), name))
-    return tally
+        offenders.extend((first + int(trial), _OFFENDER_CHECKS[min(check, 2)])
+                         for trial, check in np.argwhere(failed))  # trial-major
+    return fired, offenders
 
 
 def _mc_row(config, estimator, successes) -> EstimateRow:
@@ -564,7 +558,7 @@ def _simulation_estimators(config: ExperimentConfig) -> tuple[str, ...]:
 
 
 def _estimate(config: ExperimentConfig, estimators) -> list[EstimateRow]:
-    fired = _simulate(config, estimators).fired
+    fired = _simulate(config, estimators)[0]
     return [_mc_row(config, name, fired[name]) for name in estimators]
 
 
@@ -623,12 +617,13 @@ def audit_implications(config: ExperimentConfig) -> AuditReport:
     an event that forbids sufficiency alongside a sufficient verdict, run
     coverage alongside a reconstruction miss, and a structural ambiguity
     whose competing source fails to embed some trace."""
-    tally = _simulate(config, ESTIMATORS, audit=True)
+    fired, offenders = _simulate(config, ESTIMATORS, audit=True)
+    tally = Counter(name for _, name in offenders)
     return AuditReport(
         trials=config.trials,
-        counts=tally.audit_counts,
-        offenders=tuple(tally.offenders),
-        rows=tuple(_mc_row(config, name, tally.fired[name]) for name in ESTIMATORS),
+        counts={name: tally[name] for name in _AUDIT_CHECKS},
+        offenders=tuple(offenders),
+        rows=tuple(_mc_row(config, name, fired[name]) for name in ESTIMATORS),
     )
 
 
@@ -710,15 +705,24 @@ def sweep_threshold(config: ExperimentConfig) -> tuple[list[EstimateRow], list[s
     return rows, regimes
 
 
+def _comma_joined(values: np.ndarray) -> str:
+    """",".join(map(str, values)) for nonnegative integers without a str per
+    value: each value as bytes, NUL-padded to the widest, with its comma; the
+    padding is then dropped."""
+    cells = np.char.add(values.astype(f"S{len(str(values.max()))}"), b",")
+    return cells.tobytes().replace(b"\0", b"")[:-1].decode()
+
+
 def _generate_text(config: ExperimentConfig) -> str:
     instance = config.source.instance()
-    span, lengths = instance.span, np.diff(instance.bounds).tolist()
+    span = instance.span
     lines = [
         str(instance.s),
         f"span offset={span.offset} period={span.period} copies={span.copies}",
-        "runs first_bit=%d lengths=%s" % (instance.s[0], ",".join(map(str, lengths))),
+        "runs first_bit=%d lengths=%s" % (instance.s[0], _comma_joined(np.diff(instance.bounds))),
+        "",  # the last newline, without copying the text to append it
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def run_mode(config: ExperimentConfig) -> int:

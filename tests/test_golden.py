@@ -2,14 +2,22 @@
 for byte.  Determinism between two runs of the same code (criterion 11)
 cannot catch a refactor that changes the numbers; these files can.
 
-Each case is a config `golden/NAME.json` with its expected output
-`golden/NAME.csv` (`golden/NAME.txt` for `generate`, which writes text); the
-audit cases also pin their summary text.  To record a case again after an
-intended change of output:
+The directory is the case list: each config `golden/NAME.json` is a case,
+run by the subcommand of its `mode` with its expected output `golden/NAME.csv`
+(`golden/NAME.txt` for `generate`, which writes text); the audit cases also
+pin their summary text, `golden/NAME.summary.txt`.  Among them, one
+montecarlo case has T * n over a block, so each trial draws its mask in two
+chunks, and one audit case is a many-run repeat source with sandwich pairs.
+To add a case, drop in its files; to record one again after an intended
+change of output:
 
     python -m deltrace.cli COMMAND --config tests/golden/NAME.json > tests/golden/NAME.csv
+
+Run as a script, this module prints one line per case: the subcommand, the
+config and the expected output, then for an audit the expected summary.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -18,27 +26,15 @@ from deltrace.cli import _COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-CASES = [
-    ("montecarlo", "mc-runs"),
-    ("montecarlo", "mc-repeat"),
-    ("montecarlo", "mc-repeat-short"),
-    ("montecarlo", "mc-small"),
-    ("montecarlo", "mc-bits"),
-    ("montecarlo", "mc-wide"),
-    ("montecarlo", "mc-oracle"),
-    ("montecarlo", "mc-chunked"),  # T * n over a block: each trial draws in two chunks
-    ("exact", "exact"),
-    ("exact", "exact-schedule"),
-    ("exact", "exact-repeat"),
-    ("exact", "exact-bits"),
-    ("asympt", "asympt-repeat"),
-    ("asympt", "asympt-runs"),
-    ("sweep", "sweep"),
-    ("sweep", "sweep-runs"),
-    ("generate", "generate-repeat"),
-    ("generate", "generate-runs"),
-    ("generate", "generate-bits"),
-]
+
+def _cases():
+    """(command, name) of every config under golden/, sorted."""
+    command_of = {mode: command for command, (mode, _) in _COMMANDS.items()}
+    return sorted((command_of[json.loads(path.read_text())["mode"]], path.stem) for path in GOLDEN.glob("*.json"))
+
+
+CASES = [(command, name) for command, name in _cases() if command != "audit"]
+AUDITS = [name for command, name in _cases() if command == "audit"]
 
 
 def _expected(command, name):
@@ -52,8 +48,7 @@ def test_csv_matches_golden(command, name, tmp_path):
     assert out.read_bytes() == _expected(command, name).read_bytes()
 
 
-# audit-repeat is a many-run repeat source with sandwich pairs
-@pytest.mark.parametrize("name", ["audit", "audit-repeat"])
+@pytest.mark.parametrize("name", AUDITS)
 def test_audit_matches_golden(name, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
     assert main(["audit", "--config", str(GOLDEN / f"{name}.json"), "--out", str(out)]) == 0
@@ -62,5 +57,12 @@ def test_audit_matches_golden(name, tmp_path, capsys):
 
 
 def test_every_subcommand_is_pinned():
-    pinned = {command for command, _ in CASES} | {"audit"}
+    pinned = {command for command, _ in _cases()}
     assert set(_COMMANDS) <= pinned, f"no golden case for {sorted(set(_COMMANDS) - pinned)}"
+
+
+if __name__ == "__main__":
+    for command, name in CASES:
+        print(command, GOLDEN / f"{name}.json", _expected(command, name))
+    for name in AUDITS:
+        print("audit", GOLDEN / f"{name}.json", GOLDEN / f"{name}.csv", GOLDEN / f"{name}.summary.txt")

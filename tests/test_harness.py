@@ -541,6 +541,18 @@ class TestRunMode:
             "runs first_bit=0 lengths=3,4,3\n"
         )
 
+    @pytest.mark.parametrize("source,widths", [
+        ({"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 5000}, {1}),  # a run per bit
+        ({"kind": "runs", "first_bit": 1, "fractions": [0.0005, 0.005, 0.05, 0.8045, 0.14], "n": 12345},
+         {1, 2, 3, 4}),
+    ], ids=["many-runs", "multi-digit"])
+    def test_generate_joins_the_run_lengths(self, source, widths, capsys):
+        assert run_mode(ExperimentConfig.from_dict({"mode": "generate", "source": source})) == 0
+        bits, _, runs, end = capsys.readouterr().out.split("\n")
+        lengths = [len(run.group()) for run in re.finditer("0+|1+", bits)]
+        assert {len(str(k)) for k in lengths} == widths and end == ""
+        assert runs == f"runs first_bit={bits[0]} lengths=" + ",".join(map(str, lengths))
+
     def test_exact_mode_rows(self, capsys):
         cfg = ExperimentConfig.from_dict({
             "mode": "exact",

@@ -24,6 +24,7 @@ from deltrace.events import (
     detect_events,
 )
 from deltrace.harness import (
+    _AUDIT_CHECKS,
     ESTIMATORS,
     ExperimentConfig,
     InfeasibleError,
@@ -32,6 +33,7 @@ from deltrace.harness import (
     _simulate,
     _simulation_estimators,
     _sufficient_sets,
+    audit_implications,
     run_mode,
 )
 from deltrace.reconstruct import (
@@ -47,6 +49,7 @@ from deltrace.reconstruct import (
     maximal_runs,
 )
 from oracles import diverged_states_oracle
+from test_reconstruct import _matchers_of, _oracle_of
 
 SOURCES = st.one_of(
     st.builds(lambda bits: {"kind": "bits", "bits": bits},
@@ -203,10 +206,12 @@ def _audit_config(source, p, t_count, trials, seed):
 
 
 def _tally(config, budget, monkeypatch):
+    """The kernel's (fired, offenders) at a block budget, then for an audit
+    its summary's counts in order."""
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
-    audit = config.mode == "audit"
-    tally = _simulate(config, ESTIMATORS if audit else config.estimators, audit=audit)
-    return tally.fired, tally.audit_counts, tally.offenders
+    if config.mode != "audit":
+        return _simulate(config, config.estimators)
+    return (*_simulate(config, ESTIMATORS, audit=True), list(audit_implications(config).counts.items()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,8 +275,7 @@ def _replayed_counts(config, faults=None):
 @given(SOURCES, PROBS, st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32))
 def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
     config = _audit_config(source, p, t_count, trials, seed)
-    tally = _simulate(config, ESTIMATORS, audit=True)
-    assert (tally.fired, tally.offenders) == _replayed_counts(config)
+    assert _simulate(config, ESTIMATORS, audit=True) == _replayed_counts(config)
 
 
 def _never_aligned(s, step, lens):
@@ -292,7 +296,7 @@ def test_montecarlo_counts_match_replay_without_run_alignment(source, p, t_count
     names = _simulation_estimators(config)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_run_alignment_misses", _never_aligned)
-        fired = _simulate(config, names).fired
+        fired = _simulate(config, names)[0]
     expected = _replayed_counts(config)[0]
     assert {name: fired[name] for name in names} == {name: expected[name] for name in names}
 
@@ -313,7 +317,7 @@ _FAULTS = {
 
 
 def _checked_hits(config, embeds=_embeds_flipped):
-    """An audit of config with _embeds_flipped replaced by embeds: its tally,
+    """An audit of config with _embeds_flipped replaced by embeds: its report,
     the (trial, run pair) hits it checks, in order, and for each call the
     index of its block and its number of hits."""
     bounds = config.source.instance().bounds
@@ -335,8 +339,8 @@ def _checked_hits(config, embeds=_embeds_flipped):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_mask_block", masked)
         mp.setattr(harness, "_embeds_flipped", checked)
-        tally = _simulate(config, ESTIMATORS, audit=True)
-    return tally, hits, calls
+        report = audit_implications(config)
+    return report, hits, calls
 
 
 @pytest.mark.parametrize("trials", [12, 60])  # 15 of the 17 patterns fire, then all 17
@@ -378,20 +382,20 @@ def _parity_verdict(s_bits, step, lens, tables, sets, lo, hi):
 def test_hits_are_checked_in_chunks_of_the_block_budget(budget, monkeypatch):
     # a block's hits span several calls, none with more than
     # max(1, BLOCK_ELEMENTS // T) hits, and each verdict reaches its own hit:
-    # the tally and offenders equal those of one call over one block
+    # the report (its rows carry the fired counts) equals that of one call
+    # over one block
     source = {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}
     config = _audit_config(source, 0.6, 2, 60, 4)
     expected, hits, calls = _checked_hits(config, _parity_verdict)
     assert [block for block, _ in calls] == [0]  # at the default budget
-    assert 0 < expected.audit_counts["ambiguity-alternative-inconsistent"] < len(hits)
+    assert 0 < expected.counts["ambiguity-alternative-inconsistent"] < len(hits)
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
-    tally, chunked, calls = _checked_hits(config, _parity_verdict)
+    report, chunked, calls = _checked_hits(config, _parity_verdict)
     assert chunked == hits
     assert max(size for _, size in calls) <= max(1, budget // config.traces)
     blocks = [block for block, _ in calls]
     assert len(blocks) > len(set(blocks))  # some block's hits span several calls
-    assert (tally.fired, tally.audit_counts, tally.offenders) == (expected.fired, expected.audit_counts,
-                                                                  expected.offenders)
+    assert report == expected
 
 
 @pytest.mark.parametrize("check", list(_FAULTS))
@@ -405,8 +409,11 @@ def test_audit_reaches_every_trial_a_check_applies_to(check, monkeypatch):
     # the check applies to some trials but not to all
     assert 0 < len({trial for trial, found in expected[1] if found == check}) < config.trials
     monkeypatch.setattr(harness, name, kernel_fault)
-    tally = _simulate(config, ESTIMATORS, audit=True)
-    assert (tally.fired, tally.offenders) == expected
+    assert _simulate(config, ESTIMATORS, audit=True) == expected
+    # the summary counts every check in order, zeros kept: only this one fires
+    found = sum(entry == check for _, entry in expected[1])
+    assert list(audit_implications(config).counts.items()) == [
+        (name, found if name == check else 0) for name in _AUDIT_CHECKS]
 
 
 def test_offenders_keep_check_order_within_a_trial(monkeypatch):
@@ -427,7 +434,11 @@ def test_offenders_keep_check_order_within_a_trial(monkeypatch):
     monkeypatch.setattr(harness, "_covered_runs",
                         lambda clean, wiped: np.ones(clean.shape[:-2] + clean.shape[-1:], dtype=bool))
     monkeypatch.setattr(harness, "_pattern_witness_from_flags", lambda flags, span: np.zeros(len(flags), dtype=bool))
-    assert _simulate(config, ESTIMATORS, audit=True).offenders == expected
+    assert _simulate(config, ESTIMATORS, audit=True)[1] == expected
+    # the summary counts them in its own order, not the offenders'
+    assert list(audit_implications(config).counts.items()) == [
+        ("no-witness-and-sufficient", config.trials), ("covered-and-wrong", config.trials),
+        ("ambiguity-alternative-inconsistent", len(wiped))]
 
 
 @pytest.mark.parametrize("mode", ["montecarlo", "audit"])
@@ -457,8 +468,7 @@ def test_kernel_draws_only_block_streams(mode, monkeypatch, capsys):
         assert run_mode(config) == 0
         assert np.array_equal(np.stack(masks), expected_masks)
         outputs.append(capsys.readouterr().out)
-        tally = _simulate(config, ESTIMATORS, audit=True)
-        assert (tally.fired, tally.offenders) == expected
+        assert _simulate(config, ESTIMATORS, audit=True) == expected
     assert outputs[0] == outputs[1]
 
 
@@ -468,20 +478,6 @@ def _trace_sets(config):
     flags = _mask_block(RngSpec(master_seed=config.seed).block_rngs(0, config.trials), config.p,
                         np.empty((config.trials, config.traces, n), dtype=bool))
     return [[s.bits[~row] for row in trial] for trial in flags]
-
-
-def _matchers_of(trace_sets):
-    """The matcher table of nested lists of trace bit arrays, built as the
-    kernel builds it: every trace's bits concatenated, and their lengths."""
-    bits = np.concatenate([np.asarray(t, dtype=np.uint8) for ts in trace_sets for t in ts])
-    return _matchers(bits, [[len(t) for t in ts] for ts in trace_sets])
-
-
-def _oracle_of(s, trace_sets):
-    """The matchers of trace sets of s and their embedding tables on s, as
-    the kernel passes them to the oracle."""
-    step, lens = _matchers_of(trace_sets)
-    return step, lens, _embedding_tables(s.bits, step, lens)
 
 
 def _states(s, trace_sets):
@@ -510,7 +506,7 @@ def test_oversized_block_is_split(monkeypatch):
     monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", max(states))
     assert sum(states) > max(states)
     with pytest.raises(InfeasibleError):
-        _sufficient(s.bits, *_oracle_of(s, sets))
+        _sufficient(s.bits, *_oracle_of(s.bits, sets))
     calls = []
 
     def recorded(s_bits, step, lens, tables):
@@ -518,7 +514,7 @@ def test_oversized_block_is_split(monkeypatch):
         return _sufficient(s_bits, step, lens, tables)
 
     monkeypatch.setattr(harness, "_sufficient", recorded)
-    assert np.array_equal(_sufficient_sets(s, *_oracle_of(s, sets), 0), sufficient)
+    assert np.array_equal(_sufficient_sets(s, *_oracle_of(s.bits, sets), 0), sufficient)
     assert calls[0] == 40 and len(calls) > 1
     assert _tally(config, harness.BLOCK_ELEMENTS, monkeypatch) == expected
 
@@ -548,7 +544,7 @@ def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypa
     alone = []
     for trial in (4, 9):
         with pytest.raises(InfeasibleError) as refusal:
-            _sufficient(s.bits, *_oracle_of(s, [sets[trial]]))
+            _sufficient(s.bits, *_oracle_of(s.bits, [sets[trial]]))
         alone.append(str(refusal.value))
     assert alone[0] == "the sufficiency oracle passed its budget of 40 automaton states at bit 11 of 24"
     assert cli.main(["montecarlo", "--config", str(path)]) == 3
@@ -564,7 +560,7 @@ def test_refusal_of_a_block_over_the_budget_takes_two_calls(monkeypatch):
     monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 8)
     for trial in sets:
         with pytest.raises(InfeasibleError):
-            _sufficient(s.bits, *_oracle_of(s, [trial]))
+            _sufficient(s.bits, *_oracle_of(s.bits, [trial]))
     calls = []
 
     def recorded(s_bits, step, lens, tables):
@@ -573,5 +569,5 @@ def test_refusal_of_a_block_over_the_budget_takes_two_calls(monkeypatch):
 
     monkeypatch.setattr(harness, "_sufficient", recorded)
     with pytest.raises(InfeasibleError, match="on trial 5$"):
-        _sufficient_sets(s, *_oracle_of(s, sets), 5)
+        _sufficient_sets(s, *_oracle_of(s.bits, sets), 5)
     assert calls == [16, 1]
