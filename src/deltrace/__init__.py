@@ -33,20 +33,15 @@ from .channel import (
     MaskedTrace,
     RngSpec,
     apply_mask,
-    sample_mask,
     sample_traces,
-    trace_is_consistent,
 )
 from .events import (
     AdjacentPattern,
     AmbiguityWitness,
     EventReport,
     SandwichPattern,
-    copy_fully_deleted,
     detect_ambiguities,
     detect_events,
-    has_pattern_witness,
-    run_coverage,
 )
 from .harness import (
     AuditReport,
@@ -55,9 +50,7 @@ from .harness import (
     ExperimentConfig,
     InfeasibleError,
     audit_implications,
-    estimate_difficulty,
     estimate_event_probs,
-    estimate_mr_error,
     sweep_threshold,
     wilson_interval,
 )

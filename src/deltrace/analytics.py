@@ -49,7 +49,6 @@ METHODS = frozenset(
 MGF_MAX_RUNS = 20
 DIRECT_SUM_MAX_TRACES = 10_000
 
-_LN_INT64_MAX = math.log(2**63 - 1)
 _LN_TENTH = math.log(0.1)
 
 
@@ -105,13 +104,6 @@ class TraceCount:
     def is_analytic(self) -> bool:
         return self.exact is None
 
-    def materialize(self) -> int:
-        if self.exact is not None:
-            return self.exact
-        if self.ln_value > _LN_INT64_MAX:
-            raise ValueError("trace count too large to materialize")
-        return max(1, round(math.exp(self.ln_value)))
-
 
 def _as_count(T) -> TraceCount:
     if isinstance(T, TraceCount):
@@ -158,10 +150,6 @@ class ThresholdParams:
         if not (0 < self.ell <= 1):
             raise ValueError("length fraction ell must lie in (0, 1]")
         _check_p(self.p, open_interval=True)
-
-    @property
-    def critical_rate(self) -> float:
-        return critical_rate(self.r, self.ell, self.p)
 
 
 def critical_rate(r: int, ell: float, p: float) -> float:
@@ -254,19 +242,19 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     nonempty run subsets, a subset's term depends only on its sum of
     ln(beta_i) and its sign on its parity, so each distinct sum is evaluated
     once, weighted by its odd and even subsets; tied run lengths make the
-    sums few.  M above MGF_MAX_RUNS raises InfeasibleError.
+    sums few.  M above MGF_MAX_RUNS raises InfeasibleError when 0 < p < 1,
+    before the run lengths are read.
     """
-    lengths = _check_lengths(run_lengths)
     p = _check_p(p)
+    if 0.0 < p < 1.0 and len(run_lengths) > MGF_MAX_RUNS:
+        raise InfeasibleError(
+            f"inclusion-exclusion over {len(run_lengths)} runs exceeds the cap of {MGF_MAX_RUNS}")
+    lengths = _check_lengths(run_lengths)
     count = _as_count(T)
     if p == 0.0:
         return _report(NEG_INF, "exact-closed-form")
     if p == 1.0:
         return _report(0.0, "exact-closed-form")
-    m = len(lengths)
-    if m > MGF_MAX_RUNS:
-        raise InfeasibleError(
-            f"inclusion-exclusion over {m} runs exceeds the cap of {MGF_MAX_RUNS}")
     flags: tuple[str, ...] = ()
     ln_beta, ln_px = _run_log_quantities(lengths, p)
     # Per nonempty subset K: sign (-1)^{|K|+1} times (1 - p_X (1 - prod beta))^T.

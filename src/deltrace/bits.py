@@ -22,7 +22,6 @@ __all__ = [
     "run_decompose",
     "run_compose",
     "is_subsequence",
-    "pattern_at",
     "span_matches",
     "rounded_run_lengths",
     "make_repeat_instance",
@@ -102,9 +101,6 @@ class BitString:
             text = text[:45] + "..."
         return f"BitString({text!r}, n={len(self)})"
 
-    def count(self, value: int) -> int:
-        return int(np.count_nonzero(self._bits == value))
-
 
 @dataclass(frozen=True)
 class RunProfile:
@@ -119,10 +115,6 @@ class RunProfile:
         object.__setattr__(self, "lengths", tuple(int(x) for x in self.lengths))
         if any(x < 1 for x in self.lengths):
             raise ValueError("every run length must be >= 1")
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.lengths)
 
     @property
     def total(self) -> int:
@@ -209,13 +201,6 @@ def is_subsequence(t: BitString, x: BitString) -> bool:
             return False
         cursor = pos[i + length - 1] + 1
     return True
-
-
-def pattern_at(s: BitString, span: PatternSpan) -> BitString:
-    """The repeated block itself: the first period bits of the span."""
-    if span.end > len(s):
-        raise ValueError("span extends past the end of the string")
-    return s[span.offset : span.offset + span.period]
 
 
 def span_matches(s: BitString, span: PatternSpan) -> bool:

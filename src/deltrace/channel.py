@@ -2,11 +2,11 @@
 probability p.  Masks are always kept alongside traces because the event
 detectors need to know which positions were deleted, not just what survived.
 
-One function, _mask_block, turns uniforms into deletion flags: sample_traces,
-sample_mask and the harness's Monte Carlo kernel all draw their masks through
-it.  A block whose uniforms fit BLOCK_ELEMENTS is drawn into one buffer and
-compared once; a larger one is drawn a trial, or a chunk of a trial's traces,
-at a time.  Either way at most max(BLOCK_ELEMENTS, n) uniforms are held.
+One function, _mask_block, turns uniforms into deletion flags: sample_traces
+and the harness's Monte Carlo kernel both draw their masks through it.  A
+block whose uniforms fit BLOCK_ELEMENTS is drawn into one buffer and compared
+once; a larger one is drawn a trial, or a chunk of a trial's traces, at a
+time.  Either way at most max(BLOCK_ELEMENTS, n) uniforms are held.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, is_subsequence
+from .bits import BitString
 
-__all__ = ["DeletionMask", "MaskedTrace", "RngSpec", "sample_mask", "apply_mask", "sample_traces", "trace_is_consistent"]
+__all__ = ["DeletionMask", "MaskedTrace", "RngSpec", "apply_mask", "sample_traces"]
 
 # Uniforms one mask draw holds at once.  The harness's Monte Carlo kernel also
 # sizes its blocks by it: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share
@@ -235,11 +235,6 @@ def _mask_block(rngs, p: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_mask(n: int, p: float, rng) -> DeletionMask:
-    """One deletion mask for a length-n source."""
-    return DeletionMask(_mask_block([_coerce_rng(rng)], p, np.empty((1, 1, n), dtype=bool))[0, 0])
-
-
 def apply_mask(s: BitString, mask: DeletionMask) -> BitString:
     """Drop the flagged positions of s, preserving order."""
     if len(s) != len(mask):
@@ -257,12 +252,3 @@ def sample_traces(s: BitString, p: float, T: int, rng) -> list[MaskedTrace]:
         mask = DeletionMask(row)
         out.append(MaskedTrace(trace=apply_mask(s, mask), mask=mask, source_length=len(s)))
     return out
-
-
-def trace_is_consistent(mt: MaskedTrace, s: BitString) -> bool:
-    """Check a trace against its claimed source: mask applies and yields the trace."""
-    return (
-        mt.source_length == len(s)
-        and apply_mask(s, mt.mask) == mt.trace
-        and is_subsequence(mt.trace, s)
-    )

@@ -37,9 +37,6 @@ __all__ = [
     "SandwichPattern",
     "AdjacentPattern",
     "AmbiguityWitness",
-    "copy_fully_deleted",
-    "has_pattern_witness",
-    "run_coverage",
     "detect_events",
     "detect_ambiguities",
 ]
@@ -66,13 +63,6 @@ def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
     return np.vstack([mt.mask.flags for mt in traces])
 
 
-def _copy_windows(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
-    """Masks (..., n) -> the span's copies as a (..., copies, period) view."""
-    if span.end > flags.shape[-1]:
-        raise ValueError("span extends past the source")
-    return flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
-
-
 def _copies_violated(flags: np.ndarray, spans) -> np.ndarray:
     """For masks of shape (..., n): is some aligned copy of some span fully
     deleted?  Each span's window is viewed as a (..., copies, period) block,
@@ -80,7 +70,9 @@ def _copies_violated(flags: np.ndarray, spans) -> np.ndarray:
     over copies."""
     hit = np.zeros(flags.shape[:-1], dtype=bool)
     for span in spans:
-        window = _copy_windows(flags, span)
+        if span.end > flags.shape[-1]:
+            raise ValueError("span extends past the source")
+        window = flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
         deleted = window[..., 0].copy()
         for j in range(1, span.period):
             deleted &= window[..., j]
@@ -128,26 +120,6 @@ def _covered_runs(clean: np.ndarray, wiped: np.ndarray) -> np.ndarray:
     """_clean_runs' tables -> per_run (..., M): some trace deleted no run
     completely while leaving run i untouched."""
     return (clean & ~wiped[..., np.newaxis]).any(axis=-2)
-
-
-def copy_fully_deleted(mask, span: PatternSpan, copy_index: int) -> bool:
-    """Did this mask delete every bit of the copy_index-th copy of the block?"""
-    if not 0 <= copy_index < span.copies:
-        raise ValueError(f"copy_index must be in [0, {span.copies}), got {copy_index}")
-    return bool(_copy_windows(mask.flags, span)[copy_index].all())
-
-
-def has_pattern_witness(traces: list[MaskedTrace], span: PatternSpan) -> bool:
-    """True iff some trace's mask deletes no copy of the block in the span."""
-    flags = _flags_matrix(traces, traces[0].source_length if traces else 0)
-    return bool(_pattern_witness_from_flags(flags, span))
-
-
-def run_coverage(traces: list[MaskedTrace], profile: RunProfile):
-    """(covered, per_run): per_run[i] is True iff some trace deleted no run
-    completely while leaving run i untouched; covered iff that holds for all i."""
-    report = detect_events(traces, [], profile)
-    return report.run_covered, report.per_run
 
 
 @dataclass(frozen=True)

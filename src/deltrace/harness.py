@@ -53,9 +53,7 @@ __all__ = [
     "ESTIMATORS",
     "WILSON_Z",
     "wilson_interval",
-    "estimate_difficulty",
     "estimate_event_probs",
-    "estimate_mr_error",
     "audit_implications",
     "sweep_threshold",
     "run_mode",
@@ -562,28 +560,10 @@ def _estimate(config: ExperimentConfig, estimators) -> list[EstimateRow]:
     return [_mc_row(config, name, fired[name]) for name in estimators]
 
 
-def estimate_difficulty(config: ExperimentConfig) -> EstimateRow:
-    """Fraction of trials whose trace set fails to pin down the source,
-    judged by the sufficiency oracle."""
-    return _estimate(config, ("difficulty",))[0]
-
-
 def estimate_event_probs(config: ExperimentConfig) -> list[EstimateRow]:
     """Frequencies of the two mask events: every trace deleting a copy of
     the declared span, and some run going uncovered."""
     return _estimate(config, ("no-pattern-witness", "uncovered-run"))
-
-
-def estimate_mr_error(config: ExperimentConfig) -> EstimateRow:
-    """Fraction of trials where run-alignment reconstruction misses the
-    source.  For traces of s this is the fraction with an uncovered run:
-    the paper's lemma gives that coverage implies success, and the converse
-    holds because a trace that wipes out a run merges its neighbours and so
-    has fewer runs than s.  maximal_runs therefore uses exactly the traces
-    that wiped no run and returns s exactly when each run is kept whole by
-    one of them.  So the count is read off coverage; audit recomputes it by
-    run alignment and counts the covered trials it misses."""
-    return _estimate(config, ("reconstruction-error",))[0]
 
 
 # Offender lines an audit summary prints; the rest are only counted.

@@ -33,12 +33,12 @@ class TestTraceCount:
     def test_integer_round_trip(self):
         count = TraceCount.integer(64)
         assert count.exact == 64 and not count.is_analytic
-        assert count.materialize() == 64
         assert count.ln_value == pytest.approx(math.log(64))
 
     def test_big_integer(self):
         big = 10**30
-        assert TraceCount.integer(big).materialize() == big
+        count = TraceCount.integer(big)
+        assert count.exact == big and count.ln_value == pytest.approx(30 * math.log(10))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="empty trace set has undefined sufficiency"):
@@ -48,10 +48,6 @@ class TestTraceCount:
         count = TraceCount.exponential(0.5, 100)
         assert count.is_analytic
         assert count.ln_value == pytest.approx(50.0)
-
-    def test_materialize_overflow(self):
-        with pytest.raises(ValueError, match="too large to materialize"):
-            TraceCount.exponential(1.0, 100).materialize()
 
     def test_sublinear_exponent(self):
         count = TraceCount.exponential(2.0, 10_000, a=0.5)
@@ -76,9 +72,14 @@ class TestCriticalRate:
         with pytest.raises(ValueError):
             critical_rate(1, 1.0, 1.0)
 
-    def test_params_property(self):
-        params = ThresholdParams(r=2, ell=0.5, p=0.3)
-        assert params.critical_rate == critical_rate(2, 0.5, 0.3)
+    def test_params_validation(self):
+        # critical_rate validates its arguments through ThresholdParams
+        for r, ell, match in [(0, 0.5, "pattern length"), (1.5, 0.5, "pattern length"),
+                              (1, 0.0, "length fraction"), (1, 1.5, "length fraction")]:
+            with pytest.raises(ValueError, match=match):
+                ThresholdParams(r=r, ell=ell, p=0.3)
+            with pytest.raises(ValueError, match=match):
+                critical_rate(r, ell, 0.3)
 
 
 class TestPatternWitnessExact:
@@ -216,6 +217,19 @@ class TestUncoveredRunExact:
         with pytest.raises(InfeasibleError, match="exceeds the cap"):
             prob_uncovered_run_mgf(lengths, 0.3, 4)
 
+        class Unread:  # the cap is checked before the lengths are read
+            def __len__(self):
+                return MGF_MAX_RUNS + 1
+
+            def __iter__(self):
+                raise AssertionError("run lengths read before the run cap")
+
+        with pytest.raises(InfeasibleError, match=f"over {MGF_MAX_RUNS + 1} runs exceeds the cap"):
+            prob_uncovered_run_mgf(Unread(), 0.3, 4)
+        # p = 0 and p = 1 need no sum, so the cap does not apply
+        assert prob_uncovered_run_mgf(lengths, 0.0, 4).value == 0.0
+        assert prob_uncovered_run_mgf(lengths, 1.0, 4).value == 1.0
+
     def test_empty_lengths_rejected(self):
         with pytest.raises(ValueError, match="empty string has no runs"):
             prob_uncovered_run_mgf([], 0.3, 4)
@@ -280,7 +294,7 @@ class TestUncoveredRunGrouped:
 class TestAsymptotics:
     def test_pattern_witness_agreement(self):
         params = ThresholdParams(r=1, ell=0.5, p=0.25)
-        c = 1.2 * params.critical_rate
+        c = 1.2 * critical_rate(1, 0.5, 0.25)
         count = TraceCount.exponential(c, 400)
         exact = prob_no_pattern_witness_exact(1, 200, 0.25, count)
         asym = prob_no_pattern_witness_asymptotic(params, c, count)

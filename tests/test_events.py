@@ -6,15 +6,7 @@ from hypothesis import strategies as st
 from deltrace import events
 from deltrace.bits import BitString, PatternSpan, RepeatBlockSpec, make_repeat_instance, run_decompose
 from deltrace.channel import DeletionMask, MaskedTrace, RngSpec, apply_mask, sample_traces
-from deltrace.events import (
-    AdjacentPattern,
-    SandwichPattern,
-    copy_fully_deleted,
-    detect_ambiguities,
-    detect_events,
-    has_pattern_witness,
-    run_coverage,
-)
+from deltrace.events import AdjacentPattern, SandwichPattern, detect_ambiguities, detect_events
 from oracles import every_trace_kills_a_copy, is_subseq_str, run_coverage_oracle, some_run_uncovered
 
 
@@ -26,38 +18,50 @@ def traces_from_masks(s: BitString, rows) -> list[MaskedTrace]:
     return out
 
 
+def events_of(s: BitString, rows, spans=()):
+    return detect_events(traces_from_masks(s, rows), list(spans), run_decompose(s))
+
+
+def has_witness(traces: list[MaskedTrace], span: PatternSpan, profile) -> bool:
+    return detect_events(traces, [span], profile).pattern_witness[0]
+
+
+def coverage(traces: list[MaskedTrace], profile):
+    report = detect_events(traces, [], profile)
+    return report.run_covered, report.per_run
+
+
 class TestPatternWitness:
     def test_every_trace_kills_a_copy(self):
         s = BitString("0011")
         span = PatternSpan(offset=0, period=1, copies=2)  # the "00" block
         rows = [[1, 0, 0, 0], [0, 1, 0, 0]]
-        assert not has_pattern_witness(traces_from_masks(s, rows), span)
+        assert not events_of(s, rows, [span]).pattern_witness[0]
 
     def test_one_trace_spares_all_copies(self):
         s = BitString("0011")
         span = PatternSpan(offset=0, period=1, copies=2)
         rows = [[1, 0, 0, 0], [0, 0, 1, 1]]  # second trace keeps both zeros
-        assert has_pattern_witness(traces_from_masks(s, rows), span)
+        assert events_of(s, rows, [span]).pattern_witness[0]
 
     def test_multibit_copies(self):
         s = BitString("01010101")
         span = PatternSpan(offset=0, period=2, copies=4)
         # partial damage to every copy is not a full deletion of any copy
         rows = [[1, 0, 1, 0, 1, 0, 1, 0]]
-        assert has_pattern_witness(traces_from_masks(s, rows), span)
+        assert events_of(s, rows, [span]).pattern_witness[0]
         rows = [[1, 1, 0, 0, 0, 0, 0, 0]]  # first copy wiped
-        assert not has_pattern_witness(traces_from_masks(s, rows), span)
+        assert not events_of(s, rows, [span]).pattern_witness[0]
 
     def test_copy_fully_deleted(self):
-        mask = DeletionMask(np.array([1, 1, 0, 0], dtype=bool))
+        s = BitString("0101")
         span = PatternSpan(offset=0, period=2, copies=2)
-        assert copy_fully_deleted(mask, span, 0)
-        assert not copy_fully_deleted(mask, span, 1)
-        with pytest.raises(ValueError):
-            copy_fully_deleted(mask, span, 2)
+        for row in ([1, 1, 0, 0], [0, 0, 1, 1]):  # either copy wiped whole
+            assert not events_of(s, [row], [span]).pattern_witness[0]
+        assert events_of(s, [[0, 1, 1, 0]], [span]).pattern_witness[0]
         for past in (PatternSpan(6, 2, 3), PatternSpan(3, 2, 1)):  # no bit of copy 0, half of it
             with pytest.raises(ValueError, match="span extends past the source"):
-                copy_fully_deleted(DeletionMask([0, 0, 0, 1]), past, 0)
+                events_of(s, [[0, 0, 0, 1]], [past])
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32), st.floats(0.05, 0.95), st.integers(1, 4))
@@ -67,7 +71,7 @@ class TestPatternWitness:
         traces = sample_traces(s, p, t_count, RngSpec(master_seed=seed))
         rows = [tuple(bool(b) for b in mt.mask.flags) for mt in traces]
         windows = [(j * 2, 2) for j in range(3)]
-        assert has_pattern_witness(traces, span) == (
+        assert has_witness(traces, span, run_decompose(s)) == (
             not every_trace_kills_a_copy(rows, windows)
         )
 
@@ -76,7 +80,7 @@ class TestRunCoverage:
     def test_hand_case_uncovered(self):
         s = BitString("0011")
         rows = [[0, 0, 1, 1], [0, 0, 0, 1]]
-        covered, per_run = run_coverage(traces_from_masks(s, rows), run_decompose(s))
+        covered, per_run = coverage(traces_from_masks(s, rows), run_decompose(s))
         # first trace wiped run 2, second trace is clean with run 1 intact
         assert per_run == (True, False)
         assert not covered
@@ -84,7 +88,7 @@ class TestRunCoverage:
     def test_hand_case_covered(self):
         s = BitString("0011")
         rows = [[0, 0, 0, 1], [1, 0, 0, 0]]
-        covered, per_run = run_coverage(traces_from_masks(s, rows), run_decompose(s))
+        covered, per_run = coverage(traces_from_masks(s, rows), run_decompose(s))
         assert per_run == (True, True)
         assert covered
 
@@ -92,13 +96,13 @@ class TestRunCoverage:
         s = BitString("0011")
         # the trace keeps run 1 intact but wipes run 2, so it counts for nothing
         rows = [[0, 0, 1, 1]]
-        covered, per_run = run_coverage(traces_from_masks(s, rows), run_decompose(s))
+        covered, per_run = coverage(traces_from_masks(s, rows), run_decompose(s))
         assert per_run == (False, False)
 
     def test_perfect_trace_covers_everything(self):
         s = BitString("0100111")
         rows = [[0] * 7]
-        covered, _ = run_coverage(traces_from_masks(s, rows), run_decompose(s))
+        covered, _ = coverage(traces_from_masks(s, rows), run_decompose(s))
         assert covered
 
     @settings(max_examples=60)
@@ -108,7 +112,7 @@ class TestRunCoverage:
         profile = run_decompose(s)
         traces = sample_traces(s, p, t_count, RngSpec(master_seed=seed))
         rows = [tuple(bool(b) for b in mt.mask.flags) for mt in traces]
-        covered, _ = run_coverage(traces, profile)
+        covered, _ = coverage(traces, profile)
         assert covered == (not some_run_uncovered(rows, list(profile.lengths)))
 
     @settings(max_examples=80, deadline=None)
@@ -138,8 +142,7 @@ class TestRunCoverage:
                 assert tables[1].ravel().tolist() == wiped
                 assert events._covered_runs(*tables).tolist() == expected
                 traces = traces_from_masks(s, flags[0])
-                assert run_coverage(traces, profile) == (all(expected[0]), tuple(expected[0]))
-                assert detect_events(traces, [], profile).per_run == tuple(expected[0])
+                assert coverage(traces, profile) == (all(expected[0]), tuple(expected[0]))
 
     def test_report_consistency(self):
         s = BitString("0011")
@@ -289,10 +292,10 @@ class TestMonotonicity:
         profile = run_decompose(s)
         traces = sample_traces(s, p, t_count + 1, RngSpec(master_seed=seed))
         head, full = traces[:t_count], traces
-        if has_pattern_witness(head, span):
-            assert has_pattern_witness(full, span)
-        covered_head, per_head = run_coverage(head, profile)
-        covered_full, per_full = run_coverage(full, profile)
+        if has_witness(head, span, profile):
+            assert has_witness(full, span, profile)
+        covered_head, per_head = coverage(head, profile)
+        covered_full, per_full = coverage(full, profile)
         for before, after in zip(per_head, per_full):
             assert after or not before
         if covered_head:

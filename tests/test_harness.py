@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deltrace import reconstruct
+from deltrace import harness, reconstruct
 from deltrace.analytics import critical_rate, prob_uncovered_run_mgf
 from deltrace.harness import (
     CSV_HEADER,
@@ -22,9 +22,7 @@ from deltrace.harness import (
     InfeasibleError,
     SourceSpec,
     audit_implications,
-    estimate_difficulty,
     estimate_event_probs,
-    estimate_mr_error,
     rows_to_csv,
     run_mode,
     sweep_threshold,
@@ -375,21 +373,21 @@ class TestRowsAndCsv:
 class TestMonteCarlo:
     def test_perfect_channel(self):
         cfg = mc_config(p=0.0, trials=50)
-        assert estimate_mr_error(cfg).value == 0.0
-        assert estimate_difficulty(cfg).value == 0.0
+        for row in harness._estimate(cfg, ("reconstruction-error", "difficulty")):
+            assert row.value == 0.0
         for row in estimate_event_probs(cfg):
             assert row.value == 0.0
 
     def test_total_deletion(self):
         cfg = mc_config(p=1.0, trials=50)
-        assert estimate_mr_error(cfg).value == 1.0
-        assert estimate_difficulty(cfg).value == 1.0
+        for row in harness._estimate(cfg, ("reconstruction-error", "difficulty")):
+            assert row.value == 1.0
         for row in estimate_event_probs(cfg):
             assert row.value == 1.0
 
     def test_row_metadata(self):
         cfg = mc_config(trials=100)
-        row = estimate_difficulty(cfg)
+        [row] = harness._estimate(cfg, ("difficulty",))
         assert (row.n, row.p, row.t_or_c, row.trials, row.seed) == (10, 0.3, 4, 100, 5)
         assert row.method == "monte-carlo" and row.a is None
         assert row.ci[0] <= row.value <= row.ci[1]
@@ -399,11 +397,11 @@ class TestMonteCarlo:
         # find a second source at bit 1, and trial 3's search passes 50 states at bit 9
         cfg = mc_config(source={"kind": "runs", "first_bit": 0,
                                 "fractions": [0.5, 0.5], "n": 22}, trials=20)
-        assert 0.0 <= estimate_difficulty(cfg).value <= 1.0
+        assert 0.0 <= harness._estimate(cfg, ("difficulty",))[0].value <= 1.0
         monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 50)
         with pytest.raises(InfeasibleError,
                            match=r"budget of 50 automaton states at bit 9 of 22 on trial 3$"):
-            estimate_difficulty(cfg)
+            harness._estimate(cfg, ("difficulty",))
 
     def test_seed_determinism(self):
         a = estimate_event_probs(mc_config(trials=150))

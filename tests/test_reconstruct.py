@@ -80,9 +80,9 @@ class TestMaximalRuns:
         if result.ok:
             assert len(result.string) == len(s)
             m_hat = max(
-                (run_decompose(t).num_runs if len(t) else 0) for t in traces
+                (len(run_decompose(t).lengths) if len(t) else 0) for t in traces
             )
-            assert run_decompose(result.string).num_runs == m_hat
+            assert len(run_decompose(result.string).lengths) == m_hat
 
     @settings(max_examples=40)
     @given(st.text(alphabet="01", min_size=1, max_size=20), st.integers(0, 2**32))
