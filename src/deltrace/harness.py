@@ -430,19 +430,19 @@ def _audit_patterns(bounds: np.ndarray) -> np.ndarray:
     return np.column_stack([np.concatenate([runs[:-1], single - 1]), np.concatenate([runs[1:], single + 1])])
 
 
-def _sufficient_sets(s: BitString, step, lens, tables, first: int) -> np.ndarray:
+def _sufficient_sets(s: BitString, padded, lens, tables, first: int) -> np.ndarray:
     """Whether each trace set (trials first, first + 1, ...) admits s as its only
     source, from one oracle call.  A call over its budget is split into its
     first trace set alone, then the two halves of the rest, so a refusal names
     the first trial that passes the budget on its own, and a block whose first
     trial passes it is refused on the second call."""
     try:
-        return _sufficient(s.bits, step, lens, tables)
+        return _sufficient(s.bits, padded, lens, tables)
     except InfeasibleError as exc:
         if len(lens) == 1:
             raise InfeasibleError(f"{exc} on trial {first}") from None
     edges = [0, 1, 1 + (len(lens) - 1) // 2, len(lens)]
-    return np.concatenate([_sufficient_sets(s, step[:, lo:hi], lens[lo:hi], [t[:, lo:hi] for t in tables],
+    return np.concatenate([_sufficient_sets(s, padded[lo:hi], lens[lo:hi], [t[:, lo:hi] for t in tables],
                                             first + lo) for lo, hi in zip(edges, edges[1:]) if lo < hi])
 
 
@@ -455,7 +455,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     (bit-equal to trial_rng(i)), so the counts do not depend on B; the mask
     events, the oracle's verdicts (one call, see _sufficient_sets) and every
     audit check cover the whole block, the last two reading the traces only
-    through their matchers (_matchers), and the oracle and the pattern checks
+    through their padded bits (_matchers), and the oracle and the pattern checks
     also through one pair of embedding tables (_embedding_tables), built once
     per block.  The oracle decides whether s is each trial's only length-n
     source and stops at the first witness of another; it never counts them.
@@ -504,14 +504,14 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
         if not oracle:
             continue
         kept = ~flags
-        step, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
+        padded, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
         if audit:
             # before the tables, so that they never sit next to hit's (B, T, P) temporaries
-            wrong = _run_alignment_misses(s, step, lens)
+            wrong = _run_alignment_misses(s, padded)
             # pattern (i, j) fires where every trace deleted a bit of run i or of run j
             hit = ~(clean[..., pairs[:, 0]] & clean[..., pairs[:, 1]]).any(axis=-2)
-        tables = _embedding_tables(s.bits, step, lens)
-        sufficient = _sufficient_sets(s, step, lens, tables, first)
+        tables = _embedding_tables(s.bits, padded, lens)
+        sufficient = _sufficient_sets(s, padded, lens, tables, first)
         fired["difficulty"] += int((~sufficient).sum())
         if not audit:
             continue
@@ -522,7 +522,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
         for c in range(0, sets.size, chunk):
             b, pair = sets[c:c + chunk], k[c:c + chunk]
             i, j = pairs[pair].T  # flip the junction bits [bounds[i + 1] - 1, bounds[j] + 1)
-            inconsistent[b, pair] = ~_embeds_flipped(s.bits, step, lens, tables, b, bounds[i + 1] - 1, bounds[j] + 1)
+            inconsistent[b, pair] = ~_embeds_flipped(s.bits, padded, lens, tables, b, bounds[i + 1] - 1, bounds[j] + 1)
         failed = np.column_stack([covered & wrong, no_witness & sufficient, inconsistent])
         offenders.extend((first + int(trial), _OFFENDER_CHECKS[min(check, 2)])
                          for trial, check in np.argwhere(failed))  # trial-major

@@ -77,15 +77,14 @@ def maximal_runs(n: int, traces) -> ReconstructionResult:
     return ReconstructionResult(string=BitString(np.repeat(values, best)))
 
 
-def _run_alignment_misses(s: BitString, step, lens) -> np.ndarray:
+def _run_alignment_misses(s: BitString, padded) -> np.ndarray:
     """maximal_runs over a block of trace sets at once: for B sets of T traces
-    of the nonempty source s, given as their matchers (step, lens) from
-    _matchers, is the reconstruction from trace set b anything other than s?
+    of the nonempty source s, their padded bits from _matchers, is the
+    reconstruction from trace set b anything other than s?
 
     Equals ``not (maximal_runs(n, traces_b).ok and .string == s)`` for every
-    b.  Bit q of a trace is 1 where its 1-matcher steps past q; a run starts
-    at bit 0, where the bit changes, and at the trace's end, where the
-    padding opens one more.  The padding reads 0, so no run starts past it.
+    b.  A run starts at bit 0, where the bit changes, and so at the trace's
+    end, where the padding 2 differs from both bits, and at no column past it.
     maximal_runs keeps the traces with the most runs, m_hat, and returns s
     exactly when those traces (i) have s's M runs, (ii) each start with s's
     first bit and (iii) have elementwise-longest i-th runs equal to s's run
@@ -95,18 +94,16 @@ def _run_alignment_misses(s: BitString, step, lens) -> np.ndarray:
     """
     lengths = _run_lengths(s.bits)
     m = lengths.size
-    bit = step[1] > np.arange(step.shape[-1])
-    starts = np.ones_like(bit)
-    np.not_equal(bit[..., 1:], bit[..., :-1], out=starts[..., 1:])
-    np.put_along_axis(starts, lens[..., np.newaxis], True, axis=-1)
+    starts = np.ones(padded.shape, dtype=bool)
+    np.not_equal(padded[..., 1:], padded[..., :-1], out=starts[..., 1:])
     runs = np.count_nonzero(starts, axis=-1) - 1
     chosen = runs == runs.max(axis=1, keepdims=True)
     # (i): only the kept traces of sets with m_hat = M fill their row of the
     # table; every other set keeps zero rows, which fail (iii)
     full = chosen & (runs == m)
-    table = np.zeros((*lens.shape, m), dtype=np.int32)
+    table = np.zeros((*runs.shape, m), dtype=np.int32)
     table[full] = np.diff(np.flatnonzero(starts[full]).reshape(-1, m + 1))
-    first_ok = (bit[..., 0] == s.bits[0]) | ~chosen  # (ii)
+    first_ok = (padded[..., 0] == s.bits[0]) | ~chosen  # (ii)
     return ~(first_ok.all(axis=1) & (table.max(axis=1) == lengths).all(axis=1))
 
 
@@ -119,8 +116,8 @@ def _run_alignment_misses(s: BitString, step, lens) -> np.ndarray:
 # other than s's own, so no n <= 20 is refused by either.  Of three random
 # sources at n = 100, p = 0.3, one trial, only one still runs into it with 32
 # traces, and its montecarlo process peaked at about 400 MB; with 4 to 16
-# traces none does.  Neither the block's matcher table (_matchers, 8 bytes per
-# trace and bit of the longest trace) nor its two embedding tables
+# traces none does.  Neither the block's padded trace bits (_matchers, 1 byte
+# per trace and bit of the longest trace) nor its two embedding tables
 # (_embedding_tables, 8 bytes per trace and bit of s) is counted; each is built
 # once per block and split by view.
 MAX_ORACLE_STATES = 1 << 21
@@ -132,17 +129,18 @@ class InfeasibleError(RuntimeError):
 
 def _matchers(bits, lens):
     """Greedy subsequence matchers of B sets of T traces, from their bits trace
-    after trace and their (B, T) lengths: step[b, o, i, q] is pointer q of set
-    o's trace i after bit b.  Each trace is padded with 2, which no bit matches."""
+    after trace and their (B, T) lengths: padded[o, i, q] is bit q of set o's
+    trace i, padded with 2, which no bit equals, to max(lens) + 1 columns, and
+    pointer q steps on bit b by padded[o, i, q] == b.  The last column is
+    always padding: pointers stop at their trace's end, and q = -1 reads it."""
     lens = np.asarray(lens, dtype=np.int32)  # read per automaton state, as the pointers are
-    pointer = np.arange(lens.max(initial=0) + 1, dtype=np.int32)
-    padded = np.full((*lens.shape, pointer.size), 2, dtype=np.uint8)
-    padded[pointer < lens[..., np.newaxis]] = bits
-    return pointer + (padded == np.arange(2).reshape(2, 1, 1, 1)), lens
+    padded = np.full((*lens.shape, lens.max(initial=0) + 1), 2, dtype=np.uint8)
+    padded[np.arange(padded.shape[-1]) < lens[..., np.newaxis]] = bits
+    return padded, lens
 
 
-def _embedding_tables(s_bits, step, lens):
-    """Where the traces of the matchers (step, lens) stand on a string s, its
+def _embedding_tables(s_bits, padded, lens):
+    """Where the traces of the matchers (padded, lens) stand on a string s, its
     bits s_bits: fwd[j, o, i] is trace i of set o's greedy pointer after
     s[:j], and back[j, o, i] how many trailing bits of that trace s[j:]
     embeds, matched greedily from the end.  So the trace is a subsequence of
@@ -152,15 +150,14 @@ def _embedding_tables(s_bits, step, lens):
     fwd = np.zeros((s_bits.size + 1, *lens.shape), dtype=np.int32)
     back = np.zeros_like(fwd)
     for j, bit in enumerate(s_bits):
-        fwd[j + 1] = step[bit, sets, traces, fwd[j]]
+        fwd[j + 1] = fwd[j] + (padded[sets, traces, fwd[j]] == bit)
     for j in range(s_bits.size - 1, -1, -1):
-        # trace bit q, the next from the end, equals s[j] when s[j]'s matcher steps past it
-        q = lens - back[j + 1] - 1
-        back[j] = back[j + 1] + ((q >= 0) & (step[s_bits[j], sets, traces, q] > q))
+        # trace bit q, the next from the end; q = -1 reads the padding
+        back[j] = back[j + 1] + (padded[sets, traces, lens - back[j + 1] - 1] == s_bits[j])
     return fwd, back
 
 
-def _embeds_flipped(s_bits, step, lens, tables, sets, lo, hi) -> np.ndarray:
+def _embeds_flipped(s_bits, padded, lens, tables, sets, lo, hi) -> np.ndarray:
     """One row per hit: is every trace of set sets[h] a subsequence of s with
     the bits [lo[h], hi[h]) flipped?  s's own bits before lo and from hi on are
     read off tables, from _embedding_tables.  Only the flipped bits are
@@ -170,7 +167,7 @@ def _embeds_flipped(s_bits, step, lens, tables, sets, lo, hi) -> np.ndarray:
     for d in range(int((hi - lo).max(initial=0))):
         open_ = np.flatnonzero(lo + d < hi)
         bit = 1 - s_bits[lo[open_] + d]
-        pointer[open_] = step[bit[:, np.newaxis], sets[open_, np.newaxis], np.arange(lens.shape[1]), pointer[open_]]
+        pointer[open_] += padded[sets[open_, np.newaxis], np.arange(lens.shape[1]), pointer[open_]] == bit[:, np.newaxis]
     return (lens[sets] - pointer <= back[hi, sets]).all(axis=1)
 
 
@@ -210,8 +207,8 @@ def _check_budget(visited: int, k: int, n: int):
                               f"{MAX_ORACLE_STATES} automaton states at bit {k + 1} of {n}")
 
 
-def _automaton(n: int, step, lens):
-    """Product automaton of the B sets of T greedy matchers (step, lens) from
+def _automaton(n: int, padded, lens):
+    """Product automaton of the B sets of T greedy matchers (padded, lens) from
     _matchers (after V. I. Levenshtein, J. Combin. Theory Ser. A 93, 2001).  A
     state is its set, the owner, and one pointer per trace; a bit advances each
     pointer whose next trace bit it equals.  Layer 0 is state b for set b, and
@@ -226,10 +223,11 @@ def _automaton(n: int, step, lens):
     visited = lens.shape[0]
     children = []
     for k in range(n):
-        # the pointers after each bit, (2, states, T) in C order, so the reshape
-        # below copies nothing; no trace of a live state needs more than the
-        # n - k - 1 bits left
-        nxt = step[bit, owner[:, None], traces, rows]
+        # the pointers after each bit, (2, states, T) in C order and with no
+        # temporary of that shape, so the reshape below copies nothing; no trace
+        # of a live state needs more than the n - k - 1 bits left
+        nxt = np.equal(padded[owner[:, None], traces, rows], bit, out=np.empty((2, *rows.shape), dtype=np.int32))
+        nxt += rows
         live = np.flatnonzero((nxt >= lens[owner] - (n - k - 1)).all(axis=-1))
         nxt, owner = nxt.reshape(-1, traces.size), np.tile(owner, 2)
         order, new = _distinct(_state_keys(nxt, live, owner, pointer_bits, owner_bits))
@@ -248,8 +246,8 @@ def _automaton(n: int, step, lens):
     return children, counts[::-1]
 
 
-def _sufficient(s_bits, step, lens, tables) -> np.ndarray:
-    """Is s the only length-n source of each set of the matchers (step, lens),
+def _sufficient(s_bits, padded, lens, tables) -> np.ndarray:
+    """Is s the only length-n source of each set of the matchers (padded, lens),
     traces of s given by its bits s_bits and tables = (fwd, back) from
     _embedding_tables?  Equals _automaton's count == 1 set by set, but decides
     uniqueness instead of counting.  Its states are the automaton's whose
@@ -274,7 +272,8 @@ def _sufficient(s_bits, step, lens, tables) -> np.ndarray:
         # in _automaton, and of s's own state only the flip leaves s
         own = np.flatnonzero(undecided)
         owner, rows = np.concatenate([owner, own]), np.concatenate([rows, fwd[k, own]])
-        nxt = step[bit, owner[:, None], traces, rows]
+        nxt = np.equal(padded[owner[:, None], traces, rows], bit, out=np.empty((2, *rows.shape), dtype=np.int32))
+        nxt += rows
         del rows  # held to the layer's end, it and floor below would raise its peak
         # live: no trace needs more than the n - k - 1 bits left; a witness: the
         # rest of s, s[k + 1:], takes every pointer to its trace's end

@@ -67,6 +67,19 @@ def diverged_states_oracle(s: str, traces: list[str]) -> tuple[bool, list[int]]:
     return True, kept
 
 
+def embedding_tables_oracle(s: str, traces: list[str]) -> tuple[list[list[int]], list[list[int]]]:
+    """For each j from 0 to len(s), and for each trace: the longest prefix of
+    the trace that s[:j] embeds, which is where its greedy pointer stands
+    after s[:j], and the longest suffix of the trace that s[j:] embeds.  Both
+    by trying every length, longest first."""
+    def longest(fits, t):
+        return next(m for m in range(len(t), -1, -1) if fits(m))
+
+    fwd = [[longest(lambda m: is_subseq_str(t[:m], s[:j]), t) for t in traces] for j in range(len(s) + 1)]
+    back = [[longest(lambda m: is_subseq_str(t[len(t) - m:], s[j:]), t) for t in traces] for j in range(len(s) + 1)]
+    return fwd, back
+
+
 def subsequences_oracle(x: str) -> set[str]:
     """Every subsequence of x, by enumerating kept-index subsets."""
     out = set()

@@ -359,7 +359,7 @@ def test_coverage_breach_exit_4(tmp_path, monkeypatch, capsys):
     # a reconstruction that always misses breaks "coverage implies success"
     # on every trial with run coverage, which p = 0 makes every trial
     monkeypatch.setattr(harness, "_run_alignment_misses",
-                        lambda s, step, lens: np.ones(len(lens), dtype=bool))
+                        lambda s, padded: np.ones(len(padded), dtype=bool))
     path = write_config(tmp_path, {
         "mode": "audit",
         "source": {"kind": "runs", "first_bit": 0, "fractions": [0.3, 0.4, 0.3], "n": 10},

@@ -564,6 +564,27 @@ class TestRunMode:
         methods = [line.split(",")[-1] for line in lines[1:]]
         assert methods == ["exact-closed-form", "exact-closed-form", "exact-direct-sum"]
 
+    # runs [0.5, 0.5] at n = 800: ln P is about -2.2e-36, and inclusion-
+    # exclusion loses 1 - P (ROADMAP items 1 and 10); the true ln_value is from
+    # 3000-digit mpmath
+    @pytest.mark.parametrize("method", [
+        "exact-direct-sum",
+        pytest.param("exact-closed-form", marks=pytest.mark.xfail(
+            strict=True, reason="inclusion-exclusion loses 1 - P near P = 1 (ROADMAP item 1)")),
+    ])
+    def test_exact_uncovered_run_near_one(self, method, capsys):
+        cfg = ExperimentConfig.from_dict({
+            "mode": "exact",
+            "source": {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 800},
+            "p": 0.1,
+            "traces": 3,
+        })
+        assert run_mode(cfg) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        column = CSV_HEADER.split(",").index("ln_value")
+        ln_value = {row[-1]: float(row[column]) for row in rows if row[0] == "uncovered-run"}
+        assert ln_value[method] == pytest.approx(-2.2297186216104693e-36, rel=1e-12, abs=0)
+
     def test_exact_run_cap(self):
         fracs = [1.0 / 21] * 21
         cfg = ExperimentConfig.from_dict({

@@ -83,7 +83,7 @@ def test_batched_alignment_matches_maximal_runs(source, p, t_count, block, seed)
 
 def test_blocks_fit_int32_run_indexes():
     # a block holds at most max(BLOCK_ELEMENTS, MAX_TRIAL_ELEMENTS) mask bits,
-    # so no trace reaches 2^31 bits: _matchers' int32 pointers and _clean_runs'
+    # so no trace reaches 2^31 bits: the oracle's int32 pointers and _clean_runs'
     # int32 counts hold any of them
     assert max(harness.BLOCK_ELEMENTS, harness.MAX_TRIAL_ELEMENTS) < 2**31
 
@@ -93,8 +93,8 @@ def _check_alignment(s, p, t_count, block, seed):
     spec = RngSpec(master_seed=seed)
     flags = _mask_block(map(spec.trial_rng, range(block)), p, np.empty((block, t_count, n), dtype=bool))
     kept = ~flags
-    misses = _run_alignment_misses(s, *_matchers(np.broadcast_to(s.bits, kept.shape)[kept],
-                                                 np.count_nonzero(kept, axis=-1)))
+    misses = _run_alignment_misses(s, _matchers(np.broadcast_to(s.bits, kept.shape)[kept],
+                                                np.count_nonzero(kept, axis=-1))[0])
     assert misses.shape == (block,)
     for b in range(block):
         result = maximal_runs(n, [s.bits[~row] for row in flags[b]])
@@ -186,8 +186,8 @@ def test_competing_source_embedding_read_off_the_tables(source, p, t_count, bloc
     s, bounds = instance.s, instance.bounds
     rng = np.random.default_rng(seed)
     kept = rng.random((block, t_count, len(s))) >= p
-    step, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
-    tables = _embedding_tables(s.bits, step, lens)
+    padded, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
+    tables = _embedding_tables(s.bits, padded, lens)
     windows = [_junction(bounds, i, j) for i, j in _audit_patterns(bounds)]
     windows += [(lo, min(lo + width, len(s)))
                 for lo, width in zip(rng.integers(0, len(s) + 1, 8), rng.integers(0, 4, 8))]
@@ -197,7 +197,7 @@ def test_competing_source_embedding_read_off_the_tables(source, p, t_count, bloc
     assert set((hi - lo).tolist()) <= {0, 1, 2, 3}
     expected = [all(is_subsequence(s.bits[row], BitString(_flipped(s, *windows[k]))) for row in kept[b])
                 for b, k in zip(sets, w)]
-    assert _embeds_flipped(s.bits, step, lens, tables, sets, lo, hi).tolist() == expected
+    assert _embeds_flipped(s.bits, padded, lens, tables, sets, lo, hi).tolist() == expected
 
 
 def _audit_config(source, p, t_count, trials, seed):
@@ -278,7 +278,7 @@ def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
     assert _simulate(config, ESTIMATORS, audit=True) == _replayed_counts(config)
 
 
-def _never_aligned(s, step, lens):
+def _never_aligned(s, padded):
     raise AssertionError("montecarlo called _run_alignment_misses")
 
 
@@ -305,13 +305,13 @@ def test_montecarlo_counts_match_replay_without_run_alignment(source, p, t_count
 # reach every trial it applies to, though the audit visits only suspect trials:
 # (kernel function, its stand-in, the replay's stand-in by name)
 _FAULTS = {
-    "covered-and-wrong": ("_run_alignment_misses", lambda s, step, lens: np.ones(len(lens), dtype=bool),
+    "covered-and-wrong": ("_run_alignment_misses", lambda s, padded: np.ones(len(padded), dtype=bool),
                           {"maximal_runs": lambda n, traces: ReconstructionResult(failure="forced")}),
     "no-witness-and-sufficient": ("_sufficient_sets",
-                                  lambda s, step, lens, tables, first: np.ones(len(lens), dtype=bool),
+                                  lambda s, padded, lens, tables, first: np.ones(len(lens), dtype=bool),
                                   {"is_levenshtein_sufficient": lambda s, traces: SufficiencyVerdict(1, True)}),
     "ambiguity-alternative-inconsistent": ("_embeds_flipped",
-                                           lambda s_bits, step, lens, tables, sets, lo, hi: np.zeros(len(sets), dtype=bool),
+                                           lambda s_bits, padded, lens, tables, sets, lo, hi: np.zeros(len(sets), dtype=bool),
                                            {"is_subsequence": lambda t, x: False}),
 }
 
@@ -330,11 +330,11 @@ def _checked_hits(config, embeds=_embeds_flipped):
         blocks.append(len(out))
         return _mask_block(rngs, p, out)
 
-    def checked(s_bits, step, lens, tables, sets, lo, hi):
+    def checked(s_bits, padded, lens, tables, sets, lo, hi):
         first = sum(blocks[:-1])
         hits.extend((first + int(b), pair_of[int(l), int(h)]) for b, l, h in zip(sets, lo, hi))
         calls.append((len(blocks) - 1, len(sets)))
-        return embeds(s_bits, step, lens, tables, sets, lo, hi)
+        return embeds(s_bits, padded, lens, tables, sets, lo, hi)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_mask_block", masked)
@@ -371,7 +371,7 @@ def test_competing_sources_are_built_when_a_pattern_first_fires(trials, monkeypa
     assert sum(size for _, size in calls) == len(hits)
 
 
-def _parity_verdict(s_bits, step, lens, tables, sets, lo, hi):
+def _parity_verdict(s_bits, padded, lens, tables, sets, lo, hi):
     """A stand-in verdict that depends on the trial, through its traces'
     lengths, and on the run pair, through its junction."""
     return (lens[sets].sum(axis=1) + lo) % 2 == 0
@@ -509,9 +509,9 @@ def test_oversized_block_is_split(monkeypatch):
         _sufficient(s.bits, *_oracle_of(s.bits, sets))
     calls = []
 
-    def recorded(s_bits, step, lens, tables):
+    def recorded(s_bits, padded, lens, tables):
         calls.append(len(lens))
-        return _sufficient(s_bits, step, lens, tables)
+        return _sufficient(s_bits, padded, lens, tables)
 
     monkeypatch.setattr(harness, "_sufficient", recorded)
     assert np.array_equal(_sufficient_sets(s, *_oracle_of(s.bits, sets), 0), sufficient)
@@ -563,9 +563,9 @@ def test_refusal_of_a_block_over_the_budget_takes_two_calls(monkeypatch):
             _sufficient(s.bits, *_oracle_of(s.bits, [trial]))
     calls = []
 
-    def recorded(s_bits, step, lens, tables):
+    def recorded(s_bits, padded, lens, tables):
         calls.append(len(lens))
-        return _sufficient(s_bits, step, lens, tables)
+        return _sufficient(s_bits, padded, lens, tables)
 
     monkeypatch.setattr(harness, "_sufficient", recorded)
     with pytest.raises(InfeasibleError, match="on trial 5$"):

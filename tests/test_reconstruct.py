@@ -25,7 +25,7 @@ from deltrace.reconstruct import (
     is_levenshtein_sufficient,
     maximal_runs,
 )
-from oracles import consistent_sources_oracle, diverged_states_oracle, is_subseq_str
+from oracles import consistent_sources_oracle, diverged_states_oracle, embedding_tables_oracle, is_subseq_str
 
 
 def bs(*texts):
@@ -190,8 +190,9 @@ class TestSufficiency:
 
 
 def _matchers_of(trace_sets):
-    """The matcher table of nested lists of trace bit arrays, built as the
-    kernel builds it: every trace's bits concatenated, and their lengths."""
+    """The matchers (padded, lens) of nested lists of trace bit arrays, built
+    as the kernel builds them: from every trace's bits concatenated, and their
+    lengths."""
     bits = np.concatenate([np.asarray(t, dtype=np.uint8) for ts in trace_sets for t in ts])
     return _matchers(bits, [[len(t) for t in ts] for ts in trace_sets])
 
@@ -199,8 +200,8 @@ def _matchers_of(trace_sets):
 def _oracle_of(s_bits, trace_sets):
     """The matchers of trace sets of s, its bits s_bits, and their embedding
     tables on s, as the kernel passes them to the oracle."""
-    step, lens = _matchers_of(trace_sets)
-    return step, lens, _embedding_tables(s_bits, step, lens)
+    padded, lens = _matchers_of(trace_sets)
+    return padded, lens, _embedding_tables(s_bits, padded, lens)
 
 
 @st.composite
@@ -306,10 +307,10 @@ class TestWideAutomaton:
     @given(_wide_trace_sets())
     def test_counts_match_brute_force(self, case):
         n, sets = case
-        step, lens = _matchers_of(sets)
+        padded, lens = _matchers_of(sets)
         pointer_bits, owner_bits = int(lens.max()).bit_length(), (len(sets) - 1).bit_length()
         assert lens.shape[1] * pointer_bits + owner_bits > 63  # two or more words
-        counts = _automaton(n, step, lens)[1][0]
+        counts = _automaton(n, padded, lens)[1][0]
         texts = [["".join(map(str, t)) for t in ts] for ts in sets]
         assert counts.tolist() == [len(consistent_sources_oracle(n, ts)) for ts in texts] + [0]
 
@@ -358,19 +359,19 @@ class TestSufficient:
                                                         np.array([1, 1, 0], dtype=np.uint8)]]))
     def test_verdicts_match_the_counting_automaton(self, case):
         s, sets = case
-        step, lens, tables = _oracle_of(s, sets)
-        verdicts = _sufficient(s, step, lens, tables)
-        assert verdicts.tolist() == (_automaton(s.size, step, lens)[1][0][:len(sets)] == 1).tolist()
+        padded, lens, tables = _oracle_of(s, sets)
+        verdicts = _sufficient(s, padded, lens, tables)
+        assert verdicts.tolist() == (_automaton(s.size, padded, lens)[1][0][:len(sets)] == 1).tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(_wide_source_blocks())
     def test_wide_keys(self, case):
         s, sets = case
-        step, lens, tables = _oracle_of(s, sets)
+        padded, lens, tables = _oracle_of(s, sets)
         pointer_bits, owner_bits = int(lens.max()).bit_length(), (len(sets) - 1).bit_length()
         assert lens.shape[1] * pointer_bits + owner_bits > 63  # two or more words
-        verdicts = _sufficient(s, step, lens, tables)
-        assert verdicts.tolist() == (_automaton(s.size, step, lens)[1][0][:len(sets)] == 1).tolist()
+        verdicts = _sufficient(s, padded, lens, tables)
+        assert verdicts.tolist() == (_automaton(s.size, padded, lens)[1][0][:len(sets)] == 1).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(_source_blocks())
@@ -394,6 +395,17 @@ class TestSufficient:
 
 class TestEmbeds:
     @settings(max_examples=100, deadline=None)
+    @given(_trace_sets(), st.data())
+    def test_tables_match_the_oracle_at_every_j(self, case, data):
+        # s has n bits, and the traces may be empty or longer than s, so
+        # pointers reach their trace's end and read the padding
+        n, texts = case
+        s = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
+        fwd, back = _embedding_tables(np.array([int(c) for c in s], dtype=np.uint8), *_matchers_of(_arrays(texts)))
+        for b, ts in enumerate(texts):
+            assert (fwd[:, b].tolist(), back[:, b].tolist()) == embedding_tables_oracle(s, ts)
+
+    @settings(max_examples=100, deadline=None)
     @given(_trace_sets(), st.text(alphabet="01", max_size=12), st.integers(0, 12), st.integers(0, 3),
            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12), st.integers(0, 3)), max_size=12))
     def test_each_set_embeds_as_by_is_subsequence(self, case, x, lo, width, rows):
@@ -402,13 +414,13 @@ class TestEmbeds:
         # of 0 to 3 hit by hit: every set with the same window, last set first,
         # then more hits on sets picked out of order and repeated
         sets = _arrays(case[1])
-        step, lens = _matchers_of(sets)
+        padded, lens = _matchers_of(sets)
         x_bits = np.array([int(c) for c in x], dtype=np.uint8)
         rows = [(b, lo, width) for b in reversed(range(len(sets)))] + rows
         picked = np.array([b % len(sets) for b, _, _ in rows], dtype=np.intp)
         lo = np.array([min(start, len(x)) for _, start, _ in rows], dtype=np.intp)
         hi = np.array([min(start + width, len(x)) for _, start, width in rows], dtype=np.intp)
-        embeds = _embeds_flipped(x_bits, step, lens, _embedding_tables(x_bits, step, lens), picked, lo, hi)
+        embeds = _embeds_flipped(x_bits, padded, lens, _embedding_tables(x_bits, padded, lens), picked, lo, hi)
         assert embeds.shape == (len(rows),)
         for r, (b, start, end) in enumerate(zip(picked, lo, hi)):
             flipped = x[:start] + "".join("10"[int(c)] for c in x[start:end]) + x[end:]
@@ -435,11 +447,11 @@ class TestRunAlignment:
     @given(_any_trace_sets())
     @example(("01", [["01", "010"]]))  # the traces with the most runs have more than s
     @example(("01", [["01", "1"]]))  # a trace with fewer runs starts with the other bit
-    @example(("10", [["10", "0"], ["", ""]]))  # traces end in 0, as the padding reads; all empty
+    @example(("10", [["10", "0"], ["", ""]]))  # traces end in 0; a set of empty traces
     def test_misses_match_maximal_runs_on_any_trace_sets(self, case):
         text, texts = case
         s = BitString(text)
-        misses = _run_alignment_misses(s, *_matchers_of(_arrays(texts)))
+        misses = _run_alignment_misses(s, _matchers_of(_arrays(texts))[0])
         assert misses.shape == (len(texts),)
         for b, ts in enumerate(texts):
             result = maximal_runs(len(s), bs(*ts))
