@@ -234,6 +234,11 @@ def _run_log_quantities(lengths: list[float], p: float):
     return ln_beta, ln_px
 
 
+def _check_mgf_runs(m: int, p: float):
+    if 0.0 < p < 1.0 and m > MGF_MAX_RUNS:
+        raise InfeasibleError(f"inclusion-exclusion over {m} runs exceeds the cap of {MGF_MAX_RUNS}")
+
+
 def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     """Probability that no trace both keeps every run alive and keeps some run
     fully intact, summed over traces by inclusion-exclusion on the run set.
@@ -246,9 +251,7 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     before the run lengths are read.
     """
     p = _check_p(p)
-    if 0.0 < p < 1.0 and len(run_lengths) > MGF_MAX_RUNS:
-        raise InfeasibleError(
-            f"inclusion-exclusion over {len(run_lengths)} runs exceeds the cap of {MGF_MAX_RUNS}")
+    _check_mgf_runs(len(run_lengths), p)
     lengths = _check_lengths(run_lengths)
     count = _as_count(T)
     if p == 0.0:

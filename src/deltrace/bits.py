@@ -237,15 +237,29 @@ class RepeatBlockSpec:
     def copies_for(self, n: int) -> int:
         return int(math.floor(self.ell * float(n) ** self.a + _FLOOR_EPS))
 
+    def _fitting_copies(self, n: int) -> int:
+        """copies_for(n), or ValueError where not one copy or not every copy fits."""
+        r, f = len(self.pattern), self.copies_for(n)
+        if f < 1:
+            raise ValueError(f"n={n} too small: copy count floor(ell*n^a) = {f} < 1")
+        if r * f > n:
+            raise ValueError(f"pattern block of {r * f} bits does not fit in n={n}")
+        return f
+
+    def run_count(self, n: int) -> int:
+        """Runs of make_repeat_instance(self, n), counted without building it:
+        adjacent copies share a run where the pattern ends on its first bit,
+        and the alternating filler adds a run per bit, its first joining the
+        block where the pattern ends on the other bit."""
+        bits, f = self.pattern.bits, self._fitting_copies(n)
+        tail, seam = n - bits.size * f, int(bits[0] == bits[-1])
+        return f * (_run_bounds(bits).size - 1) - (f - 1) * seam + tail - int(tail > 0 and not seam)
+
 
 def make_repeat_instance(spec: RepeatBlockSpec, n: int) -> tuple[BitString, PatternSpan]:
     """Build a length-n string containing the requested repeated block, plus its span."""
     r = len(spec.pattern)
-    f = spec.copies_for(n)
-    if f < 1:
-        raise ValueError(f"n={n} too small: copy count floor(ell*n^a) = {f} < 1")
-    if r * f > n:
-        raise ValueError(f"pattern block of {r * f} bits does not fit in n={n}")
+    f = spec._fitting_copies(n)
     arr = np.empty(n, dtype=np.uint8)
     arr[: r * f] = np.tile(spec.pattern.bits, f)
     tail = n - r * f
@@ -272,6 +286,10 @@ class RunFractionSpec:
             raise ValueError("fractions must be positive")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must sum to 1")
+
+    def run_count(self, n: int) -> int:
+        """Runs of make_run_instance(self, n), with its ValueError where n is too small."""
+        return len(rounded_run_lengths(self.fractions, n))
 
 
 def rounded_run_lengths(fractions: Sequence[float], n: int) -> list[int]:

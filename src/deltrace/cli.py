@@ -11,13 +11,22 @@ stderr, never a traceback.  Exit codes:
        trial's traces x n masks or an exact or generate source over the
        allocation cap, or one trial's oracle over its state budget
     4  audit found an implication breach (its summary names the trials)
+
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set: no
+deltrace routine calls BLAS, and the worker pool numpy would otherwise start
+is only start-up and exit cost.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
+
+# Before harness imports numpy.  On 2 vCPUs `import numpy` took 164 ms with
+# OpenBLAS's worker threads and 96 ms without them (medians of 15 processes).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .harness import ConfigError, ExperimentConfig, InfeasibleError, run_mode
 

@@ -23,6 +23,7 @@ from .analytics import (
     DIRECT_SUM_MAX_TRACES,
     ThresholdParams,
     TraceCount,
+    _check_mgf_runs,
     critical_rate,
     prob_no_pattern_witness_asymptotic,
     prob_no_pattern_witness_exact,
@@ -164,21 +165,30 @@ class SourceSpec:
         _require(abs(sum(fracs) - 1.0) <= 1e-9, "source.fractions must sum to 1")
         return cls(RunFractionSpec(first, fracs), n)
 
+    def run_count(self) -> int | None:
+        """The run count of instance(), read off a repeat or runs recipe
+        without building the string (None for a literal string); raises as
+        instance() does on a source it refuses."""
+        if self.n > MAX_TRIAL_ELEMENTS:  # refused before the string is allocated
+            raise InfeasibleError(f"the source needs n = {self.n} bits, over the cap of {MAX_TRIAL_ELEMENTS} bits")
+        if isinstance(self.recipe, BitString):
+            return None
+        try:
+            return self.recipe.run_count(self.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def instance(self) -> _Instance:
         """The length-n string with its declared span: the repeated block of a
         repeat source, otherwise the first longest run."""
+        self.run_count()  # every refusal, before the string is allocated
         recipe, span = self.recipe, None
-        if self.n > MAX_TRIAL_ELEMENTS:  # refused before the string is allocated
-            raise InfeasibleError(f"the source needs n = {self.n} bits, over the cap of {MAX_TRIAL_ELEMENTS} bits")
-        try:
-            if isinstance(recipe, RepeatBlockSpec):
-                s, span = make_repeat_instance(recipe, self.n)
-            elif isinstance(recipe, RunFractionSpec):
-                s = make_run_instance(recipe, self.n)
-            else:
-                s = recipe
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if isinstance(recipe, RepeatBlockSpec):
+            s, span = make_repeat_instance(recipe, self.n)
+        elif isinstance(recipe, RunFractionSpec):
+            s = make_run_instance(recipe, self.n)
+        else:
+            s = recipe
         bounds = _run_bounds(s.bits)
         if span is None:
             longest = int(np.diff(bounds).argmax())
@@ -615,13 +625,16 @@ def _formula_row(name, n, p, t_or_c, a, report) -> EstimateRow:
 
 
 def _formula_rows(config: ExperimentConfig) -> list[EstimateRow]:
-    instance = config.source.instance()
-    n, p, span, lengths = len(instance.s), config.p, instance.span, np.diff(instance.bounds)
+    runs, n, p = config.source.run_count(), config.source.n, config.p
     if config.traces is not None:
         count, t_or_c, a = TraceCount.integer(config.traces), config.traces, None
     else:
         t_or_c, a = config.schedule
         count = TraceCount.exponential(t_or_c, n, a)
+    if runs is not None:  # refused before the instance is allocated
+        _check_mgf_runs(runs, p)
+    instance = config.source.instance()
+    span, lengths = instance.span, np.diff(instance.bounds)
     reports = [
         ("no-pattern-witness", prob_no_pattern_witness_exact(span.period, span.copies, p, count)),
         ("uncovered-run", prob_uncovered_run_mgf(lengths, p, count)),

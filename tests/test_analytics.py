@@ -200,7 +200,7 @@ class TestUncoveredRunExact:
     def test_direct_sum_where_terms_underflow(self, lengths, p, t_count, ln_true):
         report = prob_uncovered_run_sum(lengths, p, t_count)
         assert report.ln_value == pytest.approx(ln_true, rel=1e-12, abs=0)
-        assert report.value == pytest.approx(math.exp(ln_true), rel=1e-12)
+        assert report.value == pytest.approx(math.exp(ln_true), rel=1e-12, abs=0)
 
     def test_real_valued_run_lengths(self):
         report = prob_uncovered_run_mgf([2.5, 5.0, 2.5], 0.25, 16)

@@ -168,6 +168,20 @@ class TestRepeatInstances:
         assert span_matches(s, span)
         assert span.copies == spec.copies_for(n)
 
+    @settings(max_examples=500)
+    @given(st.text(alphabet="01", min_size=1, max_size=6), st.floats(0.05, 1.0),
+           st.sampled_from([0.5, 0.75, 1.0]), st.integers(1, 200))
+    def test_run_count_matches_the_built_string(self, pattern, ell, a, n):
+        spec = RepeatBlockSpec(BitString(pattern), ell=ell, a=a)
+        try:
+            s, _ = make_repeat_instance(spec, n)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                spec.run_count(n)
+            assert str(refused.value) == str(exc)
+            return
+        assert spec.run_count(n) == len(run_decompose(s).lengths)
+
 
 class TestRunInstances:
     def test_exact_fraction_example(self):
@@ -204,13 +218,16 @@ class TestRunInstances:
         weights, n = case
         total = sum(weights)
         fractions = tuple(w / total for w in weights)
+        spec = RunFractionSpec(0, fractions)
         try:
             lengths = rounded_run_lengths(fractions, n)
         except ValueError:
+            with pytest.raises(ValueError):
+                spec.run_count(n)
             return  # a fraction legitimately rounded to zero
         assert sum(lengths) == n
         assert all(x >= 1 for x in lengths)
-        s = make_run_instance(RunFractionSpec(0, fractions), n)
+        s = make_run_instance(spec, n)
         profile = run_decompose(s)
         assert profile.lengths == tuple(lengths)
-        assert len(profile.lengths) == len(fractions)
+        assert len(profile.lengths) == len(fractions) == spec.run_count(n)

@@ -264,6 +264,39 @@ def test_formula_modes_load_no_random_module(tmp_path):
     assert json.loads(proc.stdout) == [[0] * len(runs), [], []]
 
 
+# a meta-path finder sees every import request first, so it records the
+# variable as numpy's own import starts
+_BLAS_THREADS = """
+import json, os, sys
+
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Spy())
+environ = dict(os.environ)
+import deltrace
+library = ["numpy" in sys.modules, dict(os.environ) == environ]
+import deltrace.cli
+print(json.dumps([library, seen, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_sets_blas_threads_before_numpy_loads(preset):
+    # this process inherits the variable once it has imported cli
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    expected = preset or "1"
+    assert json.loads(proc.stdout) == [[False, True], [expected], expected]
+
+
 def test_unwritable_out_refused_before_any_trial(tmp_path, runs_config, monkeypatch, capsys):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the output path was checked")
@@ -317,6 +350,26 @@ def test_inclusion_exclusion_cap_exit_3(tmp_path, command, n, rest):
     proc = run_cli(command, "--config", path)
     assert proc.returncode == 3
     assert proc.stderr == "infeasible: inclusion-exclusion over 21 runs exceeds the cap of 20\n"
+
+
+@pytest.mark.parametrize("pattern,n,traces,code,message", [
+    ("01", 1 << 25, 1, 3, "infeasible: inclusion-exclusion over 33554432 runs exceeds the cap of 20"),
+    ("01", 10**14, 1, 3, "infeasible: the source needs n = 100000000000000 bits, over the cap of 1073741824 bits"),
+    ("01", 1, 1, 2, "config error: n=1 too small: copy count floor(ell*n^a) = 0 < 1"),
+    ("0110", 3, 1, 2, "config error: pattern block of 4 bits does not fit in n=3"),
+    ("01", 64, {"c": 1e308}, 2, "config error: trace count must be finite"),
+], ids=["runs-cap", "n-cap", "no-copy", "block-too-long", "infinite-count"])
+def test_exact_refuses_a_many_run_recipe_before_building_it(tmp_path, monkeypatch, capsys, pattern, n, traces,
+                                                            code, message):
+    # repeat 01 at ell 0.5 is a run per bit; the refusals keep their order
+    def build(*args):
+        raise AssertionError("the source string was built")
+
+    monkeypatch.setattr(harness, "make_repeat_instance", build)
+    source = {"kind": "repeat", "pattern": pattern, "ell": 0.5, "n": n}
+    path = write_config(tmp_path, {"mode": "exact", "source": source, "p": 0.99, "traces": traces})
+    assert cli.main(["exact", "--config", path]) == code
+    assert capsys.readouterr().err == message + "\n"
 
 
 def _sized_config(command, n):
