@@ -5,8 +5,8 @@ detectors need to know which positions were deleted, not just what survived.
 One function, _mask_block, turns uniforms into deletion flags: sample_traces
 and the harness's Monte Carlo kernel both draw their masks through it.  A
 block whose uniforms fit BLOCK_ELEMENTS is drawn into one buffer and compared
-once; a larger one is drawn a trial, or a chunk of a trial's traces, at a
-time.  Either way at most max(BLOCK_ELEMENTS, n) uniforms are held.
+once; a larger one is drawn a trial, or BLOCK_ELEMENTS uniforms of a trial,
+at a time.  Either way at most BLOCK_ELEMENTS uniforms are held.
 """
 
 from __future__ import annotations
@@ -205,33 +205,49 @@ def _coerce_rng(rng) -> np.random.Generator:
     raise TypeError("rng must be a numpy Generator or an RngSpec")
 
 
-def _mask_block(rngs, p: float, out: np.ndarray) -> np.ndarray:
-    """Fill the (B, T, n) bool array out with deletion masks, trial k's from
-    the k-th generator of the iterable rngs, and return it.  It takes no more
-    than B generators, so consecutive blocks can share one iterable.
+def _uniforms_shape(shape: tuple[int, int, int]) -> tuple[int, ...]:
+    """The float buffer _mask_block draws a (B, T, n) block's uniforms into:
+    the whole block when it holds at most BLOCK_ELEMENTS values, else that
+    many values of one trial's T * n, at least one."""
+    b_count, t_count, n = shape
+    if b_count * t_count * n <= BLOCK_ELEMENTS:
+        return shape
+    return (min(t_count * n, max(1, BLOCK_ELEMENTS)),)
 
-    When the block's B * T rows fit max(1, BLOCK_ELEMENTS // n), trial k draws
-    its T x n uniforms into row k of one (B, T, n) float buffer, and the
-    block is compared with p once.  Otherwise each trial draws its uniforms in
-    order, that many rows at a time, into one float scratch.  The draws
+
+def _mask_block(rngs, p: float, out: np.ndarray, uniforms: np.ndarray | None = None) -> np.ndarray:
+    """Fill the C-contiguous (B, T, n) bool array out with deletion masks,
+    trial k's from the k-th generator of the iterable rngs, and return it.
+    It takes no more than B generators, so consecutive blocks can share one
+    iterable.
+
+    When the block holds at most BLOCK_ELEMENTS values, trial k draws its
+    T x n uniforms into row k of one (B, T, n) float buffer, and the block is
+    compared with p once.  Otherwise each trial draws its T * n uniforms in
+    order, BLOCK_ELEMENTS at a time, into one float scratch.  The draws
     continue one stream, so trial k's flags are rng.random((T, n)) < p on
-    either path, while at most max(BLOCK_ELEMENTS, n) uniforms are held.
+    either path, while at most BLOCK_ELEMENTS uniforms are held.  uniforms,
+    of _uniforms_shape of a block at least as large, is that buffer; without
+    it one is allocated.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"deletion probability must be in [0, 1], got {p}")
-    b_count, t_count, n = out.shape
-    rows = max(1, BLOCK_ELEMENTS // max(n, 1))
-    if b_count * t_count <= rows:
-        uniforms = np.empty(out.shape)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    shape = _uniforms_shape(out.shape)
+    if uniforms is None:
+        uniforms = np.empty(shape)
+    if shape == out.shape:
+        uniforms = uniforms[: len(out)]
         for trial, rng in zip(uniforms, rngs):
             rng.random(out=trial)
         return np.less(uniforms, p, out=out)
-    scratch = np.empty((min(t_count, rows), n))
-    for flags, rng in zip(out, rngs):
-        for r in range(0, t_count, len(scratch)):
-            uniforms = scratch[: t_count - r]
-            rng.random(out=uniforms)
-            np.less(uniforms, p, out=flags[r : r + len(uniforms)])
+    for trial, rng in zip(out, rngs):
+        flags = trial.reshape(-1)  # a view: out is C-contiguous
+        for r in range(0, flags.size, uniforms.size):
+            chunk = uniforms[: flags.size - r]
+            rng.random(out=chunk)
+            np.less(chunk, p, out=flags[r : r + chunk.size])
     return out
 
 

@@ -13,14 +13,15 @@ Two events matter:
   deleted no run completely and left run i untouched.  With coverage the
   maximal-runs reconstructor provably returns the source.
 
-Coverage reads each (trace, run)'s count of deleted bits: np.add.reduceat
-over the run segments on sources with long runs, one np.bincount over the
-deleted bits per chunk of rows on sources with short runs
-(BINCOUNT_RUN_LENGTH).  Both give the same integers, kept as the table of
-clean runs, which trace deleted no bit of which run (_clean_runs).  The
-harness's audit reads its declared patterns off the same table: each is a
-pair of runs whose copies are single bits, so every trace wipes a copy
-exactly when every trace deletes a bit of one run or of the other.
+Coverage reads, for each (trace, run), whether the mask deleted some bit of
+the run and whether it deleted every bit: by clipped gathers on runs shorter
+than BINCOUNT_RUN_LENGTH bits and by np.add.reduceat on the others, kept as
+the table of clean runs, which trace deleted no bit of which run
+(_clean_runs).  The Monte Carlo kernel builds its index arrays and tables
+once per run (_RunTables) and each block reuses them.  The harness's audit
+reads its declared patterns off the same table: each is a pair of runs whose
+copies are single bits, so every trace wipes a copy exactly when every trace
+deletes a bit of one run or of the other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, PatternSpan, RunProfile, span_matches
-from .channel import BLOCK_ELEMENTS, MaskedTrace
+from .channel import MaskedTrace
 
 __all__ = [
     "EventReport",
@@ -42,15 +43,19 @@ __all__ = [
 ]
 
 
-# Run coverage counts each (trace, run)'s deleted bits.  np.add.reduceat costs
-# about 7 ns per (trace, run) segment whatever the dtype, so on short runs one
-# np.bincount over the deleted bits is faster; on long runs reduceat is.
-# Sources whose runs average under this many bits take bincount.  On 32 traces
-# of 3000 bits (in process, 2 cores, numpy 2.4), reduceat against bincount:
-# mean run length 2: 0.69 against 0.28-0.32 ms; 4: 0.31-0.33 against
-# 0.19-0.30; 6: 0.21-0.22 against 0.17-0.27; 8: 0.18-0.24 against 0.19-0.28;
-# 40: 0.06 against 0.19.  At p = 0.5 bincount stops winning near 4-6, at
-# p = 0.05-0.17 near 6-8.  Two runs over 2^23 bits: 5.5 against 97 ms.
+# Run coverage reads, per (trace, run), whether some bit and whether every bit
+# was deleted.  Runs shorter than this many bits are gathered: for each offset
+# k below the longest of them, one np.take of column min(start + k, last) per
+# run, OR-folded and AND-folded, so the gathers read about one column per mask
+# column whatever the lengths.  Longer runs take np.add.reduceat, about 7 ns per
+# (trace, run) segment, plus a cast of the mask to the count type.  _clean_runs
+# on one block of 32 x 3000 bits at p = 0.17, tables reused (in process, 2
+# cores, numpy 2.4), all gathered against all to reduceat: runs of 1-2 bits
+# 0.10-0.16 against 1.0-1.2 ms; 4: 0.11 against 0.56; 8: 0.12 against 0.33;
+# 12: 0.20 against 0.24; 16: 0.26 against 0.19.  On mc-long's source,
+# _clean_runs and _covered_runs took 0.35-0.40 ms a block on the bincount route
+# the gathers replace, and take 0.27-0.29.  A higher cutoff would move
+# mc-short's runs of 4-12 bits off reduceat; it stays at 4.
 BINCOUNT_RUN_LENGTH = 4
 
 
@@ -63,20 +68,30 @@ def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
     return np.vstack([mt.mask.flags for mt in traces])
 
 
+def _span_wiped(flags: np.ndarray, span: PatternSpan, out: np.ndarray | None = None,
+                deleted: np.ndarray | None = None) -> np.ndarray:
+    """Masks (..., n) -> (...): is some aligned copy of span fully deleted?
+    The window is viewed as a (..., copies, period) block, so the check ANDs
+    the period columns of every copy at once, into deleted, (..., copies),
+    when the period is above 1.  out and deleted are allocated if not given."""
+    if span.end > flags.shape[-1]:
+        raise ValueError("span extends past the source")
+    window = flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
+    if span.period == 1:
+        deleted = window[..., 0]
+    else:
+        deleted = np.logical_and(window[..., 0], window[..., 1], out=deleted)
+        for j in range(2, span.period):
+            deleted &= window[..., j]
+    return np.any(deleted, axis=-1, out=out)
+
+
 def _copies_violated(flags: np.ndarray, spans) -> np.ndarray:
     """For masks of shape (..., n): is some aligned copy of some span fully
-    deleted?  Each span's window is viewed as a (..., copies, period) block,
-    so the check ANDs the period columns of every copy at once, never a loop
-    over copies."""
+    deleted?  Never a loop over copies (see _span_wiped)."""
     hit = np.zeros(flags.shape[:-1], dtype=bool)
     for span in spans:
-        if span.end > flags.shape[-1]:
-            raise ValueError("span extends past the source")
-        window = flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
-        deleted = window[..., 0].copy()
-        for j in range(1, span.period):
-            deleted &= window[..., j]
-        hit |= deleted.any(axis=-1)
+        hit |= _span_wiped(flags, span)
     return hit
 
 
@@ -89,37 +104,94 @@ def _pattern_witness_from_flags(flags: np.ndarray, span: PatternSpan) -> np.ndar
     return ~_copies_violated(flags, (span,)).all(axis=-1)
 
 
-def _run_starts(lengths: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(lengths[:-1])))
+class _RunTables:
+    """Run coverage's index arrays for one run table, and its tables for
+    blocks of masks of up to shape (B, ..., n), allocated once.  _clean_runs
+    and _covered_runs write a (size, ..., n) block's tables into [:size] views
+    of them, so each call's tables last until the next.
 
+    Runs are routed by length (BINCOUNT_RUN_LENGTH): the short ones are
+    gathered, the long ones counted by reduceat, and their columns are
+    tabled in that order, then put back in run order unless they already are.
+    """
 
-def _clean_runs(flags: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (..., T, n) -> (clean (..., T, M), wiped (..., T)): trace t
-    deleted no bit of run i; trace t deleted every bit of some run."""
-    n, m = flags.shape[-1], len(lengths)
-    if n >= BINCOUNT_RUN_LENGTH * m:
-        # reduceat casts all of flags to the count type; int32 holds any run of
+    def __init__(self, lengths: np.ndarray, shape: tuple[int, ...]):
+        rows, n, m = shape[:-1], shape[-1], len(lengths)
+        starts = np.zeros_like(lengths)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        short = lengths < BINCOUNT_RUN_LENGTH
+        s = int(np.count_nonzero(short))
+        # column min(start + k, last) of each short run for k below the
+        # longest: a repeated column changes neither the OR nor the AND
+        first, short_lengths = (starts, lengths) if s == m else (starts[short], lengths[short])
+        self.columns = [first] if s else []
+        if s and short_lengths.max() > 1:
+            last = first + short_lengths - 1
+            self.columns += [np.minimum(first + k, last) for k in range(1, short_lengths.max())]
+        # each long run's [start, end) segment, every other reduceat result;
+        # an end at n is implicit
+        self.long_lengths = lengths[~short]
+        long_starts = starts[~short]
+        edges = np.column_stack([long_starts, long_starts + self.long_lengths]).ravel()
+        self.edges = edges[:-1] if edges.size and edges[-1] == n else edges
+        # each run's column among the short runs then the long ones, unless a
+        # short run follows a long one, that is its own
+        self.order = np.argsort(np.argsort(~short, kind="stable")) if np.any(short[1:] > short[:-1]) else None
+        self.clean = np.empty((*rows, m), dtype=bool)
+        # clean runs, short then long: the clean table itself when in run order
+        self.routed = self.clean if self.order is None else np.empty_like(self.clean)
+        # some bit deleted, and (past one offset) every bit deleted, per short run
+        self.some = self.routed if s == m else np.empty((*rows, s), dtype=bool)
+        self.every, self.gathered = np.empty((2, *rows, s if len(self.columns) > 1 else 0), dtype=bool)
+        # reduceat casts the mask to the count type; int32 holds any run of
         # a mask with fewer than 2^31 columns at half the memory of int64
-        count_type = np.int32 if n < 2**31 else np.int64
-        counts = np.add.reduceat(flags, _run_starts(lengths), axis=-1, dtype=count_type)
-        return counts == 0, (counts == lengths).any(axis=-1)
-    # one bincount per chunk of rows: a deleted bit at column j of the chunk's
-    # row r falls in bin r * M + (the run holding j)
-    rows = flags.reshape(-1, n)
-    clean, wiped = np.empty((len(rows), m), dtype=bool), np.empty(len(rows), dtype=bool)
-    chunk = min(len(rows), max(1, BLOCK_ELEMENTS // n))
-    bins = (np.arange(chunk)[:, np.newaxis] * m + np.repeat(np.arange(m), lengths)).ravel()
-    for lo in range(0, len(rows), chunk):
-        part = rows[lo : lo + chunk]
-        counts = np.bincount(bins[np.flatnonzero(part)], minlength=len(part) * m).reshape(-1, m)
-        clean[lo : lo + chunk], wiped[lo : lo + chunk] = counts == 0, (counts == lengths).any(axis=-1)
-    return clean.reshape(*flags.shape[:-1], m), wiped.reshape(flags.shape[:-1])
+        self.counts = np.empty((*rows, len(self.edges)), dtype=np.int32 if n < 2**31 else np.int64)
+        # per long run, every bit deleted; per trace, of some long run
+        self.full = np.empty((*rows, m - s), dtype=bool)
+        self.wiped, self.wiped_long = np.empty((2, *rows), dtype=bool)
+        self.kept = np.empty_like(self.clean)
+        self.per_run = np.empty((*rows[:-1], m), dtype=bool)
 
 
-def _covered_runs(clean: np.ndarray, wiped: np.ndarray) -> np.ndarray:
+def _clean_runs(flags: np.ndarray, lengths: np.ndarray, out: _RunTables | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (..., T, n) -> (clean (..., T, M), wiped (..., T)): trace t
+    deleted no bit of run i; trace t deleted every bit of some run.  out
+    holds lengths' index arrays and the tables; without it they are built."""
+    tables = _RunTables(lengths, flags.shape) if out is None else out
+    size = len(flags)
+    routed, wiped = tables.routed[:size], tables.wiped[:size]
+    s = tables.some.shape[-1]
+    if tables.columns:
+        some = every = np.take(flags, tables.columns[0], axis=-1, mode="clip", out=tables.some[:size])
+        if len(tables.columns) > 1:
+            every, gathered = tables.every[:size], tables.gathered[:size]
+            np.copyto(every, some)
+            for columns in tables.columns[1:]:
+                np.take(flags, columns, axis=-1, mode="clip", out=gathered)
+                some |= gathered
+                every &= gathered
+        np.any(every, axis=-1, out=wiped)
+        np.logical_not(some, out=routed[..., :s])
+    else:
+        wiped.fill(False)
+    if tables.edges.size:
+        counts, full, wiped_long = tables.counts[:size], tables.full[:size], tables.wiped_long[:size]
+        np.add.reduceat(flags, tables.edges, axis=-1, dtype=counts.dtype, out=counts)
+        np.equal(counts[..., ::2], 0, out=routed[..., s:])
+        np.equal(counts[..., ::2], tables.long_lengths, out=full)
+        wiped |= np.any(full, axis=-1, out=wiped_long)
+    if tables.order is None:
+        return routed, wiped
+    return np.take(routed, tables.order, axis=-1, mode="clip", out=tables.clean[:size]), wiped
+
+
+def _covered_runs(clean: np.ndarray, wiped: np.ndarray, out: _RunTables | None = None) -> np.ndarray:
     """_clean_runs' tables -> per_run (..., M): some trace deleted no run
-    completely while leaving run i untouched."""
-    return (clean & ~wiped[..., np.newaxis]).any(axis=-2)
+    completely while leaving run i untouched.  out holds the scratch and the
+    result, as for _clean_runs."""
+    kept, per_run = (None, None) if out is None else (out.kept[: len(clean)], out.per_run[: len(clean)])
+    kept = np.greater(clean, wiped[..., np.newaxis], out=kept)  # clean and not wiped
+    return np.any(kept, axis=-2, out=per_run)
 
 
 @dataclass(frozen=True)

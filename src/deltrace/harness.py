@@ -40,8 +40,8 @@ from .bits import (
     make_repeat_instance,
     make_run_instance,
 )
-from .channel import BLOCK_ELEMENTS, RngSpec, _mask_block
-from .events import _clean_runs, _covered_runs, _pattern_witness_from_flags
+from .channel import BLOCK_ELEMENTS, RngSpec, _mask_block, _uniforms_shape
+from .events import _clean_runs, _covered_runs, _RunTables, _span_wiped
 from .reconstruct import InfeasibleError, _embedding_tables, _embeds_flipped, _matchers, _run_alignment_misses, _sufficient
 
 __all__ = [
@@ -410,13 +410,14 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 # Blocks hold B = max(1, BLOCK_ELEMENTS // (T * n)) trials (see channel).  One
 # trial's T x n mask bits above this are refused before anything is
 # allocated.  A trial larger than a block peaks at about 5 (a run per bit) to
-# PEAK_BYTES_PER_BIT (few runs, whose coverage counts cast the whole mask to
-# int32) bytes per mask bit: CLI peak RSS on Linux at 32 traces, measured at
-# 2^25 and 2^26 bits, p = 0.5 and 0.99, and taken as linear beyond.  At the
-# cap that is up to 7 GiB.  With one trace the tables of n entries dominate
-# (the run table, run coverage's bin table and deleted positions, one row of
-# floats): 2^22 bits with a run per bit at p = 0.99 peaked at 247 MB, about
-# 60 bytes per mask bit.
+# 6 (few runs, whose coverage counts cast the whole mask to int32) bytes per
+# mask bit, PEAK_BYTES_PER_BIT with a margin: CLI peak RSS on Linux at 32
+# traces, measured at 2^25 and 2^26 bits, p = 0.5 and 0.99 (4.9-5.5 and
+# 5.6-6.2), and taken as linear beyond.  At the cap that is up to 7 GiB.  With
+# one trace the arrays of n entries dominate (the run table and its
+# transients while the instance is built, the run lengths, the gathers'
+# column table): a run per bit at p = 0.99 peaked at 156 MB for 2^22 bits and
+# 981 MB for 2^25, 39 and 31 bytes per mask bit.
 MAX_TRIAL_ELEMENTS = 1 << 30
 PEAK_BYTES_PER_BIT = 7
 
@@ -462,7 +463,10 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     trial.  One pass, B = max(1, BLOCK_ELEMENTS // (T * n)) trials per block.
     channel._mask_block fills a block's (B, T, n) mask, trial i from its own
     stream, taken in order from one RngSpec(seed).block_rngs over all trials
-    (bit-equal to trial_rng(i)), so the counts do not depend on B; the mask
+    (bit-equal to trial_rng(i)), so the counts do not depend on B.  The mask,
+    its uniforms and the mask events' tables (events._RunTables) are allocated
+    once per run for the first block, and every block works in [:size] views
+    of them, so a run of many blocks allocates no block-sized array.  The mask
     events, the oracle's verdicts (one call, see _sufficient_sets) and every
     audit check cover the whole block, the last two reading the traces only
     through their padded bits (_matchers), and the oracle and the pattern checks
@@ -498,14 +502,21 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
+    uniforms = np.empty(_uniforms_shape(masks.shape))
+    runs = _RunTables(lengths, masks.shape)
+    span = instance.span
+    violated = np.empty(masks.shape[:-1], dtype=bool)
+    # each copy ANDed over the span's period; a period of 1 reads the mask itself
+    deleted = np.empty((*violated.shape, span.copies if span.period > 1 else 0), dtype=bool)
     fired = dict.fromkeys(ESTIMATORS, 0)
     offenders = []
     for first in range(0, config.trials, block):
         size = min(block, config.trials - first)
-        flags = _mask_block(islice(rngs, size), p, masks[:size])
-        no_witness = ~_pattern_witness_from_flags(flags, instance.span)
-        clean, wiped = _clean_runs(flags, lengths)
-        covered = _covered_runs(clean, wiped).all(axis=-1)
+        flags = _mask_block(islice(rngs, size), p, masks[:size], uniforms)
+        # no trace kept a copy of the span whole
+        no_witness = _span_wiped(flags, span, violated[:size], deleted[:size]).all(axis=-1)
+        clean, wiped = _clean_runs(flags, lengths, runs)
+        covered = _covered_runs(clean, wiped, runs).all(axis=-1)
         uncovered = int((~covered).sum())
         fired["no-pattern-witness"] += int(no_witness.sum())
         fired["uncovered-run"] += uncovered

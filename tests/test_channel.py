@@ -146,9 +146,9 @@ class TestBlockRngs:
                 spec.block_rngs(first, size)
 
 
-# mask draw budgets around both of _mask_block's paths: a block whose B * T
-# rows fit max(1, BLOCK_ELEMENTS // n) is compared at once, a larger one trial
-# by trial and a trial larger than the budget in chunks of rows
+# mask draw budgets around both of _mask_block's paths: a block of at most
+# BLOCK_ELEMENTS values is compared at once, a larger one trial by trial, each
+# trial's T * n values that many at a time
 BUDGETS = {
     "one": lambda b, t, n: 1,
     "row": lambda b, t, n: n,

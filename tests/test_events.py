@@ -121,9 +121,11 @@ class TestRunCoverage:
            st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
     @example([3], 0.0, 2, 2, 0)  # one run, no deleted bit
     @example([1, 2, 1], 1.0, 3, 2, 0)  # every run wiped
-    # 3000 bits: 10-row chunks split each trial's 32 traces, and one chunk
-    # spans the two trials
-    @example([2, 1] * 1000, 0.17, 32, 2, 5)
+    @example([2, 1] * 1000, 0.17, 32, 2, 5)  # mc-long's runs of 1-2 bits
+    @example([1, 6, 6, 2], 0.3, 3, 2, 1)  # adjacent long runs
+    @example([2, 1, 3, 6], 0.3, 3, 2, 2)  # a long last run, ending at n
+    @example([6, 1, 2, 1], 0.3, 3, 2, 3)  # a long first run
+    @example([1] * 7, 0.3, 1, 3, 4)  # 1-bit runs at T = 1
     def test_both_counting_routes_match_oracle(self, lengths, p, t_count, block, seed):
         s = BitString(np.repeat(np.arange(len(lengths)) % 2, lengths))
         profile = run_decompose(s)
@@ -133,14 +135,19 @@ class TestRunCoverage:
         runs = [[row[a:b] for a, b in zip(bounds, bounds[1:])] for row in flags.reshape(-1, len(s))]
         clean = [[not run.any() for run in row] for row in runs]
         wiped = [any(run.all() for run in row) for row in runs]
-        # 0 sends every source to reduceat, n + 1 every source to bincount
-        for threshold in (0, len(s) + 1):
+        # 0 sends every run to reduceat, one past the longest gathers every
+        # run, and the longest alone sends the longest runs to reduceat
+        for cutoff in (0, max(lengths) + 1, max(lengths)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(events, "BINCOUNT_RUN_LENGTH", threshold)
-                tables = events._clean_runs(flags, np.asarray(lengths, dtype=np.int64))
-                assert tables[0].reshape(-1, len(lengths)).tolist() == clean
-                assert tables[1].ravel().tolist() == wiped
-                assert events._covered_runs(*tables).tolist() == expected
+                mp.setattr(events, "BINCOUNT_RUN_LENGTH", cutoff)
+                run_lengths = np.asarray(lengths, dtype=np.int64)
+                # new tables, then twice the tables of a larger block
+                reused = events._RunTables(run_lengths, (block + 1, t_count, len(s)))
+                for out in (None, reused, reused):
+                    tables = events._clean_runs(flags, run_lengths, out)
+                    assert tables[0].reshape(-1, len(lengths)).tolist() == clean
+                    assert tables[1].ravel().tolist() == wiped
+                    assert events._covered_runs(*tables, out).tolist() == expected
                 traces = traces_from_masks(s, flags[0])
                 assert coverage(traces, profile) == (all(expected[0]), tuple(expected[0]))
 

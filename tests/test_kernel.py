@@ -48,7 +48,7 @@ from deltrace.reconstruct import (
     is_levenshtein_sufficient,
     maximal_runs,
 )
-from oracles import diverged_states_oracle
+from oracles import diverged_states_oracle, every_trace_kills_a_copy, run_coverage_oracle
 from test_reconstruct import _matchers_of, _oracle_of
 
 SOURCES = st.one_of(
@@ -301,6 +301,43 @@ def test_montecarlo_counts_match_replay_without_run_alignment(source, p, t_count
     assert {name: fired[name] for name in names} == {name: expected[name] for name in names}
 
 
+def _detected_counts(config):
+    """The mask events' counts, trial by trial through sample_traces and
+    detect_events, each report checked against the plain-Python oracles."""
+    instance = config.source.instance()
+    s, span, spec = instance.s, instance.span, RngSpec(master_seed=config.seed)
+    profile = run_decompose(s)
+    windows = [(span.offset + j * span.period, span.period) for j in range(span.copies)]
+    missing = uncovered = 0
+    for trial in range(config.trials):
+        traces = sample_traces(s, config.p, config.traces, spec.trial_rng(trial))
+        report = detect_events(traces, [span], profile)
+        rows = [mt.mask.flags.tolist() for mt in traces]
+        assert report.per_run == tuple(run_coverage_oracle(rows, list(profile.lengths)))
+        assert report.pattern_witness[0] == (not every_trace_kills_a_copy(rows, windows))
+        missing += not report.pattern_witness[0]
+        uncovered += not report.run_covered
+    return {"no-pattern-witness": missing, "uncovered-run": uncovered, "reconstruction-error": uncovered}
+
+
+# runs of 1-9 bits, shorter and longer than the gather cutoff, the last long;
+# (traces, trials, mask bits per block and per draw, in traces x n): blocks
+# of 4 trials, the last of 3; then B = 1, each trial's 5 traces drawn 2 at a time
+@pytest.mark.parametrize("t_count,trials,block_traces,draw_traces", [(3, 23, 4 * 3, None), (5, 9, 2, 2)])
+def test_reused_block_buffers_match_detect_events(t_count, trials, block_traces, draw_traces, monkeypatch):
+    source = {"kind": "bits", "bits": "0111111001000000000110111100011111111"}
+    config = ExperimentConfig.from_dict({"mode": "montecarlo", "source": source, "p": 0.12,
+                                         "traces": t_count, "trials": trials, "seed": 6})
+    n = config.source.n
+    expected = _detected_counts(config)
+    # every event both fires and fails on some trial
+    assert all(0 < count < trials for count in expected.values())
+    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_traces * n)
+    if draw_traces is not None:
+        monkeypatch.setattr(channel, "BLOCK_ELEMENTS", draw_traces * n)
+    assert _simulate(config, tuple(expected))[0] == {**dict.fromkeys(ESTIMATORS, 0), **expected}
+
+
 # Each audit check fails on no correct trial.  Made to fail, each must still
 # reach every trial it applies to, though the audit visits only suspect trials:
 # (kernel function, its stand-in, the replay's stand-in by name)
@@ -326,9 +363,9 @@ def _checked_hits(config, embeds=_embeds_flipped):
     assert len(pair_of) == len(pairs)  # one window per pair
     blocks, hits, calls = [], [], []
 
-    def masked(rngs, p, out):
+    def masked(rngs, p, out, uniforms):
         blocks.append(len(out))
-        return _mask_block(rngs, p, out)
+        return _mask_block(rngs, p, out, uniforms)
 
     def checked(s_bits, padded, lens, tables, sets, lo, hi):
         first = sum(blocks[:-1])
@@ -432,8 +469,10 @@ def test_offenders_keep_check_order_within_a_trial(monkeypatch):
     for name, kernel_fault, _ in _FAULTS.values():
         monkeypatch.setattr(harness, name, kernel_fault)
     monkeypatch.setattr(harness, "_covered_runs",
-                        lambda clean, wiped: np.ones(clean.shape[:-2] + clean.shape[-1:], dtype=bool))
-    monkeypatch.setattr(harness, "_pattern_witness_from_flags", lambda flags, span: np.zeros(len(flags), dtype=bool))
+                        lambda clean, wiped, out: np.ones(clean.shape[:-2] + clean.shape[-1:], dtype=bool))
+    # every trace wiped a copy of the span
+    monkeypatch.setattr(harness, "_span_wiped",
+                        lambda flags, span, out, deleted: np.ones(flags.shape[:-1], dtype=bool))
     assert _simulate(config, ESTIMATORS, audit=True)[1] == expected
     # the summary counts them in its own order, not the offenders'
     assert list(audit_implications(config).counts.items()) == [
@@ -454,8 +493,8 @@ def test_kernel_draws_only_block_streams(mode, monkeypatch, capsys):
     def barred(self, trial_index):
         raise AssertionError("the kernel called RngSpec.trial_rng")
 
-    def recorded(rngs, p, out):
-        masks.extend(_mask_block(rngs, p, out).copy())
+    def recorded(rngs, p, out, uniforms):
+        masks.extend(_mask_block(rngs, p, out, uniforms).copy())
         return out
 
     monkeypatch.setattr(RngSpec, "trial_rng", barred)
@@ -534,8 +573,8 @@ def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypa
     s, sets = config.source.instance().s, _trace_sets(config)
     assert [_refusal(kept, 40) for kept in _states(s, [sets[4], sets[9]])] == [11, 12]
 
-    def four_and_nine(rngs, p, out):
-        flags = _mask_block(rngs, p, out)
+    def four_and_nine(rngs, p, out, uniforms):
+        flags = _mask_block(rngs, p, out, uniforms)
         flags[[0, 1, 2, 3, 5, 6, 7, 8]] = False
         return flags
 
