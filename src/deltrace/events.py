@@ -15,10 +15,10 @@ Two events matter:
 
 Coverage reads, for each (trace, run), whether the mask deleted some bit of
 the run and whether it deleted every bit: by clipped gathers on runs shorter
-than BINCOUNT_RUN_LENGTH bits and by np.add.reduceat on the others, kept as
+than SHORT_RUN_LENGTH bits and by np.add.reduceat on the others, kept as
 the table of clean runs, which trace deleted no bit of which run
-(_clean_runs).  The Monte Carlo kernel builds its index arrays and tables
-once per run (_RunTables) and each block reuses them.  The harness's audit
+(_clean_runs).  The Monte Carlo kernel builds the runs' index arrays once per
+run (_RunTables); each call allocates its own tables.  The harness's audit
 reads its declared patterns off the same table: each is a pair of runs whose
 copies are single bits, so every trace wipes a copy exactly when every trace
 deletes a bit of one run or of the other.
@@ -49,14 +49,12 @@ __all__ = [
 # run, OR-folded and AND-folded, so the gathers read about one column per mask
 # column whatever the lengths.  Longer runs take np.add.reduceat, about 7 ns per
 # (trace, run) segment, plus a cast of the mask to the count type.  _clean_runs
-# on one block of 32 x 3000 bits at p = 0.17, tables reused (in process, 2
-# cores, numpy 2.4), all gathered against all to reduceat: runs of 1-2 bits
-# 0.10-0.16 against 1.0-1.2 ms; 4: 0.11 against 0.56; 8: 0.12 against 0.33;
-# 12: 0.20 against 0.24; 16: 0.26 against 0.19.  On mc-long's source,
-# _clean_runs and _covered_runs took 0.35-0.40 ms a block on the bincount route
-# the gathers replace, and take 0.27-0.29.  A higher cutoff would move
-# mc-short's runs of 4-12 bits off reduceat; it stays at 4.
-BINCOUNT_RUN_LENGTH = 4
+# on one block of 32 x 3000 bits at p = 0.17 (in process, 2 cores, numpy 2.4),
+# all gathered against all to reduceat: runs of 1-2 bits 0.10-0.16 against
+# 1.0-1.2 ms; 4: 0.11 against 0.56; 8: 0.12 against 0.33; 12: 0.20 against
+# 0.24; 16: 0.26 against 0.19.  A higher cutoff would move mc-short's runs of
+# 4-12 bits off reduceat; it stays at 4.
+SHORT_RUN_LENGTH = 4
 
 
 def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
@@ -68,22 +66,21 @@ def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
     return np.vstack([mt.mask.flags for mt in traces])
 
 
-def _span_wiped(flags: np.ndarray, span: PatternSpan, out: np.ndarray | None = None,
-                deleted: np.ndarray | None = None) -> np.ndarray:
+def _span_wiped(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
     """Masks (..., n) -> (...): is some aligned copy of span fully deleted?
     The window is viewed as a (..., copies, period) block, so the check ANDs
-    the period columns of every copy at once, into deleted, (..., copies),
-    when the period is above 1.  out and deleted are allocated if not given."""
+    the period columns of every copy at once; a period of 1 reads the mask
+    itself."""
     if span.end > flags.shape[-1]:
         raise ValueError("span extends past the source")
     window = flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
     if span.period == 1:
         deleted = window[..., 0]
     else:
-        deleted = np.logical_and(window[..., 0], window[..., 1], out=deleted)
+        deleted = np.logical_and(window[..., 0], window[..., 1])
         for j in range(2, span.period):
             deleted &= window[..., j]
-    return np.any(deleted, axis=-1, out=out)
+    return np.any(deleted, axis=-1)
 
 
 def _copies_violated(flags: np.ndarray, spans) -> np.ndarray:
@@ -105,25 +102,23 @@ def _pattern_witness_from_flags(flags: np.ndarray, span: PatternSpan) -> np.ndar
 
 
 class _RunTables:
-    """Run coverage's index arrays for one run table, and its tables for
-    blocks of masks of up to shape (B, ..., n), allocated once.  _clean_runs
-    and _covered_runs write a (size, ..., n) block's tables into [:size] views
-    of them, so each call's tables last until the next.
+    """Run coverage's index arrays for one run table: the columns gathered
+    and the segments counted.  _clean_runs allocates its tables per call.
 
-    Runs are routed by length (BINCOUNT_RUN_LENGTH): the short ones are
+    Runs are routed by length (SHORT_RUN_LENGTH): the short ones are
     gathered, the long ones counted by reduceat, and their columns are
     tabled in that order, then put back in run order unless they already are.
     """
 
-    def __init__(self, lengths: np.ndarray, shape: tuple[int, ...]):
-        rows, n, m = shape[:-1], shape[-1], len(lengths)
+    def __init__(self, lengths: np.ndarray):
         starts = np.zeros_like(lengths)
         np.cumsum(lengths[:-1], out=starts[1:])
-        short = lengths < BINCOUNT_RUN_LENGTH
+        n = int(lengths.sum())
+        short = lengths < SHORT_RUN_LENGTH
         s = int(np.count_nonzero(short))
         # column min(start + k, last) of each short run for k below the
         # longest: a repeated column changes neither the OR nor the AND
-        first, short_lengths = (starts, lengths) if s == m else (starts[short], lengths[short])
+        first, short_lengths = (starts, lengths) if s == len(lengths) else (starts[short], lengths[short])
         self.columns = [first] if s else []
         if s and short_lengths.max() > 1:
             last = first + short_lengths - 1
@@ -137,61 +132,46 @@ class _RunTables:
         # each run's column among the short runs then the long ones, unless a
         # short run follows a long one, that is its own
         self.order = np.argsort(np.argsort(~short, kind="stable")) if np.any(short[1:] > short[:-1]) else None
-        self.clean = np.empty((*rows, m), dtype=bool)
-        # clean runs, short then long: the clean table itself when in run order
-        self.routed = self.clean if self.order is None else np.empty_like(self.clean)
-        # some bit deleted, and (past one offset) every bit deleted, per short run
-        self.some = self.routed if s == m else np.empty((*rows, s), dtype=bool)
-        self.every, self.gathered = np.empty((2, *rows, s if len(self.columns) > 1 else 0), dtype=bool)
         # reduceat casts the mask to the count type; int32 holds any run of
         # a mask with fewer than 2^31 columns at half the memory of int64
-        self.counts = np.empty((*rows, len(self.edges)), dtype=np.int32 if n < 2**31 else np.int64)
-        # per long run, every bit deleted; per trace, of some long run
-        self.full = np.empty((*rows, m - s), dtype=bool)
-        self.wiped, self.wiped_long = np.empty((2, *rows), dtype=bool)
-        self.kept = np.empty_like(self.clean)
-        self.per_run = np.empty((*rows[:-1], m), dtype=bool)
+        self.count_type = np.int32 if n < 2**31 else np.int64
 
 
-def _clean_runs(flags: np.ndarray, lengths: np.ndarray, out: _RunTables | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _clean_runs(flags: np.ndarray, runs: _RunTables) -> tuple[np.ndarray, np.ndarray]:
     """Masks (..., T, n) -> (clean (..., T, M), wiped (..., T)): trace t
-    deleted no bit of run i; trace t deleted every bit of some run.  out
-    holds lengths' index arrays and the tables; without it they are built."""
-    tables = _RunTables(lengths, flags.shape) if out is None else out
-    size = len(flags)
-    routed, wiped = tables.routed[:size], tables.wiped[:size]
-    s = tables.some.shape[-1]
-    if tables.columns:
-        some = every = np.take(flags, tables.columns[0], axis=-1, mode="clip", out=tables.some[:size])
-        if len(tables.columns) > 1:
-            every, gathered = tables.every[:size], tables.gathered[:size]
-            np.copyto(every, some)
-            for columns in tables.columns[1:]:
-                np.take(flags, columns, axis=-1, mode="clip", out=gathered)
-                some |= gathered
-                every &= gathered
+    deleted no bit of run i; trace t deleted every bit of some run, for the
+    runs whose index arrays runs holds."""
+    wiped = np.zeros(flags.shape[:-1], dtype=bool)
+    routed = []  # clean runs, short then long
+    if runs.columns:
+        # some bit deleted, and (past one offset) every bit deleted, per short
+        # run; each gather and every are freed once read, to hold the peak down
+        some = np.take(flags, runs.columns[0], axis=-1, mode="clip")
+        every = some.copy() if len(runs.columns) > 1 else some
+        for columns in runs.columns[1:]:
+            gathered = np.take(flags, columns, axis=-1, mode="clip")
+            some |= gathered
+            every &= gathered
+            del gathered
         np.any(every, axis=-1, out=wiped)
-        np.logical_not(some, out=routed[..., :s])
-    else:
-        wiped.fill(False)
-    if tables.edges.size:
-        counts, full, wiped_long = tables.counts[:size], tables.full[:size], tables.wiped_long[:size]
-        np.add.reduceat(flags, tables.edges, axis=-1, dtype=counts.dtype, out=counts)
-        np.equal(counts[..., ::2], 0, out=routed[..., s:])
-        np.equal(counts[..., ::2], tables.long_lengths, out=full)
-        wiped |= np.any(full, axis=-1, out=wiped_long)
-    if tables.order is None:
-        return routed, wiped
-    return np.take(routed, tables.order, axis=-1, mode="clip", out=tables.clean[:size]), wiped
+        del every
+        routed.append(np.logical_not(some, out=some))
+    if runs.edges.size:
+        counts = np.add.reduceat(flags, runs.edges, axis=-1, dtype=runs.count_type)[..., ::2]
+        wiped |= np.any(counts == runs.long_lengths, axis=-1)
+        routed.append(counts == 0)
+        del counts
+    clean = routed[0] if len(routed) == 1 else np.concatenate(routed, axis=-1)
+    if runs.order is None:
+        return clean, wiped
+    return np.take(clean, runs.order, axis=-1, mode="clip"), wiped
 
 
-def _covered_runs(clean: np.ndarray, wiped: np.ndarray, out: _RunTables | None = None) -> np.ndarray:
+def _covered_runs(clean: np.ndarray, wiped: np.ndarray) -> np.ndarray:
     """_clean_runs' tables -> per_run (..., M): some trace deleted no run
-    completely while leaving run i untouched.  out holds the scratch and the
-    result, as for _clean_runs."""
-    kept, per_run = (None, None) if out is None else (out.kept[: len(clean)], out.per_run[: len(clean)])
-    kept = np.greater(clean, wiped[..., np.newaxis], out=kept)  # clean and not wiped
-    return np.any(kept, axis=-2, out=per_run)
+    completely while leaving run i untouched."""
+    kept = np.greater(clean, wiped[..., np.newaxis])  # clean and not wiped
+    return np.any(kept, axis=-2)
 
 
 @dataclass(frozen=True)
@@ -211,7 +191,7 @@ class EventReport:
 def detect_events(traces: list[MaskedTrace], spans: list[PatternSpan], profile: RunProfile) -> EventReport:
     flags = _flags_matrix(traces, profile.total)
     witness = tuple(bool(_pattern_witness_from_flags(flags, span)) for span in spans)
-    per_run = _covered_runs(*_clean_runs(flags, np.asarray(profile.lengths, dtype=np.int64)))
+    per_run = _covered_runs(*_clean_runs(flags, _RunTables(np.asarray(profile.lengths, dtype=np.int64))))
     return EventReport(witness, bool(per_run.all()), tuple(per_run.tolist()))
 
 

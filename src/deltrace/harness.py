@@ -463,10 +463,10 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     trial.  One pass, B = max(1, BLOCK_ELEMENTS // (T * n)) trials per block.
     channel._mask_block fills a block's (B, T, n) mask, trial i from its own
     stream, taken in order from one RngSpec(seed).block_rngs over all trials
-    (bit-equal to trial_rng(i)), so the counts do not depend on B.  The mask,
-    its uniforms and the mask events' tables (events._RunTables) are allocated
-    once per run for the first block, and every block works in [:size] views
-    of them, so a run of many blocks allocates no block-sized array.  The mask
+    (bit-equal to trial_rng(i)), so the counts do not depend on B.  The mask
+    and its uniforms are allocated once per run for the first block, and each
+    block draws into [:size] views of them.  Run coverage's index arrays
+    (events._RunTables) are built once per run, its tables per call.  The mask
     events, the oracle's verdicts (one call, see _sufficient_sets) and every
     audit check cover the whole block, the last two reading the traces only
     through their padded bits (_matchers), and the oracle and the pattern checks
@@ -497,26 +497,21 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     oracle = audit or "difficulty" in estimators
     instance = config.source.instance()
     s, bounds = instance.s, instance.bounds
-    lengths = np.diff(bounds)
     pairs = _audit_patterns(bounds) if audit else None
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
     uniforms = np.empty(_uniforms_shape(masks.shape))
-    runs = _RunTables(lengths, masks.shape)
-    span = instance.span
-    violated = np.empty(masks.shape[:-1], dtype=bool)
-    # each copy ANDed over the span's period; a period of 1 reads the mask itself
-    deleted = np.empty((*violated.shape, span.copies if span.period > 1 else 0), dtype=bool)
+    runs = _RunTables(np.diff(bounds))
     fired = dict.fromkeys(ESTIMATORS, 0)
     offenders = []
     for first in range(0, config.trials, block):
         size = min(block, config.trials - first)
         flags = _mask_block(islice(rngs, size), p, masks[:size], uniforms)
         # no trace kept a copy of the span whole
-        no_witness = _span_wiped(flags, span, violated[:size], deleted[:size]).all(axis=-1)
-        clean, wiped = _clean_runs(flags, lengths, runs)
-        covered = _covered_runs(clean, wiped, runs).all(axis=-1)
+        no_witness = _span_wiped(flags, instance.span).all(axis=-1)
+        clean, wiped = _clean_runs(flags, runs)
+        covered = _covered_runs(clean, wiped).all(axis=-1)
         uncovered = int((~covered).sum())
         fired["no-pattern-witness"] += int(no_witness.sum())
         fired["uncovered-run"] += uncovered

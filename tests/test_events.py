@@ -139,15 +139,14 @@ class TestRunCoverage:
         # run, and the longest alone sends the longest runs to reduceat
         for cutoff in (0, max(lengths) + 1, max(lengths)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(events, "BINCOUNT_RUN_LENGTH", cutoff)
-                run_lengths = np.asarray(lengths, dtype=np.int64)
-                # new tables, then twice the tables of a larger block
-                reused = events._RunTables(run_lengths, (block + 1, t_count, len(s)))
-                for out in (None, reused, reused):
-                    tables = events._clean_runs(flags, run_lengths, out)
+                mp.setattr(events, "SHORT_RUN_LENGTH", cutoff)
+                # the same index arrays serve every call
+                runs = events._RunTables(np.asarray(lengths, dtype=np.int64))
+                for _ in range(2):
+                    tables = events._clean_runs(flags, runs)
                     assert tables[0].reshape(-1, len(lengths)).tolist() == clean
                     assert tables[1].ravel().tolist() == wiped
-                    assert events._covered_runs(*tables, out).tolist() == expected
+                    assert events._covered_runs(*tables).tolist() == expected
                 traces = traces_from_masks(s, flags[0])
                 assert coverage(traces, profile) == (all(expected[0]), tuple(expected[0]))
 

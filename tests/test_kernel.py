@@ -19,6 +19,7 @@ from deltrace.events import (
     _clean_runs,
     _copies_violated,
     _covered_runs,
+    _RunTables,
     _validated_alternative,
     detect_ambiguities,
     detect_events,
@@ -101,7 +102,7 @@ def _check_alignment(s, p, t_count, block, seed):
         assert misses[b] == (not (result.ok and result.string == s))
     # a trace that wipes out a run has fewer runs than s, so alignment uses
     # the traces that wiped no run: it misses exactly when some run is uncovered
-    assert np.array_equal(misses, ~_covered_runs(*_clean_runs(flags, _run_lengths(s.bits))).all(axis=-1))
+    assert np.array_equal(misses, ~_covered_runs(*_clean_runs(flags, _RunTables(_run_lengths(s.bits)))).all(axis=-1))
 
 
 # 3 leaves a short last draw; 12 rows hold the whole block, compared at once
@@ -166,7 +167,7 @@ def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
         assert BitString(_competing_source(s, bounds, i, j)) == _validated_alternative(s, pattern)[2]
     # the kernel's verdict on pair (i, j): every trace deleted a bit of run i or of run j
     flags = np.random.default_rng(seed).random((block, t_count, len(s))) < p
-    clean = _clean_runs(flags, np.diff(bounds))[0]
+    clean = _clean_runs(flags, _RunTables(np.diff(bounds)))[0]
     for (i, j), pattern in zip(pairs, declared):
         fired = ~(clean[..., i] & clean[..., j]).any(axis=-1)
         assert np.array_equal(fired, _copies_violated(flags, pattern.copy_spans()).all(axis=-1))
@@ -338,6 +339,37 @@ def test_reused_block_buffers_match_detect_events(t_count, trials, block_traces,
     assert _simulate(config, tuple(expected))[0] == {**dict.fromkeys(ESTIMATORS, 0), **expected}
 
 
+# the same runs: blocks of 4 trials, the last of 3, then B = 1 with each
+# trial's 5 traces drawn 2 at a time
+@pytest.mark.parametrize("t_count,trials,block_traces,draw_traces", [(3, 11, 4 * 3, None), (5, 3, 2, 2)])
+def test_every_block_draws_into_the_first_blocks_buffers(t_count, trials, block_traces, draw_traces, monkeypatch):
+    # the mask and its uniforms are allocated once per run: every block's
+    # mask is a view of the first block's, drawn from the same uniforms
+    source = {"kind": "bits", "bits": "0111111001000000000110111100011111111"}
+    config = ExperimentConfig.from_dict({"mode": "montecarlo", "source": source, "p": 0.12,
+                                         "traces": t_count, "trials": trials, "seed": 6})
+    n = config.source.n
+    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_traces * n)
+    if draw_traces is not None:
+        monkeypatch.setattr(channel, "BLOCK_ELEMENTS", draw_traces * n)
+    calls = []
+
+    def recorded(rngs, p, out, uniforms):
+        calls.append((out, uniforms))
+        return _mask_block(rngs, p, out, uniforms)
+
+    monkeypatch.setattr(harness, "_mask_block", recorded)
+    _simulate(config, ESTIMATORS)
+    sizes = [len(out) for out, _ in calls]
+    assert sum(sizes) == trials and len(calls) >= 3
+    first, uniforms = calls[0]
+    # a short last block, or a chunked draw
+    assert sizes[-1] < sizes[0] if draw_traces is None else uniforms.size < first[0].size
+    assert isinstance(uniforms, np.ndarray)
+    for out, drawn_into in calls:
+        assert np.shares_memory(out, first) and drawn_into is uniforms
+
+
 # Each audit check fails on no correct trial.  Made to fail, each must still
 # reach every trial it applies to, though the audit visits only suspect trials:
 # (kernel function, its stand-in, the replay's stand-in by name)
@@ -469,10 +501,10 @@ def test_offenders_keep_check_order_within_a_trial(monkeypatch):
     for name, kernel_fault, _ in _FAULTS.values():
         monkeypatch.setattr(harness, name, kernel_fault)
     monkeypatch.setattr(harness, "_covered_runs",
-                        lambda clean, wiped, out: np.ones(clean.shape[:-2] + clean.shape[-1:], dtype=bool))
+                        lambda clean, wiped: np.ones(clean.shape[:-2] + clean.shape[-1:], dtype=bool))
     # every trace wiped a copy of the span
     monkeypatch.setattr(harness, "_span_wiped",
-                        lambda flags, span, out, deleted: np.ones(flags.shape[:-1], dtype=bool))
+                        lambda flags, span: np.ones(flags.shape[:-1], dtype=bool))
     assert _simulate(config, ESTIMATORS, audit=True)[1] == expected
     # the summary counts them in its own order, not the offenders'
     assert list(audit_implications(config).counts.items()) == [

@@ -52,3 +52,28 @@ def test_lazy_exports_resolve_to_their_submodules():
     star = {}
     exec("from deltrace import *", star)
     assert {name: star[name] for name in deltrace.__all__} == {name: getattr(deltrace, name) for name in deltrace.__all__}
+
+
+def test_no_private_name_is_orphaned():
+    # every module-level private name of the package is read somewhere in it,
+    # outside its own definition, so a deletion leaves no dead helper behind
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "deltrace").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                names = []
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in names:
+                    read.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    read.add(sub.attr)
+            defined.update((name, path.name) for name in names
+                           if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
+    # the scan finds the kernel's helpers; an empty one would prove nothing
+    assert {"_simulate", "_clean_runs", "_RunTables"} <= defined.keys()
+    assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in read) == []
