@@ -22,7 +22,7 @@ from .logspace import (
     pow_one_minus_ln,
     signed_logsumexp,
 )
-from .reconstruct import InfeasibleError
+from .kernel import InfeasibleError
 
 __all__ = [
     "METHODS",

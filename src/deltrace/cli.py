@@ -1,12 +1,15 @@
 """Command-line entry point.
 
 Subcommands pick the run mode; the JSON config supplies everything else,
-with --seed/--trials/--out as overrides.  Every failure is one line on
-stderr, never a traceback.  Exit codes:
+with --seed/--trials/--out as overrides:
 
-    0  success
-    2  config error, including an output path that cannot be written and a
-       closed stdout
+    deltrace COMMAND --config PATH [--seed N] [--trials N] [--out PATH]
+
+Every failure is one line on stderr, never a traceback.  Exit codes:
+
+    0  success, and -h or --help anywhere
+    2  usage error, or config error, including an output path that cannot be
+       written and a closed stdout
     3  infeasible request: the inclusion-exclusion cap in exact and sweep, one
        trial's traces x n masks or an exact or generate source over the
        allocation cap, or one trial's oracle over its state budget
@@ -19,7 +22,6 @@ is only start-up and exit cost.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -41,30 +43,53 @@ _COMMANDS = {
     "generate": ("generate", "emit a structured source string and its declared spans"),
 }
 
+_HELP = """usage: deltrace COMMAND --config PATH [--seed N] [--trials N] [--out PATH]
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="deltrace",
-        description="Deletion-channel trace experiments: formulas, simulation, audits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
-        cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--trials", type=int, help="override the config trial count")
-        cmd.add_argument("--out", help="override the output path")
-    return parser
+Deletion-channel trace experiments: formulas, simulation, audits.  --config names
+the JSON experiment config; --seed, --trials and --out override its seed, trial
+count and output path.  Commands:
+"""
+
+
+class UsageError(ValueError):
+    """A command line outside the grammar in _HELP (exit code 2)."""
+
+
+def _parse(argv: list[str]) -> tuple[str, str, dict]:
+    """(path, mode, overrides) for ExperimentConfig.from_file, from one command line.
+    A flag's value is the next argument or follows "=", and a repeated flag's last
+    value wins."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise UsageError(f"expected a subcommand, one of {', '.join(_COMMANDS)}; got {argv[0] if argv else 'nothing'}")
+    values, rest = dict.fromkeys(("config", "seed", "trials", "out")), iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if not flag.startswith("--") or flag[2:] not in values:
+            raise UsageError(f"unknown argument {arg!r}")
+        values[flag[2:]] = value if eq else next(rest, None)
+        if values[flag[2:]] is None:
+            raise UsageError(f"{flag} needs a value")
+    for key in ("seed", "trials"):
+        try:
+            values[key] = None if values[key] is None else int(values[key])
+        except ValueError:
+            raise UsageError(f"--{key} needs an integer, got {values[key]!r}") from None
+    if values["config"] is None:
+        raise UsageError("--config PATH is required")
+    return values.pop("config"), _COMMANDS[argv[0]][0], values
 
 
 def main(argv=None) -> int:
     gc.freeze()  # interpreter exit then skips the collector's walk over every module's objects
-    args = _build_parser().parse_args(argv)
-    mode = _COMMANDS[args.command][0]
-    overrides = {"seed": args.seed, "trials": args.trials, "out": args.out}
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_HELP + "\n".join(f"  {name:<12}{text}" for name, (_, text) in _COMMANDS.items()))
+        return 0
     try:
-        config = ExperimentConfig.from_file(args.config, mode=mode, overrides=overrides)
-        return run_mode(config)
+        return run_mode(ExperimentConfig.from_file(*_parse(argv)))
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

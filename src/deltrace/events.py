@@ -13,15 +13,10 @@ Two events matter:
   deleted no run completely and left run i untouched.  With coverage the
   maximal-runs reconstructor provably returns the source.
 
-Coverage reads, for each (trace, run), whether the mask deleted some bit of
-the run and whether it deleted every bit: by clipped gathers on runs shorter
-than SHORT_RUN_LENGTH bits and by np.add.reduceat on the others, kept as
-the table of clean runs, which trace deleted no bit of which run
-(_clean_runs).  The Monte Carlo kernel builds the runs' index arrays once per
-run (_RunTables); each call allocates its own tables.  The harness's audit
-reads its declared patterns off the same table: each is a pair of runs whose
-copies are single bits, so every trace wipes a copy exactly when every trace
-deletes a bit of one run or of the other.
+The mask stages behind both, _span_wiped and run coverage (_RunTables,
+_clean_runs, _covered_runs), live in kernel, where the harness's Monte Carlo
+kernel runs them a block of trials at a time; the detectors here run them on
+one trace set.
 """
 
 from __future__ import annotations
@@ -32,6 +27,7 @@ import numpy as np
 
 from .bits import BitString, PatternSpan, RunProfile, span_matches
 from .channel import MaskedTrace
+from .kernel import _clean_runs, _covered_runs, _RunTables, _span_wiped
 
 __all__ = [
     "EventReport",
@@ -43,20 +39,6 @@ __all__ = [
 ]
 
 
-# Run coverage reads, per (trace, run), whether some bit and whether every bit
-# was deleted.  Runs shorter than this many bits are gathered: for each offset
-# k below the longest of them, one np.take of column min(start + k, last) per
-# run, OR-folded and AND-folded, so the gathers read about one column per mask
-# column whatever the lengths.  Longer runs take np.add.reduceat, about 7 ns per
-# (trace, run) segment, plus a cast of the mask to the count type.  _clean_runs
-# on one block of 32 x 3000 bits at p = 0.17 (in process, 2 cores, numpy 2.4),
-# all gathered against all to reduceat: runs of 1-2 bits 0.10-0.16 against
-# 1.0-1.2 ms; 4: 0.11 against 0.56; 8: 0.12 against 0.33; 12: 0.20 against
-# 0.24; 16: 0.26 against 0.19.  A higher cutoff would move mc-short's runs of
-# 4-12 bits off reduceat; it stays at 4.
-SHORT_RUN_LENGTH = 4
-
-
 def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
     if not traces:
         raise ValueError("need at least one trace")
@@ -64,23 +46,6 @@ def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
         if mt.source_length != n:
             raise ValueError("trace source length does not match")
     return np.vstack([mt.mask.flags for mt in traces])
-
-
-def _span_wiped(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
-    """Masks (..., n) -> (...): is some aligned copy of span fully deleted?
-    The window is viewed as a (..., copies, period) block, so the check ANDs
-    the period columns of every copy at once; a period of 1 reads the mask
-    itself."""
-    if span.end > flags.shape[-1]:
-        raise ValueError("span extends past the source")
-    window = flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
-    if span.period == 1:
-        deleted = window[..., 0]
-    else:
-        deleted = np.logical_and(window[..., 0], window[..., 1])
-        for j in range(2, span.period):
-            deleted &= window[..., j]
-    return np.any(deleted, axis=-1)
 
 
 def _copies_violated(flags: np.ndarray, spans) -> np.ndarray:
@@ -99,79 +64,6 @@ def _span_windows(span: PatternSpan):
 def _pattern_witness_from_flags(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
     """Masks (..., T, n) -> (...): does some trace delete no copy of the span?"""
     return ~_copies_violated(flags, (span,)).all(axis=-1)
-
-
-class _RunTables:
-    """Run coverage's index arrays for one run table: the columns gathered
-    and the segments counted.  _clean_runs allocates its tables per call.
-
-    Runs are routed by length (SHORT_RUN_LENGTH): the short ones are
-    gathered, the long ones counted by reduceat, and their columns are
-    tabled in that order, then put back in run order unless they already are.
-    """
-
-    def __init__(self, lengths: np.ndarray):
-        starts = np.zeros_like(lengths)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        n = int(lengths.sum())
-        short = lengths < SHORT_RUN_LENGTH
-        s = int(np.count_nonzero(short))
-        # column min(start + k, last) of each short run for k below the
-        # longest: a repeated column changes neither the OR nor the AND
-        first, short_lengths = (starts, lengths) if s == len(lengths) else (starts[short], lengths[short])
-        self.columns = [first] if s else []
-        if s and short_lengths.max() > 1:
-            last = first + short_lengths - 1
-            self.columns += [np.minimum(first + k, last) for k in range(1, short_lengths.max())]
-        # each long run's [start, end) segment, every other reduceat result;
-        # an end at n is implicit
-        self.long_lengths = lengths[~short]
-        long_starts = starts[~short]
-        edges = np.column_stack([long_starts, long_starts + self.long_lengths]).ravel()
-        self.edges = edges[:-1] if edges.size and edges[-1] == n else edges
-        # each run's column among the short runs then the long ones, unless a
-        # short run follows a long one, that is its own
-        self.order = np.argsort(np.argsort(~short, kind="stable")) if np.any(short[1:] > short[:-1]) else None
-        # reduceat casts the mask to the count type; int32 holds any run of
-        # a mask with fewer than 2^31 columns at half the memory of int64
-        self.count_type = np.int32 if n < 2**31 else np.int64
-
-
-def _clean_runs(flags: np.ndarray, runs: _RunTables) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (..., T, n) -> (clean (..., T, M), wiped (..., T)): trace t
-    deleted no bit of run i; trace t deleted every bit of some run, for the
-    runs whose index arrays runs holds."""
-    wiped = np.zeros(flags.shape[:-1], dtype=bool)
-    routed = []  # clean runs, short then long
-    if runs.columns:
-        # some bit deleted, and (past one offset) every bit deleted, per short
-        # run; each gather and every are freed once read, to hold the peak down
-        some = np.take(flags, runs.columns[0], axis=-1, mode="clip")
-        every = some.copy() if len(runs.columns) > 1 else some
-        for columns in runs.columns[1:]:
-            gathered = np.take(flags, columns, axis=-1, mode="clip")
-            some |= gathered
-            every &= gathered
-            del gathered
-        np.any(every, axis=-1, out=wiped)
-        del every
-        routed.append(np.logical_not(some, out=some))
-    if runs.edges.size:
-        counts = np.add.reduceat(flags, runs.edges, axis=-1, dtype=runs.count_type)[..., ::2]
-        wiped |= np.any(counts == runs.long_lengths, axis=-1)
-        routed.append(counts == 0)
-        del counts
-    clean = routed[0] if len(routed) == 1 else np.concatenate(routed, axis=-1)
-    if runs.order is None:
-        return clean, wiped
-    return np.take(clean, runs.order, axis=-1, mode="clip"), wiped
-
-
-def _covered_runs(clean: np.ndarray, wiped: np.ndarray) -> np.ndarray:
-    """_clean_runs' tables -> per_run (..., M): some trace deleted no run
-    completely while leaving run i untouched."""
-    kept = np.greater(clean, wiped[..., np.newaxis])  # clean and not wiped
-    return np.any(kept, axis=-2)
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,9 @@ from .bits import (
     make_repeat_instance,
     make_run_instance,
 )
-from .channel import BLOCK_ELEMENTS, RngSpec, _mask_block, _uniforms_shape
-from .events import _clean_runs, _covered_runs, _RunTables, _span_wiped
-from .reconstruct import InfeasibleError, _embedding_tables, _embeds_flipped, _matchers, _run_alignment_misses, _sufficient
+from .kernel import (BLOCK_ELEMENTS, InfeasibleError, RngSpec, _clean_runs, _covered_runs, _embedding_tables,
+                     _embeds_flipped, _mask_block, _matchers, _run_alignment_misses, _RunTables, _span_wiped,
+                     _sufficient, _uniforms_shape)
 
 __all__ = [
     "ConfigError",
@@ -407,7 +407,7 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 # ---------------------------------------------------------------------------
 # Monte Carlo kernel: blocks of trials on per-trial streams, shared masks
 
-# Blocks hold B = max(1, BLOCK_ELEMENTS // (T * n)) trials (see channel).  One
+# Blocks hold B = max(1, BLOCK_ELEMENTS // (T * n)) trials (see kernel).  One
 # trial's T x n mask bits above this are refused before anything is
 # allocated.  A trial larger than a block peaks at about 5 (a run per bit) to
 # 6 (few runs, whose coverage counts cast the whole mask to int32) bytes per
@@ -415,9 +415,10 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 # traces, measured at 2^25 and 2^26 bits, p = 0.5 and 0.99 (4.9-5.5 and
 # 5.6-6.2), and taken as linear beyond.  At the cap that is up to 7 GiB.  With
 # one trace the arrays of n entries dominate (the run table and its
-# transients while the instance is built, the run lengths, the gathers'
-# column table): a run per bit at p = 0.99 peaked at 156 MB for 2^22 bits and
-# 981 MB for 2^25, 39 and 31 bytes per mask bit.
+# transients while the instance is built, the gathers' column table):
+# montecarlo on repeat 01, ell 0.5 (a run per bit), p = 0.99, one trial
+# peaked at 146 MB for 2^22 bits and 898 MB for 2^25, 36 and 28 bytes per
+# mask bit.
 MAX_TRIAL_ELEMENTS = 1 << 30
 PEAK_BYTES_PER_BIT = 7
 
@@ -461,12 +462,12 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     """(fired, offenders): the trials on which each estimator's event
     occurred, by name, and an audit's breaches as (trial, check), trial by
     trial.  One pass, B = max(1, BLOCK_ELEMENTS // (T * n)) trials per block.
-    channel._mask_block fills a block's (B, T, n) mask, trial i from its own
+    kernel._mask_block fills a block's (B, T, n) mask, trial i from its own
     stream, taken in order from one RngSpec(seed).block_rngs over all trials
     (bit-equal to trial_rng(i)), so the counts do not depend on B.  The mask
     and its uniforms are allocated once per run for the first block, and each
     block draws into [:size] views of them.  Run coverage's index arrays
-    (events._RunTables) are built once per run, its tables per call.  The mask
+    (kernel._RunTables) are built once per run, its tables per call.  The mask
     events, the oracle's verdicts (one call, see _sufficient_sets) and every
     audit check cover the whole block, the last two reading the traces only
     through their padded bits (_matchers), and the oracle and the pattern checks

@@ -1,8 +1,7 @@
-"""Reconstruction from traces: the linear-time maximal-runs algorithm, the
-product-automaton oracle that counts and lists the length-n sources consistent
-with a trace set, and the uniqueness oracle the Monte Carlo kernel runs, which
-only decides whether the source is the one such string and stops at the first
-witness of another.
+"""Reconstruction from traces: the linear-time maximal-runs algorithm, and
+the product-automaton oracle that counts and lists the length-n sources
+consistent with a trace set.  It shares the matchers, state keys and state
+budget of the kernel's uniqueness oracle, which decides instead of counting.
 """
 
 from __future__ import annotations
@@ -11,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .bits import BitString, _bits_of, _run_lengths, is_subsequence
+from .kernel import InfeasibleError, _check_budget, _distinct, _matchers, _state_keys
 
 __all__ = [
     "FIRST_BIT_MISMATCH",
@@ -77,136 +78,6 @@ def maximal_runs(n: int, traces) -> ReconstructionResult:
     return ReconstructionResult(string=BitString(np.repeat(values, best)))
 
 
-def _run_alignment_misses(s: BitString, padded) -> np.ndarray:
-    """maximal_runs over a block of trace sets at once: for B sets of T traces
-    of the nonempty source s, their padded bits from _matchers, is the
-    reconstruction from trace set b anything other than s?
-
-    Equals ``not (maximal_runs(n, traces_b).ok and .string == s)`` for every
-    b.  A run starts at bit 0, where the bit changes, and so at the trace's
-    end, where the padding 2 differs from both bits, and at no column past it.
-    maximal_runs keeps the traces with the most runs, m_hat, and returns s
-    exactly when those traces (i) have s's M runs, (ii) each start with s's
-    first bit and (iii) have elementwise-longest i-th runs equal to s's run
-    lengths.  Its other tests are implied for any trace set: (ii) makes the
-    kept traces agree on the first bit, (i) gives m_hat = M > 0, and (iii)
-    makes the runs add up to n.
-    """
-    lengths = _run_lengths(s.bits)
-    m = lengths.size
-    starts = np.ones(padded.shape, dtype=bool)
-    np.not_equal(padded[..., 1:], padded[..., :-1], out=starts[..., 1:])
-    runs = np.count_nonzero(starts, axis=-1) - 1
-    chosen = runs == runs.max(axis=1, keepdims=True)
-    # (i): only the kept traces of sets with m_hat = M fill their row of the
-    # table; every other set keeps zero rows, which fail (iii)
-    full = chosen & (runs == m)
-    table = np.zeros((*runs.shape, m), dtype=np.int32)
-    table[full] = np.diff(np.flatnonzero(starts[full]).reshape(-1, m + 1))
-    first_ok = (padded[..., 0] == s.bits[0]) | ~chosen  # (ii)
-    return ~(first_ok.all(axis=1) & (table.max(axis=1) == lengths).all(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# unique-source oracle
-
-# States one oracle call may visit, summed over lengths and trace sets, and
-# sources consistent_sources may list.  Layer k of one set holds at most 2^k
-# automaton states, and at most 2^k - 1 states of _sufficient, one per prefix
-# other than s's own, so no n <= 20 is refused by either.  Of three random
-# sources at n = 100, p = 0.3, one trial, only one still runs into it with 32
-# traces, and its montecarlo process peaked at about 400 MB; with 4 to 16
-# traces none does.  Neither the block's padded trace bits (_matchers, 1 byte
-# per trace and bit of the longest trace) nor its two embedding tables
-# (_embedding_tables, 8 bytes per trace and bit of s) is counted; each is built
-# once per block and split by view.
-MAX_ORACLE_STATES = 1 << 21
-
-
-class InfeasibleError(RuntimeError):
-    """Structurally valid request that exceeds a hard resource cap (exit 3)."""
-
-
-def _matchers(bits, lens):
-    """Greedy subsequence matchers of B sets of T traces, from their bits trace
-    after trace and their (B, T) lengths: padded[o, i, q] is bit q of set o's
-    trace i, padded with 2, which no bit equals, to max(lens) + 1 columns, and
-    pointer q steps on bit b by padded[o, i, q] == b.  The last column is
-    always padding: pointers stop at their trace's end, and q = -1 reads it."""
-    lens = np.asarray(lens, dtype=np.int32)  # read per automaton state, as the pointers are
-    padded = np.full((*lens.shape, lens.max(initial=0) + 1), 2, dtype=np.uint8)
-    padded[np.arange(padded.shape[-1]) < lens[..., np.newaxis]] = bits
-    return padded, lens
-
-
-def _embedding_tables(s_bits, padded, lens):
-    """Where the traces of the matchers (padded, lens) stand on a string s, its
-    bits s_bits: fwd[j, o, i] is trace i of set o's greedy pointer after
-    s[:j], and back[j, o, i] how many trailing bits of that trace s[j:]
-    embeds, matched greedily from the end.  So the trace is a subsequence of
-    x + s[j:] exactly when x takes its pointer to at least lens - back[j].
-    One pass over s each, every trace at once."""
-    sets, traces = np.ogrid[:lens.shape[0], :lens.shape[1]]
-    fwd = np.zeros((s_bits.size + 1, *lens.shape), dtype=np.int32)
-    back = np.zeros_like(fwd)
-    for j, bit in enumerate(s_bits):
-        fwd[j + 1] = fwd[j] + (padded[sets, traces, fwd[j]] == bit)
-    for j in range(s_bits.size - 1, -1, -1):
-        # trace bit q, the next from the end; q = -1 reads the padding
-        back[j] = back[j + 1] + (padded[sets, traces, lens - back[j + 1] - 1] == s_bits[j])
-    return fwd, back
-
-
-def _embeds_flipped(s_bits, padded, lens, tables, sets, lo, hi) -> np.ndarray:
-    """One row per hit: is every trace of set sets[h] a subsequence of s with
-    the bits [lo[h], hi[h]) flipped?  s's own bits before lo and from hi on are
-    read off tables, from _embedding_tables.  Only the flipped bits are
-    stepped: bit d of every hit whose window is still open, all at once."""
-    fwd, back = tables
-    pointer = fwd[lo, sets]
-    for d in range(int((hi - lo).max(initial=0))):
-        open_ = np.flatnonzero(lo + d < hi)
-        bit = 1 - s_bits[lo[open_] + d]
-        pointer[open_] += padded[sets[open_, np.newaxis], np.arange(lens.shape[1]), pointer[open_]] == bit[:, np.newaxis]
-    return (lens[sets] - pointer <= back[hi, sets]).all(axis=1)
-
-
-def _state_keys(nxt, live, owner, pointer_bits: int, owner_bits: int) -> list[np.ndarray]:
-    """Pack the live states, pointer row nxt[j] and owner[j] for j in live, into
-    int64 words: pointer_bits bits per pointer, then owner_bits for the owner,
-    at most 63 bits per word and no field split across two words.  Equal words
-    mean equal states.  The words are built one field at a time, so the pointer
-    table is never widened to int64 as a whole."""
-    fields = [(nxt[:, t], pointer_bits) for t in range(nxt.shape[1])] + [(owner, owner_bits)]
-    words, used = [], 0
-    for column, bits in fields:
-        if not words or used + bits > 63:
-            words.append(np.zeros(live.size, dtype=np.int64))
-            used = 0
-        words[-1] |= np.left_shift(column[live], used, dtype=np.int64)
-        used += bits
-    return words
-
-
-def _distinct(keys):
-    """Deduplicate states on their packed keys (_state_keys): the order that
-    sorts the keys, and along it whether each is the first of its equal run.
-    Equal keys are equal states, so the sort need not be stable."""
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-    new = np.zeros(order.size, dtype=bool)
-    new[:1] = True
-    for word in keys:
-        word = word[order]
-        new[1:] |= word[1:] != word[:-1]
-    return order, new
-
-
-def _check_budget(visited: int, k: int, n: int):
-    if visited > MAX_ORACLE_STATES:
-        raise InfeasibleError(f"the sufficiency oracle passed its budget of "
-                              f"{MAX_ORACLE_STATES} automaton states at bit {k + 1} of {n}")
-
-
 def _automaton(n: int, padded, lens):
     """Product automaton of the B sets of T greedy matchers (padded, lens) from
     _matchers (after V. I. Levenshtein, J. Combin. Theory Ser. A 93, 2001).  A
@@ -246,54 +117,6 @@ def _automaton(n: int, padded, lens):
     return children, counts[::-1]
 
 
-def _sufficient(s_bits, padded, lens, tables) -> np.ndarray:
-    """Is s the only length-n source of each set of the matchers (padded, lens),
-    traces of s given by its bits s_bits and tables = (fwd, back) from
-    _embedding_tables?  Equals _automaton's count == 1 set by set, but decides
-    uniqueness instead of counting.  Its states are the automaton's whose
-    prefix has left s: at bit k, the successors of the previous ones and the
-    flip of s's own state fwd[k], kept while live as in _automaton.  A state
-    that s's own suffix finishes, lens - pointer <= back[k + 1] on every
-    trace, is a witness: that completion is a length-n source other than s.
-    Its set is then insufficient, drops its states and makes no more flips,
-    and the call returns once no set is open.  A live state at layer n has
-    every pointer at its trace's end, so it is a witness too: the sets still
-    open at the end are exactly the sufficient ones.  The budget counts the
-    states kept, summed over layers and sets."""
-    n, bit, traces = s_bits.size, np.arange(2).reshape(2, 1, 1), np.arange(lens.shape[1])
-    fwd, back = tables
-    pointer_bits, owner_bits = int(lens.max(initial=0)).bit_length(), (lens.shape[0] - 1).bit_length()
-    undecided = np.ones(lens.shape[0], dtype=bool)
-    owner, rows = np.zeros(0, dtype=np.intp), np.zeros((0, traces.size), dtype=np.int32)
-    visited = 0
-    for k in range(n):
-        # s's own state rides along in each undecided set, after the diverged
-        # states; the pointers after each bit are (2, states, T) in C order, as
-        # in _automaton, and of s's own state only the flip leaves s
-        own = np.flatnonzero(undecided)
-        owner, rows = np.concatenate([owner, own]), np.concatenate([rows, fwd[k, own]])
-        nxt = np.equal(padded[owner[:, None], traces, rows], bit, out=np.empty((2, *rows.shape), dtype=np.int32))
-        nxt += rows
-        del rows  # held to the layer's end, it and floor below would raise its peak
-        # live: no trace needs more than the n - k - 1 bits left; a witness: the
-        # rest of s, s[k + 1:], takes every pointer to its trace's end
-        floor = lens[owner]
-        live = (nxt >= floor - (n - k - 1)).all(axis=-1)
-        live[s_bits[k], owner.size - own.size:] = False
-        floor -= back[k + 1, owner]
-        witness = live & (nxt >= floor).all(axis=-1)
-        del floor
-        undecided[np.broadcast_to(owner, witness.shape)[witness]] = False
-        live = np.flatnonzero(live & undecided[owner])
-        nxt, owner = nxt.reshape(-1, traces.size), np.tile(owner, 2)
-        order, new = _distinct(_state_keys(nxt, live, owner, pointer_bits, owner_bits))
-        order = live[order[new]]
-        rows, owner = nxt[order], owner[order]
-        visited += order.size
-        _check_budget(visited, k, n)
-        if not undecided.any():
-            break
-    return undecided
 
 
 def _sources(n: int, children, counts, limit: int) -> list[BitString]:
@@ -312,14 +135,15 @@ def _sources(n: int, children, counts, limit: int) -> list[BitString]:
 
 def consistent_sources(n: int, traces) -> list[BitString]:
     """All length-n strings of which every trace is a subsequence, in
-    lexicographic order; more than MAX_ORACLE_STATES raise InfeasibleError."""
+    lexicographic order; more than kernel.MAX_ORACLE_STATES raise InfeasibleError."""
     if n < 0:
         raise ValueError("n must be >= 0")
     arrays = [_bits_of(t) for t in traces] or [np.zeros(0, dtype=np.uint8)]
     children, counts = _automaton(n, *_matchers(np.concatenate(arrays), [[a.size for a in arrays]]))
-    if counts[0][0] > MAX_ORACLE_STATES:
-        raise InfeasibleError(f"{counts[0][0]} consistent sources exceed {MAX_ORACLE_STATES}")
-    return _sources(n, children, counts, MAX_ORACLE_STATES)
+    budget = kernel.MAX_ORACLE_STATES  # read per call, so a patched budget holds
+    if counts[0][0] > budget:
+        raise InfeasibleError(f"{counts[0][0]} consistent sources exceed {budget}")
+    return _sources(n, children, counts, budget)
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltrace import channel
+from deltrace import kernel
 from deltrace.bits import BitString, is_subsequence
-from deltrace.channel import (
-    SEED_CHUNK,
-    DeletionMask,
-    MaskedTrace,
-    RngSpec,
-    _mask_block,
-    apply_mask,
-    sample_traces,
-)
+from deltrace.channel import DeletionMask, MaskedTrace, RngSpec, apply_mask, sample_traces
+from deltrace.kernel import SEED_CHUNK, _mask_block
 from oracles import is_subseq_str
 
 
@@ -173,7 +166,7 @@ class TestMaskBlock:
         indexes = range(first, first + 2 * b_count)
         rngs = spec.block_rngs(first, len(indexes)) if block_rngs else map(spec.trial_rng, indexes)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(channel, "BLOCK_ELEMENTS", BUDGETS[budget](b_count, t_count, n))
+            mp.setattr(kernel, "BLOCK_ELEMENTS", BUDGETS[budget](b_count, t_count, n))
             blocks = [_mask_block(rngs, p, np.empty((b_count, t_count, n), dtype=bool)) for _ in range(2)]
         for i, flags in zip(indexes, np.concatenate(blocks)):
             assert np.array_equal(flags, spec.trial_rng(i).random((t_count, n)) < p)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from deltrace import cli, harness, reconstruct
+from deltrace import cli, harness, kernel
 from test_golden import CASES, GOLDEN
 
 CLI = [sys.executable, "-m", "deltrace.cli"]
@@ -36,10 +36,47 @@ def runs_config(tmp_path):
 
 
 def test_help_lists_subcommands():
-    proc = run_cli("--help")
-    assert proc.returncode == 0
-    for name in ("exact", "asympt", "montecarlo", "audit", "sweep", "generate"):
-        assert name in proc.stdout
+    for args in (["--help"], ["sweep", "--help"]):
+        proc = run_cli(*args)
+        assert proc.returncode == 0 and proc.stderr == ""
+        for name in ("exact", "asympt", "montecarlo", "audit", "sweep", "generate"):
+            assert name in proc.stdout
+
+
+@pytest.mark.parametrize("args,message", [
+    ([], "expected a subcommand, one of exact, asympt, montecarlo, audit, sweep, generate; got nothing"),
+    (["simulate", "--config", "c.json"], "expected a subcommand, one of exact, asympt, montecarlo, audit, sweep, "
+                                         "generate; got simulate"),
+    (["exact"], "--config PATH is required"),
+    (["exact", "--config", "c.json", "--seed", "abc"], "--seed needs an integer, got 'abc'"),
+    (["exact", "--config", "c.json", "--verbose"], "unknown argument '--verbose'"),
+    (["exact", "--conf", "c.json"], "unknown argument '--conf'"),
+    (["exact", "--config", "c.json", "--out"], "--out needs a value"),
+], ids=["no-arguments", "unknown-subcommand", "missing-config", "seed-not-integer", "unknown-flag",
+        "abbreviated-flag", "flag-without-value"])
+def test_usage_error_exit_2(capsys, args, message):
+    assert cli.main(args) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_flag_values_after_equals_and_repeated(capsys, runs_config):
+    assert cli.main(["montecarlo", "--config", runs_config, "--seed", "99"]) == 0
+    spaced = capsys.readouterr()
+    assert cli.main(["montecarlo", "--seed=1", f"--config={runs_config}", "--seed=99"]) == 0
+    assert capsys.readouterr() == spaced
+
+
+def test_cli_loads_only_the_modules_it_runs():
+    # module names, not timings: the CLI loads the kernel but not the object API
+    # (channel, events, reconstruct), and parses its command line without argparse
+    code = "import json, sys, deltrace.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [name for name in loaded if name.split(".")[0] == "deltrace"] == [
+        "deltrace", "deltrace.analytics", "deltrace.bits", "deltrace.cli", "deltrace.harness", "deltrace.kernel",
+        "deltrace.logspace"]
+    assert "argparse" not in loaded
 
 
 def test_generate(tmp_path):
@@ -154,7 +191,7 @@ def test_infeasible_exit_3(tmp_path, monkeypatch, capsys):
     # a trial whose oracle passes the state budget of 40: every trial's search
     # finds a second source at bit 1 but trial 4's and 9's, which keep 54 and
     # 48 states and pass 40 at bits 11 and 12
-    monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 40)
+    monkeypatch.setattr(kernel, "MAX_ORACLE_STATES", 40)
     assert cli.main(["montecarlo", "--config", difficulty_config(tmp_path, 24)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltrace import events
+from deltrace import kernel
 from deltrace.bits import BitString, PatternSpan, RepeatBlockSpec, make_repeat_instance, run_decompose
 from deltrace.channel import DeletionMask, MaskedTrace, RngSpec, apply_mask, sample_traces
 from deltrace.events import AdjacentPattern, SandwichPattern, detect_ambiguities, detect_events
@@ -139,14 +139,14 @@ class TestRunCoverage:
         # run, and the longest alone sends the longest runs to reduceat
         for cutoff in (0, max(lengths) + 1, max(lengths)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(events, "SHORT_RUN_LENGTH", cutoff)
+                mp.setattr(kernel, "SHORT_RUN_LENGTH", cutoff)
                 # the same index arrays serve every call
-                runs = events._RunTables(np.asarray(lengths, dtype=np.int64))
+                runs = kernel._RunTables(np.asarray(lengths, dtype=np.int64))
                 for _ in range(2):
-                    tables = events._clean_runs(flags, runs)
+                    tables = kernel._clean_runs(flags, runs)
                     assert tables[0].reshape(-1, len(lengths)).tolist() == clean
                     assert tables[1].ravel().tolist() == wiped
-                    assert events._covered_runs(*tables).tolist() == expected
+                    assert kernel._covered_runs(*tables).tolist() == expected
                 traces = traces_from_masks(s, flags[0])
                 assert coverage(traces, profile) == (all(expected[0]), tuple(expected[0]))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deltrace import harness, reconstruct
+from deltrace import harness, kernel
 from deltrace.analytics import critical_rate, prob_uncovered_run_mgf
 from deltrace.harness import (
     CSV_HEADER,
@@ -398,7 +398,7 @@ class TestMonteCarlo:
         cfg = mc_config(source={"kind": "runs", "first_bit": 0,
                                 "fractions": [0.5, 0.5], "n": 22}, trials=20)
         assert 0.0 <= harness._estimate(cfg, ("difficulty",))[0].value <= 1.0
-        monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 50)
+        monkeypatch.setattr(kernel, "MAX_ORACLE_STATES", 50)
         with pytest.raises(InfeasibleError,
                            match=r"budget of 50 automaton states at bit 9 of 22 on trial 3$"):
             harness._estimate(cfg, ("difficulty",))

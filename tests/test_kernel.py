@@ -10,16 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltrace import channel, cli, harness, reconstruct
+from deltrace import cli, harness, kernel
 from deltrace.bits import BitString, _run_lengths, is_subsequence, run_decompose
-from deltrace.channel import RngSpec, _mask_block, sample_traces
+from deltrace.channel import sample_traces
 from deltrace.events import (
     AdjacentPattern,
     SandwichPattern,
-    _clean_runs,
     _copies_violated,
-    _covered_runs,
-    _RunTables,
     _validated_alternative,
     detect_ambiguities,
     detect_events,
@@ -37,15 +34,22 @@ from deltrace.harness import (
     audit_implications,
     run_mode,
 )
+from deltrace.kernel import (
+    RngSpec,
+    _clean_runs,
+    _covered_runs,
+    _embedding_tables,
+    _embeds_flipped,
+    _mask_block,
+    _matchers,
+    _run_alignment_misses,
+    _RunTables,
+    _sufficient,
+)
 from deltrace.reconstruct import (
     ReconstructionResult,
     SufficiencyVerdict,
     _automaton,
-    _embedding_tables,
-    _embeds_flipped,
-    _matchers,
-    _run_alignment_misses,
-    _sufficient,
     is_levenshtein_sufficient,
     maximal_runs,
 )
@@ -116,7 +120,7 @@ def test_mask_block_draws_the_sample_traces_masks(step, monkeypatch):
                 for k in range(3)]
     for k in range(3):
         assert np.array_equal(expected[k], spec.trial_rng(5 + k).random((4, len(s))) < 0.4)
-    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", step * len(s))  # step rows per draw
+    monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", step * len(s))  # step rows per draw
     flags = _mask_block(map(spec.trial_rng, range(5, 8)), 0.4, np.empty((3, 4, len(s)), dtype=bool))
     for k in range(3):
         assert np.array_equal(flags[k], expected[k])
@@ -335,7 +339,7 @@ def test_reused_block_buffers_match_detect_events(t_count, trials, block_traces,
     assert all(0 < count < trials for count in expected.values())
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_traces * n)
     if draw_traces is not None:
-        monkeypatch.setattr(channel, "BLOCK_ELEMENTS", draw_traces * n)
+        monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", draw_traces * n)
     assert _simulate(config, tuple(expected))[0] == {**dict.fromkeys(ESTIMATORS, 0), **expected}
 
 
@@ -351,7 +355,7 @@ def test_every_block_draws_into_the_first_blocks_buffers(t_count, trials, block_
     n = config.source.n
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_traces * n)
     if draw_traces is not None:
-        monkeypatch.setattr(channel, "BLOCK_ELEMENTS", draw_traces * n)
+        monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", draw_traces * n)
     calls = []
 
     def recorded(rngs, p, out, uniforms):
@@ -531,7 +535,7 @@ def test_kernel_draws_only_block_streams(mode, monkeypatch, capsys):
 
     monkeypatch.setattr(RngSpec, "trial_rng", barred)
     monkeypatch.setattr(harness, "_mask_block", recorded)
-    monkeypatch.setattr(channel, "SEED_CHUNK", 16)  # seeds computed in 4 chunks
+    monkeypatch.setattr(kernel, "SEED_CHUNK", 16)  # seeds computed in 4 chunks
     outputs = []
     for budget in (1, 7 * 3 * 10):  # B = 1, then B = 7
         monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
@@ -574,7 +578,7 @@ def test_oversized_block_is_split(monkeypatch):
     sufficient = _automaton(12, *_matchers_of(sets))[1][0][:40] == 1
     states = [sum(kept) for kept in _states(s, sets)]
     # every trial fits the budget on its own; the block passes it in aggregate
-    monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", max(states))
+    monkeypatch.setattr(kernel, "MAX_ORACLE_STATES", max(states))
     assert sum(states) > max(states)
     with pytest.raises(InfeasibleError):
         _sufficient(s.bits, *_oracle_of(s.bits, sets))
@@ -611,7 +615,7 @@ def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypa
         return flags
 
     monkeypatch.setattr(harness, "_mask_block", four_and_nine)
-    monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 40)
+    monkeypatch.setattr(kernel, "MAX_ORACLE_STATES", 40)
     alone = []
     for trial in (4, 9):
         with pytest.raises(InfeasibleError) as refusal:
@@ -628,7 +632,7 @@ def test_refusal_of_a_block_over_the_budget_takes_two_calls(monkeypatch):
     config = ExperimentConfig.from_dict(_half_runs_config(10))
     s, sets = config.source.instance().s, _trace_sets(config)
     sets = [sets[4], sets[9]] * 8  # the two trials whose searches pass 8 states
-    monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 8)
+    monkeypatch.setattr(kernel, "MAX_ORACLE_STATES", 8)
     for trial in sets:
         with pytest.raises(InfeasibleError):
             _sufficient(s.bits, *_oracle_of(s.bits, [trial]))

@@ -3,24 +3,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltrace import reconstruct
+from deltrace import kernel
 from deltrace.bits import BitString, is_subsequence, run_decompose
 from deltrace.channel import RngSpec, sample_traces
-from deltrace.reconstruct import (
-    EMPTY_TRACE_SET,
-    FIRST_BIT_MISMATCH,
-    LENGTH_MISMATCH,
+from deltrace.kernel import (
     MAX_ORACLE_STATES,
-    InfeasibleError,
-    ReconstructionResult,
-    SufficiencyVerdict,
-    _automaton,
     _embedding_tables,
     _embeds_flipped,
     _matchers,
     _run_alignment_misses,
     _state_keys,
     _sufficient,
+)
+from deltrace.reconstruct import (
+    EMPTY_TRACE_SET,
+    FIRST_BIT_MISMATCH,
+    LENGTH_MISMATCH,
+    InfeasibleError,
+    ReconstructionResult,
+    SufficiencyVerdict,
+    _automaton,
     consistent_sources,
     is_levenshtein_sufficient,
     maximal_runs,
@@ -122,9 +124,25 @@ class TestConsistentSources:
     def test_cap_override(self, monkeypatch):
         # the state budget is the one cap: lowered, it refuses a small input
         assert len(consistent_sources(8, bs("0110", "1001"))) > 0
-        monkeypatch.setattr(reconstruct, "MAX_ORACLE_STATES", 10)
+        monkeypatch.setattr(kernel, "MAX_ORACLE_STATES", 10)
         with pytest.raises(InfeasibleError, match="budget of 10 automaton states at bit 3 of 8"):
             consistent_sources(8, bs("0110", "1001"))
+
+    def test_source_cap_at_the_budget(self, monkeypatch):
+        # the 15 four-bit strings holding a 0 take the automaton through 8
+        # states, so the sources, not the states, meet a budget of 15 or 14;
+        # the 7 completions of the first layer-1 state stay under either
+        monkeypatch.setattr(kernel, "MAX_ORACLE_STATES", 15)
+        assert len(consistent_sources(4, bs("0"))) == 15
+        monkeypatch.setattr(kernel, "MAX_ORACLE_STATES", 14)
+        with pytest.raises(InfeasibleError, match="^15 consistent sources exceed 14$"):
+            consistent_sources(4, bs("0"))
+
+    def test_zero_length_sources(self):
+        # only the empty string, and only if every trace is empty
+        assert consistent_sources(0, []) == [BitString(())]
+        assert consistent_sources(0, bs("", "")) == [BitString(())]
+        assert consistent_sources(0, bs("", "0")) == []
 
     def test_overlong_trace_yields_nothing(self):
         assert consistent_sources(2, bs("000")) == []
@@ -383,11 +401,11 @@ class TestSufficient:
         for ts in sets:
             sufficient, kept = diverged_states_oracle(_text(s), [_text(t) for t in ts])
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(reconstruct, "MAX_ORACLE_STATES", sum(kept))
+                mp.setattr(kernel, "MAX_ORACLE_STATES", sum(kept))
                 assert _sufficient(s, *_oracle_of(s, [ts])).tolist() == [sufficient]
                 if sum(kept) == 0:
                     continue
-                mp.setattr(reconstruct, "MAX_ORACLE_STATES", sum(kept) - 1)
+                mp.setattr(kernel, "MAX_ORACLE_STATES", sum(kept) - 1)
                 last = max(k for k, count in enumerate(kept) if count) + 1
                 with pytest.raises(InfeasibleError, match=f"at bit {last} of {s.size}$"):
                     _sufficient(s, *_oracle_of(s, [ts]))

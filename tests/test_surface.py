@@ -77,3 +77,14 @@ def test_no_private_name_is_orphaned():
     # the scan finds the kernel's helpers; an empty one would prove nothing
     assert {"_simulate", "_clean_runs", "_RunTables"} <= defined.keys()
     assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in read) == []
+
+
+def test_kernel_sizes_are_defined_once():
+    # the object API imports the kernel's stages but not its sizes, so a test
+    # that patches a size on channel, events or reconstruct fails at the patch
+    # instead of changing nothing the stages read
+    from deltrace import channel, events, kernel, reconstruct
+
+    for name in ("BLOCK_ELEMENTS", "SEED_CHUNK", "SHORT_RUN_LENGTH", "MAX_ORACLE_STATES"):
+        assert isinstance(getattr(kernel, name), int)
+        assert [module.__name__ for module in (channel, events, reconstruct) if hasattr(module, name)] == []
