@@ -14,15 +14,14 @@ _SUBMODULE = {
     for module, names in {
         "analytics": """ProbReport ThresholdParams TraceCount critical_rate log_ratio_diagnostic
             poly_trace_table prob_no_pattern_witness_asymptotic prob_no_pattern_witness_exact
-            prob_uncovered_run_asymptotic prob_uncovered_run_mgf prob_uncovered_run_sum
-            prob_unpreserved_run""",
+            prob_uncovered_run_asymptotic prob_uncovered_run_mgf prob_uncovered_run_sum""",
         "bits": """BitString PatternSpan RepeatBlockSpec RunFractionSpec RunProfile is_subsequence
-            make_repeat_instance make_run_instance run_compose run_decompose""",
+            make_repeat_instance make_run_instance run_decompose""",
         "channel": "DeletionMask MaskedTrace RngSpec apply_mask sample_traces",
         "events": """AdjacentPattern AmbiguityWitness EventReport SandwichPattern
             detect_ambiguities detect_events""",
         "harness": """AuditReport ConfigError EstimateRow ExperimentConfig InfeasibleError
-            audit_implications estimate_event_probs sweep_threshold wilson_interval""",
+            audit_implications estimate_event_probs""",
         "reconstruct": """ReconstructionResult SufficiencyVerdict consistent_sources
             is_levenshtein_sufficient maximal_runs""",
     }.items()

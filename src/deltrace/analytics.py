@@ -37,7 +37,6 @@ __all__ = [
     "prob_uncovered_run_mgf",
     "prob_uncovered_run_sum",
     "prob_uncovered_run_asymptotic",
-    "prob_unpreserved_run",
     "poly_trace_table",
     "log_ratio_diagnostic",
 ]
@@ -366,12 +365,12 @@ def prob_uncovered_run_asymptotic(fractions, p: float, c: float, T) -> ProbRepor
     return _report(ln_value, "asymptotic", flags=flags)
 
 
-def log_ratio_diagnostic(fractions, p: float, c: float, n: float, a: float = 1.0) -> float:
+def log_ratio_diagnostic(fractions, p: float, c: float, n: float) -> float:
     """ln of the uncovered-run probability over ln of the no-witness
-    probability for the dominant run, at T = exp(c * n^a).  Tends to one
+    probability for the dominant run, at T = exp(c * n).  Tends to one
     above the critical rate."""
     fracs = _check_lengths(fractions)
-    count = TraceCount.exponential(c, n, a)
+    count = TraceCount.exponential(c, n)
     lengths = [frac * float(n) for frac in fracs]
     numerator = prob_uncovered_run_mgf(lengths, p, count).ln_value
     denominator = prob_no_pattern_witness_exact(1, max(lengths), p, count).ln_value
@@ -383,37 +382,24 @@ def log_ratio_diagnostic(fractions, p: float, c: float, n: float, a: float = 1.0
 # ---------------------------------------------------------------------------
 # polynomial trace schedules
 
-def prob_unpreserved_run(run_lengths, p: float, T) -> ProbReport:
-    """Probability that some run is nicked by every one of T traces:
+def poly_trace_table(fractions, p: float, c: float, b: float, m_grid) -> list[tuple]:
+    """Rows (m, T, value, ln_value) of the probability that some run is nicked
+    by every one of T = ceil(c * m^b) traces, with run lengths r_i = ell_i * m:
     1 - prod_i (1 - (1 - (1-p)^{r_i})^T).  Runs are treated independently,
     which is exact for this event."""
-    lengths = _check_lengths(run_lengths)
-    p = _check_p(p)
-    count = _as_count(T)
-    if p == 0.0:
-        return _report(NEG_INF, "exact-closed-form")
-    if p == 1.0:
-        return _report(0.0, "exact-closed-form")
-    ln_q = math.log1p(-p)
-    ln_all_hit = [pow_one_minus_ln(r * ln_q, count.ln_value) for r in lengths]
-    ln_every_run_kept = math.fsum(ln_one_minus_exp(la) for la in ln_all_hit)
-    return _report(ln_one_minus_exp(ln_every_run_kept), "exact-closed-form")
-
-
-def poly_trace_table(fractions, p: float, c: float, b: float, m_grid) -> list[tuple]:
-    """Rows (m, T, value, ln_value) of the unpreserved-run probability with
-    run lengths ell_i * m and T = ceil(c * m^b) traces."""
     fracs = _check_lengths(fractions)
     p = _check_p(p)
     if c <= 0 or b <= 0:
         raise ValueError("schedule needs c > 0 and b > 0")
+    ln_q = math.log1p(-p) if p < 1.0 else NEG_INF  # ln(1 - p)
     rows = []
     for m in m_grid:
         m = int(m)
         if m < 1:
             raise ValueError("grid sizes must be positive")
         t_count = max(1, math.ceil(c * m**b))
-        lengths = [frac * m for frac in fracs]
-        report = prob_unpreserved_run(lengths, p, TraceCount.integer(t_count))
+        ln_t = TraceCount.integer(t_count).ln_value
+        ln_every_run_kept = math.fsum(ln_one_minus_exp(pow_one_minus_ln(frac * m * ln_q, ln_t)) for frac in fracs)
+        report = _report(ln_one_minus_exp(ln_every_run_kept), "exact-closed-form")
         rows.append((m, t_count, report.value, report.ln_value))
     return rows

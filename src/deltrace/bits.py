@@ -20,7 +20,6 @@ __all__ = [
     "RepeatBlockSpec",
     "RunFractionSpec",
     "run_decompose",
-    "run_compose",
     "is_subsequence",
     "span_matches",
     "rounded_run_lengths",
@@ -170,13 +169,6 @@ def run_decompose(s: BitString) -> RunProfile:
     return RunProfile(int(arr[0]), tuple(_run_lengths(arr).tolist()))
 
 
-def run_compose(profile: RunProfile) -> BitString:
-    """Inverse of run_decompose: expand a profile back into a string."""
-    lengths = np.asarray(profile.lengths, dtype=np.int64)
-    values = (profile.first_bit + np.arange(lengths.size)) % 2
-    return BitString(np.repeat(values.astype(np.uint8), lengths))
-
-
 def is_subsequence(t: BitString, x: BitString) -> bool:
     """True iff t can be obtained from x by deleting bits.
 
@@ -313,4 +305,5 @@ def rounded_run_lengths(fractions: Sequence[float], n: int) -> list[int]:
 def make_run_instance(spec: RunFractionSpec, n: int) -> BitString:
     """Build the length-n string with the requested run structure."""
     lengths = rounded_run_lengths(spec.fractions, n)
-    return run_compose(RunProfile(spec.first_bit, tuple(lengths)))
+    values = (spec.first_bit + np.arange(len(lengths))) % 2
+    return BitString(np.repeat(values.astype(np.uint8), lengths))

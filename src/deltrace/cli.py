@@ -30,7 +30,7 @@ import sys
 # OpenBLAS's worker threads and 96 ms without them (medians of 15 processes).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .harness import ConfigError, ExperimentConfig, InfeasibleError, run_mode
+from .harness import ExperimentConfig, InfeasibleError, run_mode
 
 __all__ = ["main"]
 
@@ -90,13 +90,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # harness's ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

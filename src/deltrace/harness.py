@@ -53,10 +53,8 @@ __all__ = [
     "CSV_HEADER",
     "ESTIMATORS",
     "WILSON_Z",
-    "wilson_interval",
     "estimate_event_probs",
     "audit_implications",
-    "sweep_threshold",
     "run_mode",
     "rows_to_csv",
     "write_outputs",
@@ -306,16 +304,16 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # rows and CSV
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval; well behaved for proportions at 0 or 1."""
+def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at WILSON_Z; well behaved for proportions at 0 or 1."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = trials + z2
     center = (successes + z2 / 2.0) / denom
-    spread = (z / denom) * math.sqrt(successes * (trials - successes) / trials + z2 / 4.0)
+    spread = (WILSON_Z / denom) * math.sqrt(successes * (trials - successes) / trials + z2 / 4.0)
     # the bounds must bracket the point estimate; at 0 or trials successes the
     # algebra gives the estimate itself and float rounding can land either side
     freq = successes / trials
@@ -548,7 +546,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
 
 def _mc_row(config, estimator, successes) -> EstimateRow:
     freq = successes / config.trials
-    ci = wilson_interval(successes, config.trials)
+    ci = _wilson_interval(successes, config.trials)
     return EstimateRow(
         estimator=estimator,
         n=config.source.n,
@@ -688,7 +686,7 @@ def _regime(c: float, c_star: float) -> str:
     return "below" if c < c_star else "above"
 
 
-def sweep_threshold(config: ExperimentConfig) -> tuple[list[EstimateRow], list[str]]:
+def _sweep_threshold(config: ExperimentConfig) -> tuple[list[EstimateRow], list[str]]:
     """Exact and asymptotic probabilities over the (c, n) grid, each row
     labeled by its position against the critical rate.  Formula evaluation
     on real-valued copy counts and run lengths, not rounded instances."""
@@ -746,7 +744,7 @@ def run_mode(config: ExperimentConfig) -> int:
         write_outputs(config, rows_to_csv(_asymptotic_rows(config)))
         return 0
     if config.mode == "sweep":
-        rows, regimes = sweep_threshold(config)
+        rows, regimes = _sweep_threshold(config)
         write_outputs(config, rows_to_csv(rows, regimes))
         return 0
     if config.mode == "montecarlo":

@@ -18,7 +18,6 @@ from deltrace.analytics import (
     prob_uncovered_run_asymptotic,
     prob_uncovered_run_mgf,
     prob_uncovered_run_sum,
-    prob_unpreserved_run,
 )
 from deltrace.reconstruct import InfeasibleError
 from oracles import (
@@ -365,11 +364,13 @@ class TestLogRatio:
 
 
 class TestPolySchedules:
+    # at grid size m = 1 the fractions are the run lengths and T = ceil(c)
     def test_unpreserved_single_run_closed_form(self):
         # one run of length m, T traces: probability (1 - (1-p)^m)^T
         for m, p, t_count in [(5, 0.3, 4), (10, 0.5, 16)]:
             expected = (1 - (1 - p) ** m) ** t_count
-            got = prob_unpreserved_run([m], p, t_count).value
+            [(_, t, got, _)] = poly_trace_table([m], p, t_count, 1.0, [1])
+            assert t == t_count
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_unpreserved_multi_run(self):
@@ -377,7 +378,8 @@ class TestPolySchedules:
         lengths, p, t_count = [2, 3], 0.4, 3
         a_vals = [(1 - (1 - p) ** r) ** t_count for r in lengths]
         expected = 1 - (1 - a_vals[0]) * (1 - a_vals[1])
-        got = prob_unpreserved_run(lengths, p, t_count).value
+        [(_, t, got, _)] = poly_trace_table(lengths, p, t_count, 1.0, [1])
+        assert t == t_count
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_table_rows(self):

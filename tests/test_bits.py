@@ -13,7 +13,6 @@ from deltrace.bits import (
     make_repeat_instance,
     make_run_instance,
     rounded_run_lengths,
-    run_compose,
     run_decompose,
     span_matches,
 )
@@ -63,9 +62,11 @@ class TestRuns:
         assert profile.lengths == (3, 3, 2, 1, 1)
 
     def test_compose_examples(self):
-        assert str(run_compose(RunProfile(0, (1, 1, 2, 2)))) == "010011"
-        assert str(run_compose(RunProfile(1, (3,)))) == "111"
-        assert str(run_compose(RunProfile(0, (2, 2)))) == "0011"
+        # run_decompose inverts laying out runs of alternating bits
+        for text, first_bit, lengths in [("010011", 0, (1, 1, 2, 2)), ("111", 1, (3,)), ("0011", 0, (2, 2))]:
+            s = BitString(np.repeat((first_bit + np.arange(len(lengths))) % 2, lengths))
+            assert str(s) == text
+            assert run_decompose(s) == RunProfile(first_bit, lengths)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty string has no runs"):
@@ -74,7 +75,9 @@ class TestRuns:
     @given(bit_text.filter(bool))
     def test_round_trip(self, text):
         s = BitString(text)
-        assert run_compose(run_decompose(s)) == s
+        profile = run_decompose(s)
+        runs = len(profile.lengths)
+        assert BitString(np.repeat((profile.first_bit + np.arange(runs)) % 2, profile.lengths)) == s
 
     @given(bit_text.filter(bool))
     def test_alternation(self, text):

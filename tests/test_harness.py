@@ -21,12 +21,12 @@ from deltrace.harness import (
     ExperimentConfig,
     InfeasibleError,
     SourceSpec,
+    _sweep_threshold,
+    _wilson_interval,
     audit_implications,
     estimate_event_probs,
     rows_to_csv,
     run_mode,
-    sweep_threshold,
-    wilson_interval,
     write_outputs,
 )
 from oracles import wilson_oracle
@@ -301,13 +301,13 @@ class TestConfigValidation:
 
 class TestWilson:
     def test_boundary_clamps(self):
-        lo, hi = wilson_interval(0, 50)
+        lo, hi = _wilson_interval(0, 50)
         assert lo == 0.0 and 0.0 < hi < 0.12
-        lo, hi = wilson_interval(50, 50)
+        lo, hi = _wilson_interval(50, 50)
         assert hi == 1.0 and 0.88 < lo < 1.0
 
     def test_symmetric_center(self):
-        lo, hi = wilson_interval(50, 100)
+        lo, hi = _wilson_interval(50, 100)
         assert (lo + hi) / 2 == pytest.approx(0.5, abs=1e-15)
 
     def test_z_constant(self):
@@ -317,7 +317,7 @@ class TestWilson:
     @given(st.integers(1, 300), st.data())
     def test_matches_quadratic_oracle(self, trials, data):
         successes = data.draw(st.integers(0, trials))
-        lo, hi = wilson_interval(successes, trials)
+        lo, hi = _wilson_interval(successes, trials)
         olo, ohi = wilson_oracle(successes, trials, WILSON_Z)
         assert lo == pytest.approx(olo, abs=1e-12)
         assert hi == pytest.approx(ohi, abs=1e-12)
@@ -325,9 +325,9 @@ class TestWilson:
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            wilson_interval(1, 0)
+            _wilson_interval(1, 0)
         with pytest.raises(ValueError):
-            wilson_interval(5, 4)
+            _wilson_interval(5, 4)
 
 
 class TestRowsAndCsv:
@@ -491,7 +491,7 @@ class TestSweep:
         return ExperimentConfig.from_dict(obj)
 
     def test_regime_labels(self):
-        rows, regimes = sweep_threshold(self.sweep_config())
+        rows, regimes = _sweep_threshold(self.sweep_config())
         assert regimes == ["below", "below", "at", "at", "above", "above"]
         methods = [row.method for row in rows]
         assert methods == ["exact-closed-form", "asymptotic"] * 3
@@ -500,11 +500,11 @@ class TestSweep:
         c_star = critical_rate(4, 0.1, 0.001)  # about 1e-13
         source = {"kind": "repeat", "pattern": "0110", "ell": 0.1}
         config = self.sweep_config(source=source, p=0.001, c_grid=[1e-14, c_star, 1e-12])
-        assert sweep_threshold(config)[1] == ["below", "below", "at", "at", "above", "above"]
+        assert _sweep_threshold(config)[1] == ["below", "below", "at", "at", "above", "above"]
 
     def test_at_threshold_limit(self):
         # at the critical rate the closed form tends to exp(-1)
-        rows, regimes = sweep_threshold(self.sweep_config(n_grid=[400]))
+        rows, regimes = _sweep_threshold(self.sweep_config(n_grid=[400]))
         at_exact = [r for r, reg in zip(rows, regimes)
                     if reg == "at" and r.method == "exact-closed-form"][0]
         assert at_exact.value == pytest.approx(math.exp(-1), abs=1e-3)
@@ -518,7 +518,7 @@ class TestSweep:
             "c_grid": [1.2 * c_star],
             "n_grid": [60, 120],
         })
-        rows, regimes = sweep_threshold(cfg)
+        rows, regimes = _sweep_threshold(cfg)
         assert regimes == ["above"] * 4
         assert {row.estimator for row in rows} == {"uncovered-run"}
         text = rows_to_csv(rows, regimes)

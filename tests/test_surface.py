@@ -1,6 +1,7 @@
 """The public names other code relies on: README's library example, the
 names the bench scripts import from deltrace, and the top-level names that
-load their submodule on first use."""
+load their submodule on first use.  Every public name has a reader outside
+its own module, and the oracle's budget is the one README documents."""
 
 import ast
 import importlib
@@ -14,11 +15,91 @@ import pytest
 ROOT = Path(__file__).parent.parent
 
 
-def test_readme_library_example_runs(capsys):
+# public names with no reader outside their module, kept on purpose
+KEPT_WITHOUT_READER = {
+    "consistent_sources": "the counting route over the full automaton that the tests check the kernel's oracle against",
+    "ConfigError": "what ExperimentConfig raises for a bad config; callers catch it by name, as cli does by its ValueError base",
+}
+
+
+def _library_example() -> str:
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _names_read(source: str) -> set[str]:
+    """Every name a piece of code loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _annotation_names(node) -> set[str]:
+    """Names in the annotations of a definition: a function's signature, or a
+    class's fields and method signatures."""
+    annotations = []
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.arg, ast.AnnAssign)):
+            annotations.append(sub.annotation)
+        elif isinstance(sub, ast.FunctionDef):
+            annotations.append(sub.returns)
+    return {name.id for annotation in filter(None, annotations) for name in ast.walk(annotation)
+            if isinstance(name, ast.Name)}
+
+
+def test_every_public_name_has_a_reader():
+    # a name in deltrace.__all__ is read by another src module, the acceptance
+    # file, README's library example or a bench script; or it types a kept
+    # name's signature; or KEPT_WITHOUT_READER says why it stays
+    import deltrace
+
+    public = set(deltrace.__all__)
+    sources = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "deltrace").glob("*.py"))}
+    outside = [_names_read((ROOT / "tests" / "test_acceptance.py").read_text()), _names_read(_library_example())]
+    outside += [_names_read(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    read_by = {module: _names_read(text) for module, text in sources.items() if module != "__init__"}
+    kept = {name for name in public
+            if any(name in names for names in outside)
+            or any(name in names for module, names in read_by.items() if module != deltrace._SUBMODULE[name])}
+    definitions = {node.name: node for text in sources.values() for node in ast.parse(text).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    kept |= public & set().union(*(_annotation_names(definitions[name]) for name in kept))
+    # each route keeps something; an empty scan would prove nothing
+    assert {"BitString", "maximal_runs", "ProbReport", "EventReport", "SufficiencyVerdict"} <= kept
+    assert sorted(public - kept - KEPT_WITHOUT_READER.keys()) == []
+    # an allowlisted name is public and still has no reader
+    assert sorted(KEPT_WITHOUT_READER.keys() - (public - kept)) == []
+
+
+def test_module_exports_are_public_or_mapped():
+    # a module's __all__ lists top-level names, or names README's module map
+    # gives as module-level for that module, and the map names what exists
+    import deltrace
+
     readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Library use", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md", "exec"), {})
+    bullets = re.findall(r"^\* `deltrace\.(\w+)`:(.*?)\n(?=\* |\n)", readme.split("Module map.", 1)[1], re.M | re.S)
+    module_level = {module: set(re.findall(r"`(\w+)`", text.partition("Module-level:")[2])) for module, text in bullets}
+    assert {"bits", "harness", "kernel", "cli"} <= module_level.keys() and "main" in module_level["cli"]
+    stray, missing = [], []
+    for path in sorted((ROOT / "src" / "deltrace").glob("[!_]*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                stray += [f"{path.stem}: {name}" for name in ast.literal_eval(node.value)
+                          if name not in deltrace.__all__ and name not in module_level.get(path.stem, ())]
+    for module, names in module_level.items():
+        missing += [f"{module}: {name}" for name in sorted(names)
+                    if not hasattr(importlib.import_module(f"deltrace.{module}"), name)]
+    assert (stray, missing) == ([], [])
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_library_example(), "README.md", "exec"), {})
     out = capsys.readouterr().out
     for label in ("unique consistent source:", "event probability:", "critical rate:"):
         assert label in out
@@ -88,3 +169,15 @@ def test_kernel_sizes_are_defined_once():
     for name in ("BLOCK_ELEMENTS", "SEED_CHUNK", "SHORT_RUN_LENGTH", "MAX_ORACLE_STATES"):
         assert isinstance(getattr(kernel, name), int)
         assert [module.__name__ for module in (channel, events, reconstruct) if hasattr(module, name)] == []
+
+
+def test_oracle_budget_is_the_documented_one():
+    # README gives the budget as a power of two and, in the exit-3 message, as
+    # a count; both must name the kernel's value, so a change to one fails
+    from deltrace import kernel
+
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    powers = re.findall(r"budget of 2\^(\d+) automaton states", readme)
+    counts = re.findall(r"budget of (\d+) automaton states", readme)
+    assert (len(powers), len(counts)) == (2, 1)
+    assert {1 << int(k) for k in powers} == {int(c) for c in counts} == {kernel.MAX_ORACLE_STATES}
