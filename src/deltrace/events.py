@@ -61,11 +61,6 @@ def _span_windows(span: PatternSpan):
     return [(span.offset + j * span.period, span.period) for j in range(span.copies)]
 
 
-def _pattern_witness_from_flags(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
-    """Masks (..., T, n) -> (...): does some trace delete no copy of the span?"""
-    return ~_copies_violated(flags, (span,)).all(axis=-1)
-
-
 @dataclass(frozen=True)
 class EventReport:
     """Event outcomes for one trace set: pattern witness per declared span,
@@ -82,7 +77,8 @@ class EventReport:
 
 def detect_events(traces: list[MaskedTrace], spans: list[PatternSpan], profile: RunProfile) -> EventReport:
     flags = _flags_matrix(traces, profile.total)
-    witness = tuple(bool(_pattern_witness_from_flags(flags, span)) for span in spans)
+    # some trace deleted no copy of the span outright
+    witness = tuple(not _span_wiped(flags, span).all() for span in spans)
     per_run = _covered_runs(*_clean_runs(flags, _RunTables(np.asarray(profile.lengths, dtype=np.int64))))
     return EventReport(witness, bool(per_run.all()), tuple(per_run.tolist()))
 

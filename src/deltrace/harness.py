@@ -15,7 +15,6 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .bits import (
 )
 from .kernel import (BLOCK_ELEMENTS, InfeasibleError, RngSpec, _clean_runs, _covered_runs, _embedding_tables,
                      _embeds_flipped, _mask_block, _matchers, _run_alignment_misses, _RunTables, _span_wiped,
-                     _sufficient, _uniforms_shape)
+                     _sufficient)
 
 __all__ = [
     "ConfigError",
@@ -163,14 +162,16 @@ class SourceSpec:
         _require(abs(sum(fracs) - 1.0) <= 1e-9, "source.fractions must sum to 1")
         return cls(RunFractionSpec(first, fracs), n)
 
-    def run_count(self) -> int | None:
+    def run_count(self) -> int:
         """The run count of instance(), read off a repeat or runs recipe
-        without building the string (None for a literal string); raises as
-        instance() does on a source it refuses."""
+        without building the string, and off a literal string's bit changes
+        without its run table; raises as instance() does on a source it
+        refuses."""
         if self.n > MAX_TRIAL_ELEMENTS:  # refused before the string is allocated
             raise InfeasibleError(f"the source needs n = {self.n} bits, over the cap of {MAX_TRIAL_ELEMENTS} bits")
         if isinstance(self.recipe, BitString):
-            return None
+            bits = self.recipe.bits
+            return int(np.count_nonzero(bits[1:] != bits[:-1])) + 1
         try:
             return self.recipe.run_count(self.n)
         except ValueError as exc:
@@ -283,6 +284,8 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError("config is nested too deeply to parse") from None
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         merged = dict(obj)
@@ -461,10 +464,12 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     occurred, by name, and an audit's breaches as (trial, check), trial by
     trial.  One pass, B = max(1, BLOCK_ELEMENTS // (T * n)) trials per block.
     kernel._mask_block fills a block's (B, T, n) mask, trial i from its own
-    stream, taken in order from one RngSpec(seed).block_rngs over all trials
-    (bit-equal to trial_rng(i)), so the counts do not depend on B.  The mask
-    and its uniforms are allocated once per run for the first block, and each
-    block draws into [:size] views of them.  Run coverage's index arrays
+    stream, B streams taken in order from one RngSpec(seed).block_rngs over
+    all trials (bit-equal to trial_rng(i)), so the counts do not depend on B.
+    The mask and one flat buffer of min(B * T * n, BLOCK_ELEMENTS) uniforms
+    are allocated once per run; each block draws into a [:size] view of the
+    mask through the buffer, compared with p whenever the next piece would
+    not fit and at the block's end.  Run coverage's index arrays
     (kernel._RunTables) are built once per run, its tables per call.  The mask
     events, the oracle's verdicts (one call, see _sufficient_sets) and every
     audit check cover the whole block, the last two reading the traces only
@@ -500,13 +505,13 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
-    uniforms = np.empty(_uniforms_shape(masks.shape))
+    uniforms = np.empty(min(masks.size, BLOCK_ELEMENTS))
     runs = _RunTables(np.diff(bounds))
     fired = dict.fromkeys(ESTIMATORS, 0)
     offenders = []
     for first in range(0, config.trials, block):
         size = min(block, config.trials - first)
-        flags = _mask_block(islice(rngs, size), p, masks[:size], uniforms)
+        flags = _mask_block(rngs, p, masks[:size], uniforms)
         # no trace kept a copy of the span whole
         no_witness = _span_wiped(flags, instance.span).all(axis=-1)
         clean, wiped = _clean_runs(flags, runs)
@@ -636,8 +641,7 @@ def _formula_rows(config: ExperimentConfig) -> list[EstimateRow]:
     else:
         t_or_c, a = config.schedule
         count = TraceCount.exponential(t_or_c, n, a)
-    if runs is not None:  # refused before the instance is allocated
-        _check_mgf_runs(runs, p)
+    _check_mgf_runs(runs, p)  # refused before the instance is allocated
     instance = config.source.instance()
     span, lengths = instance.span, np.diff(instance.bounds)
     reports = [

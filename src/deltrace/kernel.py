@@ -4,7 +4,9 @@ run the mask stages on one trace set, and reconstruct's counting automaton
 reuses the matchers, state keys and budget.  The CLI loads none of those.
 
 _mask_block draws deletion masks, trial i from its own PCG64 stream
-(RngSpec), holding at most BLOCK_ELEMENTS uniforms at once.  Run coverage
+(RngSpec), through one float buffer of at most BLOCK_ELEMENTS uniforms:
+trials fill it in order, piece by piece when larger than it, and it is
+compared with p whenever a piece would not fit, and at the end.  Run coverage
 reads, per (trace, run), whether the mask deleted some and every bit of the
 run, by clipped gathers on runs shorter than SHORT_RUN_LENGTH bits and by
 np.add.reduceat on the others (_clean_runs), from index arrays built once
@@ -149,49 +151,39 @@ class RngSpec:
                 yield rng
 
 
-def _uniforms_shape(shape: tuple[int, int, int]) -> tuple[int, ...]:
-    """The float buffer _mask_block draws a (B, T, n) block's uniforms into:
-    the whole block when it holds at most BLOCK_ELEMENTS values, else that
-    many values of one trial's T * n, at least one."""
-    b_count, t_count, n = shape
-    if b_count * t_count * n <= BLOCK_ELEMENTS:
-        return shape
-    return (min(t_count * n, max(1, BLOCK_ELEMENTS)),)
-
-
 def _mask_block(rngs, p: float, out: np.ndarray, uniforms: np.ndarray | None = None) -> np.ndarray:
     """Fill the C-contiguous (B, T, n) bool array out with deletion masks,
     trial k's from the k-th generator of the iterable rngs, and return it.
     It takes no more than B generators, so consecutive blocks can share one
     iterable.
 
-    When the block holds at most BLOCK_ELEMENTS values, trial k draws its
-    T x n uniforms into row k of one (B, T, n) float buffer, and the block is
-    compared with p once.  Otherwise each trial draws its T * n uniforms in
-    order, BLOCK_ELEMENTS at a time, into one float scratch.  The draws
-    continue one stream, so trial k's flags are rng.random((T, n)) < p on
-    either path, while at most BLOCK_ELEMENTS uniforms are held.  uniforms,
-    of _uniforms_shape of a block at least as large, is that buffer; without
-    it one is allocated.
+    Each trial draws its T * n uniforms in order into the flat float buffer
+    uniforms, in pieces of at most its size, after what the buffer already
+    holds.  The buffer is compared with p into the flat view of out whenever
+    the next piece would not fit, and once at the end: a block that fits the
+    buffer is compared once, and a trial larger than it piece by piece.  The
+    draws continue one stream, so trial k's flags are rng.random((T, n)) < p.
+    Without uniforms, one of min(B * T * n, BLOCK_ELEMENTS) values, at least
+    one, is allocated.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"deletion probability must be in [0, 1], got {p}")
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    shape = _uniforms_shape(out.shape)
     if uniforms is None:
-        uniforms = np.empty(shape)
-    if shape == out.shape:
-        uniforms = uniforms[: len(out)]
-        for trial, rng in zip(uniforms, rngs):
-            rng.random(out=trial)
-        return np.less(uniforms, p, out=out)
-    for trial, rng in zip(out, rngs):
-        flags = trial.reshape(-1)  # a view: out is C-contiguous
-        for r in range(0, flags.size, uniforms.size):
-            chunk = uniforms[: flags.size - r]
-            rng.random(out=chunk)
-            np.less(chunk, p, out=flags[r : r + chunk.size])
+        uniforms = np.empty(max(1, min(out.size, BLOCK_ELEMENTS)))
+    flags = out.reshape(-1)  # a view: out is C-contiguous
+    size, values = uniforms.size, out.shape[1] * out.shape[2]
+    pieces = [min(size, values - r) for r in range(0, values, size)]
+    held = compared = 0
+    for _, rng in zip(out, rngs):
+        for piece in pieces:
+            if held + piece > size:
+                np.less(uniforms[:held], p, out=flags[compared : compared + held])
+                compared, held = compared + held, 0
+            rng.random(out=uniforms[held : held + piece])
+            held += piece
+    np.less(uniforms[:held], p, out=flags[compared : compared + held])
     return out
 
 
@@ -212,17 +204,13 @@ SHORT_RUN_LENGTH = 4
 def _span_wiped(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
     """Masks (..., n) -> (...): is some aligned copy of span fully deleted?
     The window is viewed as a (..., copies, period) block, so the check ANDs
-    the period columns of every copy at once; a period of 1 reads the mask
-    itself."""
+    the period columns of every copy at once."""
     if span.end > flags.shape[-1]:
         raise ValueError("span extends past the source")
     window = flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
-    if span.period == 1:
-        deleted = window[..., 0]
-    else:
-        deleted = np.logical_and(window[..., 0], window[..., 1])
-        for j in range(2, span.period):
-            deleted &= window[..., j]
+    deleted = window[..., 0].copy()
+    for j in range(1, span.period):
+        deleted &= window[..., j]
     return np.any(deleted, axis=-1)
 
 
@@ -240,14 +228,10 @@ class _RunTables:
         np.cumsum(lengths[:-1], out=starts[1:])
         n = int(lengths.sum())
         short = lengths < SHORT_RUN_LENGTH
-        s = int(np.count_nonzero(short))
         # column min(start + k, last) of each short run for k below the
         # longest: a repeated column changes neither the OR nor the AND
-        first, short_lengths = (starts, lengths) if s == len(lengths) else (starts[short], lengths[short])
-        self.columns = [first] if s else []
-        if s and short_lengths.max() > 1:
-            last = first + short_lengths - 1
-            self.columns += [np.minimum(first + k, last) for k in range(1, short_lengths.max())]
+        first, last = starts[short], starts[short] + lengths[short] - 1
+        self.columns = [np.minimum(first + k, last) for k in range(lengths[short].max(initial=0))]
         # each long run's [start, end) segment, every other reduceat result;
         # an end at n is implicit
         self.long_lengths = lengths[~short]

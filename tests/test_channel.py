@@ -139,9 +139,9 @@ class TestBlockRngs:
                 spec.block_rngs(first, size)
 
 
-# mask draw budgets around both of _mask_block's paths: a block of at most
-# BLOCK_ELEMENTS values is compared at once, a larger one trial by trial, each
-# trial's T * n values that many at a time
+# mask draw budgets around _mask_block's buffer: trials fill a buffer of
+# BLOCK_ELEMENTS values in order, a trial larger than it piece by piece, and it
+# is compared whenever the next piece would not fit; "block" compares once
 BUDGETS = {
     "one": lambda b, t, n: 1,
     "row": lambda b, t, n: n,

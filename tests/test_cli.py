@@ -389,6 +389,31 @@ def test_inclusion_exclusion_cap_exit_3(tmp_path, command, n, rest):
     assert proc.stderr == "infeasible: inclusion-exclusion over 21 runs exceeds the cap of 20\n"
 
 
+@pytest.mark.parametrize("p,code", [(0.3, 3), (0.0, 0), (1.0, 0)])
+def test_exact_refuses_a_many_run_literal_before_its_run_table(tmp_path, monkeypatch, capsys, p, code):
+    # 21 runs: over the inclusion-exclusion cap, which p = 0 and 1 do not need
+    bits = "0011" * 10 + "0"
+    path = write_config(tmp_path, {"mode": "exact", "source": {"kind": "bits", "bits": bits}, "p": p, "traces": 4})
+    if code == 3:
+        def tabled(arr):
+            raise AssertionError("the run table was built")
+
+        monkeypatch.setattr(harness, "_run_bounds", tabled)
+    assert cli.main(["exact", "--config", path]) == code
+    err = capsys.readouterr().err
+    assert err == ("infeasible: inclusion-exclusion over 21 runs exceeds the cap of 20\n" if code else "")
+
+
+def test_deeply_nested_config_exit_2(tmp_path):
+    # json.load raises RecursionError on it
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    proc = run_cli("exact", "--config", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "config error: config is nested too deeply to parse\n"
+
+
 @pytest.mark.parametrize("pattern,n,traces,code,message", [
     ("01", 1 << 25, 1, 3, "infeasible: inclusion-exclusion over 33554432 runs exceeds the cap of 20"),
     ("01", 10**14, 1, 3, "infeasible: the source needs n = 100000000000000 bits, over the cap of 1073741824 bits"),

@@ -146,8 +146,13 @@ class TestInnerHelper:
 
 
 def test_import_leaves_scipy_out():
-    # log_comb uses math.lgamma: scipy is no runtime dependency
-    code = "import sys, deltrace; print('scipy' in sys.modules)"
+    # log_comb uses math.lgamma: scipy is no runtime dependency of the CLI,
+    # the object API's modules or logspace
+    code = ("import sys\n"
+            "import deltrace.channel, deltrace.cli, deltrace.events, deltrace.reconstruct\n"
+            "from deltrace import logspace\n"
+            "logspace.log_comb(10, 3)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
