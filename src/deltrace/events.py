@@ -67,12 +67,11 @@ class EventReport:
     plus run coverage with its per-run detail."""
 
     pattern_witness: tuple[bool, ...]
-    run_covered: bool
     per_run: tuple[bool, ...]
 
-    def __post_init__(self):
-        if self.run_covered != all(self.per_run):
-            raise ValueError("run_covered must equal the conjunction of per_run")
+    @property
+    def run_covered(self) -> bool:
+        return all(self.per_run)
 
 
 def detect_events(traces: list[MaskedTrace], spans: list[PatternSpan], profile: RunProfile) -> EventReport:
@@ -80,7 +79,7 @@ def detect_events(traces: list[MaskedTrace], spans: list[PatternSpan], profile: 
     # some trace deleted no copy of the span outright
     witness = tuple(not _span_wiped(flags, span).all() for span in spans)
     per_run = _covered_runs(*_clean_runs(flags, _RunTables(np.asarray(profile.lengths, dtype=np.int64))))
-    return EventReport(witness, bool(per_run.all()), tuple(per_run.tolist()))
+    return EventReport(witness, tuple(per_run.tolist()))
 
 
 @dataclass(frozen=True)

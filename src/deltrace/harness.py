@@ -262,7 +262,7 @@ class ExperimentConfig:
 
         # montecarlo and audit: simulation modes
         _require("traces" in kwargs, f"{cfg_mode} mode needs an integer trace count")
-        trials = _json_int(obj.get("trials"), lambda v: v >= 1, "trials must be a positive integer")
+        trials = _json_int(obj.get("trials"), lambda v: 1 <= v <= 2**64, "trials must be an integer in [1, 2^64]")
         seed = _json_int(obj.get("seed"), lambda v: 0 <= v < 2**64, "seed must be an integer in [0, 2^64)")
         kwargs.update(trials=trials, seed=seed)
         if cfg_mode == "audit":
@@ -466,10 +466,10 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     kernel._mask_block fills a block's (B, T, n) mask, trial i from its own
     stream, B streams taken in order from one RngSpec(seed).block_rngs over
     all trials (bit-equal to trial_rng(i)), so the counts do not depend on B.
-    The mask and one flat buffer of min(B * T * n, BLOCK_ELEMENTS) uniforms
-    are allocated once per run; each block draws into a [:size] view of the
-    mask through the buffer, compared with p whenever the next piece would
-    not fit and at the block's end.  Run coverage's index arrays
+    The mask is allocated once per run; each block draws into a [:size] view
+    of it through _mask_block, which allocates its own buffer of uniforms per
+    call and compares it with p whenever the next piece would not fit and at
+    the block's end.  Run coverage's index arrays
     (kernel._RunTables) are built once per run, its tables per call.  The mask
     events, the oracle's verdicts (one call, see _sufficient_sets) and every
     audit check cover the whole block, the last two reading the traces only
@@ -495,7 +495,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     if t_count * n > MAX_TRIAL_ELEMENTS:
         raise InfeasibleError(
             f"one trial needs traces x n = {t_count * n} mask bits, up to about "
-            f"{PEAK_BYTES_PER_BIT * t_count * n / 2**30:.0f} GiB at peak, over the cap of "
+            f"{(PEAK_BYTES_PER_BIT * t_count * n + 2**29) >> 30} GiB at peak, over the cap of "
             f"{MAX_TRIAL_ELEMENTS} bits (up to about {PEAK_BYTES_PER_BIT * MAX_TRIAL_ELEMENTS / 2**30:.0f} GiB)"
         )
     oracle = audit or "difficulty" in estimators
@@ -505,13 +505,12 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
-    uniforms = np.empty(min(masks.size, BLOCK_ELEMENTS))
     runs = _RunTables(np.diff(bounds))
     fired = dict.fromkeys(ESTIMATORS, 0)
     offenders = []
     for first in range(0, config.trials, block):
         size = min(block, config.trials - first)
-        flags = _mask_block(rngs, p, masks[:size], uniforms)
+        flags = _mask_block(rngs, p, masks[:size])
         # no trace kept a copy of the span whole
         no_witness = _span_wiped(flags, instance.span).all(axis=-1)
         clean, wiped = _clean_runs(flags, runs)

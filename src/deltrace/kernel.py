@@ -4,7 +4,7 @@ run the mask stages on one trace set, and reconstruct's counting automaton
 reuses the matchers, state keys and budget.  The CLI loads none of those.
 
 _mask_block draws deletion masks, trial i from its own PCG64 stream
-(RngSpec), through one float buffer of at most BLOCK_ELEMENTS uniforms:
+(RngSpec), through a per-call buffer of at most BLOCK_ELEMENTS uniforms:
 trials fill it in order, piece by piece when larger than it, and it is
 compared with p whenever a piece would not fit, and at the end.  Run coverage
 reads, per (trace, run), whether the mask deleted some and every bit of the
@@ -151,27 +151,25 @@ class RngSpec:
                 yield rng
 
 
-def _mask_block(rngs, p: float, out: np.ndarray, uniforms: np.ndarray | None = None) -> np.ndarray:
+def _mask_block(rngs, p: float, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous (B, T, n) bool array out with deletion masks,
     trial k's from the k-th generator of the iterable rngs, and return it.
     It takes no more than B generators, so consecutive blocks can share one
     iterable.
 
-    Each trial draws its T * n uniforms in order into the flat float buffer
-    uniforms, in pieces of at most its size, after what the buffer already
+    Each trial draws its T * n uniforms in order into one flat float buffer
+    of min(B * T * n, BLOCK_ELEMENTS) values, at least one, allocated per
+    call, in pieces of at most its size, after what the buffer already
     holds.  The buffer is compared with p into the flat view of out whenever
     the next piece would not fit, and once at the end: a block that fits the
     buffer is compared once, and a trial larger than it piece by piece.  The
     draws continue one stream, so trial k's flags are rng.random((T, n)) < p.
-    Without uniforms, one of min(B * T * n, BLOCK_ELEMENTS) values, at least
-    one, is allocated.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"deletion probability must be in [0, 1], got {p}")
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    if uniforms is None:
-        uniforms = np.empty(max(1, min(out.size, BLOCK_ELEMENTS)))
+    uniforms = np.empty(max(1, min(out.size, BLOCK_ELEMENTS)))
     flags = out.reshape(-1)  # a view: out is C-contiguous
     size, values = uniforms.size, out.shape[1] * out.shape[2]
     pieces = [min(size, values - r) for r in range(0, values, size)]

@@ -153,12 +153,11 @@ class SufficiencyVerdict:
     provided whenever some other candidate survives."""
 
     consistent_count: int
-    sufficient: bool
     witness: BitString | None = None
 
-    def __post_init__(self):
-        if self.sufficient != (self.consistent_count == 1):
-            raise ValueError("sufficient must mean exactly one consistent source")
+    @property
+    def sufficient(self) -> bool:
+        return self.consistent_count == 1
 
 
 def is_levenshtein_sufficient(s: BitString, traces) -> SufficiencyVerdict:
@@ -170,6 +169,5 @@ def is_levenshtein_sufficient(s: BitString, traces) -> SufficiencyVerdict:
         if not is_subsequence(t, s):
             raise ValueError("traces inconsistent with source")
     children, counts = _automaton(len(s), *_matchers(np.concatenate(arrays), [[a.size for a in arrays]]))
-    count = int(counts[0][0])
     witness = next((x for x in _sources(len(s), children, counts, 2) if x != s), None)
-    return SufficiencyVerdict(consistent_count=count, sufficient=count == 1, witness=witness)
+    return SufficiencyVerdict(consistent_count=int(counts[0][0]), witness=witness)

@@ -54,6 +54,20 @@ class TestBitString:
     def test_hash_consistency(self, text):
         assert hash(BitString(text)) == hash(BitString(list(map(int, text))))
 
+    def test_equality_and_immutability(self):
+        a, b = BitString("0110"), BitString([0, 1, 1, 0])
+        assert a == b and hash(a) == hash(b)
+        assert a != BitString("0111") and a != BitString("011")
+        # another type: BitString defers, and the fallback is identity
+        assert (a == "0110") is False and (a == [0, 1, 1, 0]) is False
+        for name in ("_bits", "extra"):
+            with pytest.raises(AttributeError, match="BitString is immutable"):
+                setattr(a, name, None)
+
+    def test_repr_truncates_past_48_characters(self):
+        assert repr(BitString("01" * 24)) == f"BitString('{'01' * 24}', n=48)"
+        assert repr(BitString("01" * 25)) == f"BitString('{('01' * 25)[:45]}...', n=50)"
+
 
 class TestRuns:
     def test_decompose_example(self):

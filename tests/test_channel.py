@@ -34,6 +34,19 @@ class TestMask:
         mask = DeletionMask(np.array([True, True, False]))
         assert mask.deleted_count() == 2
 
+    def test_equality_and_immutability(self):
+        a, b = DeletionMask([True, False, True]), DeletionMask(np.array([1, 0, 1]))
+        assert a == b and hash(a) == hash(b)
+        assert a != DeletionMask([True, False, False]) and a != DeletionMask([True, False])
+        # another type: DeletionMask defers, and the fallback is identity
+        assert (a == [True, False, True]) is False
+        for name in ("_flags", "extra"):
+            with pytest.raises(AttributeError, match="DeletionMask is immutable"):
+                setattr(a, name, None)
+
+    def test_repr_shows_the_deleted_count_out_of_n(self):
+        assert repr(DeletionMask([True, False, True, False, False])) == "DeletionMask(deleted=2/5)"
+
 
 class TestSampling:
     def test_p_zero_gives_perfect_traces(self):
@@ -140,8 +153,9 @@ class TestBlockRngs:
 
 
 # mask draw budgets around _mask_block's buffer: trials fill a buffer of
-# BLOCK_ELEMENTS values in order, a trial larger than it piece by piece, and it
-# is compared whenever the next piece would not fit; "block" compares once
+# BLOCK_ELEMENTS values, at least one, in order, a trial larger than it piece
+# by piece, and it is compared whenever the next piece would not fit; "block"
+# compares once
 BUDGETS = {
     "one": lambda b, t, n: 1,
     "row": lambda b, t, n: n,
@@ -159,6 +173,7 @@ class TestMaskBlock:
            st.sampled_from(sorted(BUDGETS)), st.booleans(), SEEDS, st.integers(0, 3 * SEED_CHUNK))
     @example(3, 4, 10, 0.4, "block", True, 77, 5)  # one comparison per block
     @example(3, 4, 10, 0.4, "row", True, 77, 5)  # a draw per row
+    @example(1, 1, 1, 0.4, "block-1", True, 77, 5)  # a budget of 0: the buffer still holds one value
     def test_each_trial_draws_its_own_stream(self, b_count, t_count, n, p, budget, block_rngs, seed, first):
         spec = RngSpec(master_seed=seed)
         # two consecutive blocks from one iterable: a block that takes one

@@ -375,6 +375,32 @@ def test_trial_size_cap_exit_3(tmp_path):
     assert proc.stderr.startswith("infeasible: one trial needs traces x n = 8000000000 mask bits, "
                                   "up to about 52 GiB at peak")
     assert proc.stderr.count("\n") == 1
+    # a trace count past the largest float: its GiB figure overflows a float
+    for mode in ("montecarlo", "audit"):
+        path = write_config(tmp_path, {
+            "mode": mode,
+            "source": {"kind": "runs", "first_bit": 0, "fractions": [0.5, 0.5], "n": 10},
+            "p": 0.3,
+            "traces": 10**330,
+            "trials": 10,
+            "seed": 5,
+        }, name=f"{mode}.json")
+        proc = run_cli(mode, "--config", path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"infeasible: one trial needs traces x n = {10**331} mask bits, ")
+        assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", [0, 2**64 + 1, 10**30])
+def test_trials_outside_the_stream_indexes_exit_2(tmp_path, capsys, runs_config, trials):
+    # trial i draws from stream i of 2^64; the config and --trials are bounded alike
+    with open(runs_config) as fh:
+        obj = json.load(fh)
+    path = write_config(tmp_path, {**obj, "trials": trials}, name="trials.json")
+    for args in (["--config", path], ["--config", runs_config, "--trials", str(trials)]):
+        assert cli.main(["montecarlo", *args]) == 2
+        assert capsys.readouterr() == ("", "config error: trials must be an integer in [1, 2^64]\n")
+    assert harness.ExperimentConfig.from_dict({**obj, "trials": 2**64}).trials == 2**64
 
 
 @pytest.mark.parametrize("command,n,rest", [

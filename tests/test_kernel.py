@@ -347,8 +347,8 @@ def test_reused_block_buffers_match_detect_events(t_count, trials, block_traces,
 # trial's 5 traces drawn 2 at a time
 @pytest.mark.parametrize("t_count,trials,block_traces,draw_traces", [(3, 11, 4 * 3, None), (5, 3, 2, 2)])
 def test_every_block_draws_into_the_first_blocks_buffers(t_count, trials, block_traces, draw_traces, monkeypatch):
-    # the mask and its uniforms are allocated once per run: every block's
-    # mask is a view of the first block's, drawn from the same uniforms
+    # the mask is allocated once per run: every block's mask is a view of the
+    # first block's
     source = {"kind": "bits", "bits": "0111111001000000000110111100011111111"}
     config = ExperimentConfig.from_dict({"mode": "montecarlo", "source": source, "p": 0.12,
                                          "traces": t_count, "trials": trials, "seed": 6})
@@ -356,22 +356,31 @@ def test_every_block_draws_into_the_first_blocks_buffers(t_count, trials, block_
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_traces * n)
     if draw_traces is not None:
         monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", draw_traces * n)
-    calls = []
+    calls, draws = [], []
 
-    def recorded(rngs, p, out, uniforms):
-        calls.append((out, uniforms))
-        return _mask_block(rngs, p, out, uniforms)
+    class Counted:
+        """A trial's stream, recording the size of each draw."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, **kwargs):
+            draws.append(kwargs["out"].size)
+            return self.rng.random(**kwargs)
+
+    def recorded(rngs, p, out):
+        calls.append(out)
+        return _mask_block(map(Counted, rngs), p, out)
 
     monkeypatch.setattr(harness, "_mask_block", recorded)
     _simulate(config, ESTIMATORS)
-    sizes = [len(out) for out, _ in calls]
-    assert sum(sizes) == trials and len(calls) >= 3
-    first, uniforms = calls[0]
-    # a short last block, or a chunked draw
-    assert sizes[-1] < sizes[0] if draw_traces is None else uniforms.size < first[0].size
-    assert isinstance(uniforms, np.ndarray)
-    for out, drawn_into in calls:
-        assert np.shares_memory(out, first) and drawn_into is uniforms
+    sizes = [len(out) for out in calls]
+    assert sum(sizes) == trials and len(calls) >= 3 and sum(draws) == trials * t_count * n
+    # a short last block, or a chunked draw: more draws than trials
+    assert (len(draws) > trials) == (draw_traces is not None)
+    assert sizes[-1] < sizes[0] if draw_traces is None else max(draws) == draw_traces * n
+    for out in calls:
+        assert np.shares_memory(out, calls[0])
 
 
 # Each audit check fails on no correct trial.  Made to fail, each must still
@@ -382,7 +391,7 @@ _FAULTS = {
                           {"maximal_runs": lambda n, traces: ReconstructionResult(failure="forced")}),
     "no-witness-and-sufficient": ("_sufficient_sets",
                                   lambda s, padded, lens, tables, first: np.ones(len(lens), dtype=bool),
-                                  {"is_levenshtein_sufficient": lambda s, traces: SufficiencyVerdict(1, True)}),
+                                  {"is_levenshtein_sufficient": lambda s, traces: SufficiencyVerdict(1)}),
     "ambiguity-alternative-inconsistent": ("_embeds_flipped",
                                            lambda s_bits, padded, lens, tables, sets, lo, hi: np.zeros(len(sets), dtype=bool),
                                            {"is_subsequence": lambda t, x: False}),
@@ -399,9 +408,9 @@ def _checked_hits(config, embeds=_embeds_flipped):
     assert len(pair_of) == len(pairs)  # one window per pair
     blocks, hits, calls = [], [], []
 
-    def masked(rngs, p, out, uniforms):
+    def masked(rngs, p, out):
         blocks.append(len(out))
-        return _mask_block(rngs, p, out, uniforms)
+        return _mask_block(rngs, p, out)
 
     def checked(s_bits, padded, lens, tables, sets, lo, hi):
         first = sum(blocks[:-1])
@@ -529,8 +538,8 @@ def test_kernel_draws_only_block_streams(mode, monkeypatch, capsys):
     def barred(self, trial_index):
         raise AssertionError("the kernel called RngSpec.trial_rng")
 
-    def recorded(rngs, p, out, uniforms):
-        masks.extend(_mask_block(rngs, p, out, uniforms).copy())
+    def recorded(rngs, p, out):
+        masks.extend(_mask_block(rngs, p, out).copy())
         return out
 
     monkeypatch.setattr(RngSpec, "trial_rng", barred)
@@ -609,8 +618,8 @@ def test_oracle_refusal_names_the_first_trial_over_the_budget(tmp_path, monkeypa
     s, sets = config.source.instance().s, _trace_sets(config)
     assert [_refusal(kept, 40) for kept in _states(s, [sets[4], sets[9]])] == [11, 12]
 
-    def four_and_nine(rngs, p, out, uniforms):
-        flags = _mask_block(rngs, p, out, uniforms)
+    def four_and_nine(rngs, p, out):
+        flags = _mask_block(rngs, p, out)
         flags[[0, 1, 2, 3, 5, 6, 7, 8]] = False
         return flags
 

@@ -21,7 +21,6 @@ from deltrace.reconstruct import (
     LENGTH_MISMATCH,
     InfeasibleError,
     ReconstructionResult,
-    SufficiencyVerdict,
     _automaton,
     consistent_sources,
     is_levenshtein_sufficient,
@@ -180,10 +179,6 @@ class TestSufficiency:
     def test_inconsistent_traces_rejected(self):
         with pytest.raises(ValueError, match="traces inconsistent with source"):
             is_levenshtein_sufficient(BitString("000"), bs("1"))
-
-    def test_verdict_invariant(self):
-        with pytest.raises(ValueError):
-            SufficiencyVerdict(consistent_count=2, sufficient=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(alphabet="01", min_size=1, max_size=12),
