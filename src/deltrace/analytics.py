@@ -20,7 +20,6 @@ from .logspace import (
     log_comb,
     logsumexp_pos,
     pow_one_minus_ln,
-    signed_logsumexp,
 )
 from .kernel import InfeasibleError
 
@@ -248,6 +247,13 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     once, weighted by its odd and even subsets; tied run lengths make the
     sums few.  M above MGF_MAX_RUNS raises InfeasibleError when 0 < p < 1,
     before the run lengths are read.
+
+    The alternating sum is taken exactly (fsum), so only its terms' own
+    rounding reaches P, amplified at most 2^M - 1 times: subset K's term is
+    Pr(every run in K uncovered), at most Pr(run i uncovered) <= P for each
+    i in K, so the terms' magnitudes sum to at most (2^M - 1) P.  That bounds
+    the error in P, not in 1 - P, which is the error that matters near
+    P = 1; nothing bounds that one yet.
     """
     p = _check_p(p)
     _check_mgf_runs(len(run_lengths), p)
@@ -257,7 +263,6 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
         return _report(NEG_INF, "exact-closed-form")
     if p == 1.0:
         return _report(0.0, "exact-closed-form")
-    flags: tuple[str, ...] = ()
     ln_beta, ln_px = _run_log_quantities(lengths, p)
     # Per nonempty subset K: sign (-1)^{|K|+1} times (1 - p_X (1 - prod beta))^T.
     # Group the subsets by their float sum of ln(beta_i), as (even, odd)
@@ -274,26 +279,28 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
         groups = grown
     n_even, n_odd = groups[0.0]
     groups[0.0] = (n_even - 1, n_odd)  # drop the empty subset
-    # one term per distinct sum, weighted +1 per odd subset and -1 per even
-    # one; the dict is drained as the lists grow, so both are never held in full
-    ln_mags = []
-    weights = []
+    # one term per distinct sum, of weight (odd subsets) - (even subsets); the
+    # dict is drained as the list grows, so both are never held in full.  A
+    # group left with no subset, the empty one's at worst, has no term.
+    terms = []
     while groups:
         v, (n_even, n_odd) = groups.popitem()
-        ln_mag = pow_one_minus_ln(ln_px + ln_one_minus_exp(v), count.ln_value)
-        if n_odd:
-            ln_mags.append(ln_mag)
-            weights.append(n_odd)
-        if n_even:
-            ln_mags.append(ln_mag)
-            weights.append(-n_even)
-    ln_total, sign, cancelled = signed_logsumexp(ln_mags, weights)
-    if cancelled:
-        flags += ("catastrophic-cancellation",)
-    if sign <= 0:
-        # alternating sum rounded below zero; the true value is nonnegative
-        return _report(NEG_INF, "exact-closed-form", flags=flags or ("catastrophic-cancellation",))
-    return _report(ln_total, "exact-closed-form", flags=flags)
+        if n_even or n_odd:
+            terms.append((pow_one_minus_ln(ln_px + ln_one_minus_exp(v), count.ln_value), n_odd - n_even))
+    top = max(ln_mag for ln_mag, _ in terms)
+    if top == NEG_INF:
+        return _report(NEG_INF, "exact-closed-form")  # every term underflows
+    # weight w enters as the exact pieces x * 2^b, one per set bit b of |w|,
+    # so fsum gives the sum of the |w| listed copies
+    pieces = []
+    for ln_mag, w in terms:
+        x = math.copysign(math.exp(ln_mag - top), w)
+        w = abs(w)
+        while w:
+            bit = w & -w
+            pieces.append(x * bit)
+            w ^= bit
+    return _report(top + math.log(math.fsum(pieces)), "exact-closed-form")
 
 
 def prob_uncovered_run_sum(run_lengths, p: float, T) -> ProbReport:
@@ -332,8 +339,6 @@ def prob_uncovered_run_sum(run_lengths, p: float, T) -> ProbReport:
         ln_lost = (t_count - j) * ln_qx if j < t_count else 0.0
         ln_weight = log_comb(t_count, j) + j * ln_px + ln_lost
         terms.append(ln_weight + ln_miss)
-    if not terms:
-        return _report(NEG_INF, "exact-direct-sum")
     return _report(logsumexp_pos(terms), "exact-direct-sum")
 
 

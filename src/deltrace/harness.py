@@ -39,9 +39,9 @@ from .bits import (
     make_repeat_instance,
     make_run_instance,
 )
-from .kernel import (BLOCK_ELEMENTS, InfeasibleError, RngSpec, _clean_runs, _covered_runs, _embedding_tables,
-                     _embeds_flipped, _mask_block, _matchers, _run_alignment_misses, _RunTables, _span_wiped,
-                     _sufficient)
+from . import kernel
+from .kernel import (InfeasibleError, RngSpec, _clean_runs, _covered_runs, _embedding_tables, _embeds_flipped,
+                     _mask_block, _matchers, _run_alignment_misses, _RunTables, _span_wiped, _sufficient)
 
 __all__ = [
     "ConfigError",
@@ -408,7 +408,7 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 # ---------------------------------------------------------------------------
 # Monte Carlo kernel: blocks of trials on per-trial streams, shared masks
 
-# Blocks hold B = max(1, BLOCK_ELEMENTS // (T * n)) trials (see kernel).  One
+# Blocks hold B = max(1, kernel.BLOCK_ELEMENTS // (T * n)) trials.  One
 # trial's T x n mask bits above this are refused before anything is
 # allocated.  A trial larger than a block peaks at about 5 (a run per bit) to
 # 6 (few runs, whose coverage counts cast the whole mask to int32) bytes per
@@ -462,7 +462,7 @@ def _sufficient_sets(s: BitString, padded, lens, tables, first: int) -> np.ndarr
 def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     """(fired, offenders): the trials on which each estimator's event
     occurred, by name, and an audit's breaches as (trial, check), trial by
-    trial.  One pass, B = max(1, BLOCK_ELEMENTS // (T * n)) trials per block.
+    trial.  One pass, B = max(1, kernel.BLOCK_ELEMENTS // (T * n)) trials per block.
     kernel._mask_block fills a block's (B, T, n) mask, trial i from its own
     stream, B streams taken in order from one RngSpec(seed).block_rngs over
     all trials (bit-equal to trial_rng(i)), so the counts do not depend on B.
@@ -483,7 +483,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     competing source: s with the bits where run i meets run j flipped, 2 for
     adjacent runs and 3 around a single-bit run, as events.AdjacentPattern and
     SandwichPattern swap them.  The hits go to _embeds_flipped in chunks of at
-    most max(1, BLOCK_ELEMENTS // T).
+    most max(1, kernel.BLOCK_ELEMENTS // T).
 
     montecarlo counts reconstruction-error as the uncovered trials: a trace
     that wipes out a run has fewer runs than s, so maximal_runs uses exactly
@@ -503,7 +503,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     s, bounds = instance.s, instance.bounds
     pairs = _audit_patterns(bounds) if audit else None
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
-    block = max(1, BLOCK_ELEMENTS // (t_count * n))
+    block = max(1, kernel.BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
     runs = _RunTables(np.diff(bounds))
     fired = dict.fromkeys(ESTIMATORS, 0)
@@ -537,7 +537,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
         fired["reconstruction-error"] += int(wrong.sum())
         inconsistent = np.zeros_like(hit)
         sets, k = np.nonzero(hit)
-        chunk = max(1, BLOCK_ELEMENTS // t_count)
+        chunk = max(1, kernel.BLOCK_ELEMENTS // t_count)
         for c in range(0, sets.size, chunk):
             b, pair = sets[c:c + chunk], k[c:c + chunk]
             i, j = pairs[pair].T  # flip the junction bits [bounds[i + 1] - 1, bounds[j] + 1)

@@ -20,7 +20,7 @@ from deltrace.analytics import (
     _report,
     _run_log_quantities,
 )
-from deltrace.logspace import NEG_INF, ln_one_minus_exp, pow_one_minus_ln, signed_logsumexp
+from deltrace.logspace import NEG_INF, ln_one_minus_exp, pow_one_minus_ln
 from deltrace.reconstruct import InfeasibleError
 
 
@@ -175,7 +175,6 @@ def mgf_per_subset(run_lengths, p: float, T):
     if m > MGF_MAX_RUNS:
         raise InfeasibleError(
             f"inclusion-exclusion over {m} runs exceeds the cap of {MGF_MAX_RUNS}")
-    flags: tuple[str, ...] = ()
     ln_beta, ln_px = _run_log_quantities(lengths, p)
     # Per nonempty subset K: sign (-1)^{|K|+1} times (1 - p_X (1 - prod beta))^T.
     ln_beta_sum = np.zeros(1 << m)
@@ -188,10 +187,9 @@ def mgf_per_subset(run_lengths, p: float, T):
         ln_gamma = ln_one_minus_exp(ln_beta_sum[mask])
         ln_mags[mask - 1] = pow_one_minus_ln(ln_px + ln_gamma, count.ln_value)
         signs[mask - 1] = 1.0 if (mask.bit_count() & 1) else -1.0
-    ln_total, sign, cancelled = signed_logsumexp(ln_mags, signs)
-    if cancelled:
-        flags += ("catastrophic-cancellation",)
-    if sign <= 0:
-        # alternating sum rounded below zero; the true value is nonnegative
-        return _report(NEG_INF, "exact-closed-form", flags=flags or ("catastrophic-cancellation",))
-    return _report(ln_total, "exact-closed-form", flags=flags)
+    # the +-1 copies summed exactly; math.exp, as the package takes it
+    top = max(ln_mags)
+    if top == NEG_INF:
+        return _report(NEG_INF, "exact-closed-form")
+    total = math.fsum(math.copysign(math.exp(v - top), sign) for v, sign in zip(ln_mags, signs))
+    return _report(top + math.log(total), "exact-closed-form")

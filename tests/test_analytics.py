@@ -1,7 +1,9 @@
 import math
+from collections import Counter
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltrace.analytics import (
@@ -18,7 +20,9 @@ from deltrace.analytics import (
     prob_uncovered_run_asymptotic,
     prob_uncovered_run_mgf,
     prob_uncovered_run_sum,
+    _run_log_quantities,
 )
+from deltrace.logspace import NEG_INF, ln_one_minus_exp, logsumexp_pos, pow_one_minus_ln
 from deltrace.reconstruct import InfeasibleError
 from oracles import (
     event_prob_oracle,
@@ -288,6 +292,54 @@ class TestUncoveredRunGrouped:
         lengths = [1.0 + 0.37 * i for i in range(MGF_MAX_RUNS)]
         count = TraceCount.exponential(0.05, 200)
         assert prob_uncovered_run_mgf(lengths, 0.3, count) == mgf_per_subset(lengths, 0.3, count)
+
+
+class TestUncoveredRunBound:
+    """Why prob_uncovered_run_mgf needs no cancellation check: subset K's term
+    is Pr(every run in K uncovered), at most P, so the 2^M - 1 terms'
+    magnitudes sum to at most (2^M - 1) P, and the exact alternating sum
+    amplifies its terms' rounding at most that many times."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(1, 40), st.floats(0.5, 40.0)), min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=MGF_MAX_RUNS)),
+        st.one_of(st.floats(1e-6, 1 - 1e-6), st.sampled_from([1e-12, 1e-9, 1 - 1e-9, 1 - 1e-12])),
+        _COUNTS,
+    )
+    @example([3.0] * MGF_MAX_RUNS, 0.3, 5)
+    @example([1, 2] * (MGF_MAX_RUNS // 2), 0.6, TraceCount.exponential(0.05, 200))
+    def test_terms_sum_to_at_most_2_to_the_m_minus_1_times_p(self, lengths, p, count):
+        count = TraceCount.integer(count) if isinstance(count, int) else count
+        report = prob_uncovered_run_mgf(lengths, p, count)
+        ln_beta, ln_px = _run_log_quantities(lengths, p)
+        # a subset taking j_k of the m_k runs of the k-th distinct length: one
+        # term, shared by prod C(m_k, j_k) subsets
+        runs = Counter(lengths)
+        beta = [ln_beta[lengths.index(length)] for length in runs]
+        ln_terms = []
+        for js in product(*(range(m + 1) for m in runs.values())):
+            if any(js):
+                ln_mag = pow_one_minus_ln(ln_px + ln_one_minus_exp(math.fsum(j * b for j, b in zip(js, beta) if j)),
+                                          count.ln_value)
+                ln_terms.append(math.log(math.prod(map(math.comb, runs.values(), js))) + ln_mag)
+        ln_gross = logsumexp_pos(ln_terms)
+        if ln_gross == NEG_INF:
+            assert report.ln_value == NEG_INF
+            return
+        # slack for the terms' rounding, and P's, at most (2^M - 1) eps relative
+        slack = 1e-12 * abs(report.ln_value) + 2 ** len(lengths) * 1e-15
+        assert ln_gross <= math.log(2 ** len(lengths) - 1) + report.ln_value + slack
+
+    def test_cap_keeps_the_deleted_cancellation_check_unreachable(self):
+        # the check flagged eps * sum|terms| / P > 1e-9, so it could fire only
+        # above 4.5e6 subsets, at M >= 23 runs
+        assert math.ulp(1.0) * (2 ** MGF_MAX_RUNS - 1) <= 1e-9
+
+    def test_underflow_is_not_a_cancellation(self):
+        # at T = e^1000 every term underflows: the sum is 0, with no flag
+        report = prob_uncovered_run_mgf([5, 5], 0.3, TraceCount(ln_value=1000.0))
+        assert (report.value, report.ln_value, report.flags) == (0.0, NEG_INF, ())
 
 
 class TestAsymptotics:

@@ -90,7 +90,7 @@ def test_blocks_fit_int32_run_indexes():
     # a block holds at most max(BLOCK_ELEMENTS, MAX_TRIAL_ELEMENTS) mask bits,
     # so no trace reaches 2^31 bits: the oracle's int32 pointers and _clean_runs'
     # int32 counts hold any of them
-    assert max(harness.BLOCK_ELEMENTS, harness.MAX_TRIAL_ELEMENTS) < 2**31
+    assert max(kernel.BLOCK_ELEMENTS, harness.MAX_TRIAL_ELEMENTS) < 2**31
 
 
 def _check_alignment(s, p, t_count, block, seed):
@@ -213,7 +213,7 @@ def _audit_config(source, p, t_count, trials, seed):
 def _tally(config, budget, monkeypatch):
     """The kernel's (fired, offenders) at a block budget, then for an audit
     its summary's counts in order."""
-    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", budget)
     if config.mode != "audit":
         return _simulate(config, config.estimators)
     return (*_simulate(config, ESTIMATORS, audit=True), list(audit_implications(config).counts.items()))
@@ -326,10 +326,12 @@ def _detected_counts(config):
 
 
 # runs of 1-9 bits, shorter and longer than the gather cutoff, the last long;
-# (traces, trials, mask bits per block and per draw, in traces x n): blocks
-# of 4 trials, the last of 3; then B = 1, each trial's 5 traces drawn 2 at a time
-@pytest.mark.parametrize("t_count,trials,block_traces,draw_traces", [(3, 23, 4 * 3, None), (5, 9, 2, 2)])
-def test_reused_block_buffers_match_detect_events(t_count, trials, block_traces, draw_traces, monkeypatch):
+# (traces, trials, mask bits per block, in traces x n): blocks of 4 trials,
+# the last of 3; then B = 1, each trial's 5 traces drawn 2 at a time.  The ids
+# keep the names the cases had when they also set the draw size apart
+@pytest.mark.parametrize("t_count,trials,block_traces", [(3, 23, 4 * 3), (5, 9, 2)],
+                         ids=["3-23-12-None", "5-9-2-2"])
+def test_reused_block_buffers_match_detect_events(t_count, trials, block_traces, monkeypatch):
     source = {"kind": "bits", "bits": "0111111001000000000110111100011111111"}
     config = ExperimentConfig.from_dict({"mode": "montecarlo", "source": source, "p": 0.12,
                                          "traces": t_count, "trials": trials, "seed": 6})
@@ -337,25 +339,22 @@ def test_reused_block_buffers_match_detect_events(t_count, trials, block_traces,
     expected = _detected_counts(config)
     # every event both fires and fails on some trial
     assert all(0 < count < trials for count in expected.values())
-    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_traces * n)
-    if draw_traces is not None:
-        monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", draw_traces * n)
+    monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", block_traces * n)
     assert _simulate(config, tuple(expected))[0] == {**dict.fromkeys(ESTIMATORS, 0), **expected}
 
 
 # the same runs: blocks of 4 trials, the last of 3, then B = 1 with each
-# trial's 5 traces drawn 2 at a time
-@pytest.mark.parametrize("t_count,trials,block_traces,draw_traces", [(3, 11, 4 * 3, None), (5, 3, 2, 2)])
-def test_every_block_draws_into_the_first_blocks_buffers(t_count, trials, block_traces, draw_traces, monkeypatch):
+# trial's 5 traces drawn 2 at a time (ids as above)
+@pytest.mark.parametrize("t_count,trials,block_traces", [(3, 11, 4 * 3), (5, 3, 2)],
+                         ids=["3-11-12-None", "5-3-2-2"])
+def test_every_block_draws_into_the_first_blocks_buffers(t_count, trials, block_traces, monkeypatch):
     # the mask is allocated once per run: every block's mask is a view of the
     # first block's
     source = {"kind": "bits", "bits": "0111111001000000000110111100011111111"}
     config = ExperimentConfig.from_dict({"mode": "montecarlo", "source": source, "p": 0.12,
                                          "traces": t_count, "trials": trials, "seed": 6})
     n = config.source.n
-    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_traces * n)
-    if draw_traces is not None:
-        monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", draw_traces * n)
+    monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", block_traces * n)
     calls, draws = [], []
 
     class Counted:
@@ -376,9 +375,11 @@ def test_every_block_draws_into_the_first_blocks_buffers(t_count, trials, block_
     _simulate(config, ESTIMATORS)
     sizes = [len(out) for out in calls]
     assert sum(sizes) == trials and len(calls) >= 3 and sum(draws) == trials * t_count * n
-    # a short last block, or a chunked draw: more draws than trials
-    assert (len(draws) > trials) == (draw_traces is not None)
-    assert sizes[-1] < sizes[0] if draw_traces is None else max(draws) == draw_traces * n
+    # a short last block, or a trial larger than the budget drawn in chunks:
+    # more draws than trials
+    chunked = block_traces < t_count
+    assert (len(draws) > trials) == chunked
+    assert max(draws) == block_traces * n if chunked else sizes[-1] < sizes[0]
     for out in calls:
         assert np.shares_memory(out, calls[0])
 
@@ -431,7 +432,7 @@ def test_competing_sources_are_built_when_a_pattern_first_fires(trials, monkeypa
     # detect_ambiguities fires on its trials, each once, trial by trial in
     # pair order, and makes no call where none fires
     source = {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 10}
-    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", 3 * 2 * 10)  # blocks of 3 trials
+    monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", 3 * 2 * 10)  # blocks of 3 trials
     assert _checked_hits(_audit_config(source, 0.0, 2, trials, 4))[1:] == ([], [])
     config = _audit_config(source, 0.15, 2, trials, 4)
     instance = config.source.instance()
@@ -471,7 +472,7 @@ def test_hits_are_checked_in_chunks_of_the_block_budget(budget, monkeypatch):
     expected, hits, calls = _checked_hits(config, _parity_verdict)
     assert [block for block, _ in calls] == [0]  # at the default budget
     assert 0 < expected.counts["ambiguity-alternative-inconsistent"] < len(hits)
-    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", budget)
     report, chunked, calls = _checked_hits(config, _parity_verdict)
     assert chunked == hits
     assert max(size for _, size in calls) <= max(1, budget // config.traces)
@@ -547,7 +548,7 @@ def test_kernel_draws_only_block_streams(mode, monkeypatch, capsys):
     monkeypatch.setattr(kernel, "SEED_CHUNK", 16)  # seeds computed in 4 chunks
     outputs = []
     for budget in (1, 7 * 3 * 10):  # B = 1, then B = 7
-        monkeypatch.setattr(harness, "BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", budget)
         masks = []
         assert run_mode(config) == 0
         assert np.array_equal(np.stack(masks), expected_masks)
@@ -583,7 +584,7 @@ def test_oversized_block_is_split(monkeypatch):
     config = _audit_config(source, 0.4, 3, 40, 3)
     sets = _trace_sets(config)
     s = config.source.instance().s
-    expected = _tally(config, harness.BLOCK_ELEMENTS, monkeypatch)  # one block of 40 trials
+    expected = _tally(config, kernel.BLOCK_ELEMENTS, monkeypatch)  # one block of 40 trials
     sufficient = _automaton(12, *_matchers_of(sets))[1][0][:40] == 1
     states = [sum(kept) for kept in _states(s, sets)]
     # every trial fits the budget on its own; the block passes it in aggregate
@@ -600,7 +601,7 @@ def test_oversized_block_is_split(monkeypatch):
     monkeypatch.setattr(harness, "_sufficient", recorded)
     assert np.array_equal(_sufficient_sets(s, *_oracle_of(s.bits, sets), 0), sufficient)
     assert calls[0] == 40 and len(calls) > 1
-    assert _tally(config, harness.BLOCK_ELEMENTS, monkeypatch) == expected
+    assert _tally(config, kernel.BLOCK_ELEMENTS, monkeypatch) == expected
 
 
 def _half_runs_config(trials):

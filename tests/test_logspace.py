@@ -2,9 +2,8 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from deltrace.logspace import (
@@ -14,7 +13,6 @@ from deltrace.logspace import (
     log_comb,
     logsumexp_pos,
     pow_one_minus_ln,
-    signed_logsumexp,
 )
 
 
@@ -79,59 +77,6 @@ class TestAggregation:
         assert logsumexp_pos([]) == NEG_INF
         assert logsumexp_pos([NEG_INF, -1.0]) == pytest.approx(-1.0)
 
-    @given(st.lists(st.floats(-30, 5), min_size=1, max_size=12),
-           st.lists(st.sampled_from([1.0, -1.0]), min_size=12, max_size=12))
-    def test_signed_agrees_with_direct_sum(self, mags, signs):
-        signs = signs[: len(mags)]
-        direct = math.fsum(s * math.exp(m) for m, s in zip(mags, signs))
-        ln_mag, sign, cancelled = signed_logsumexp(mags, signs)
-        if cancelled or direct == 0.0:
-            return  # flagged results carry no precision promise
-        assert sign == (1.0 if direct > 0 else -1.0)
-        assert ln_mag == pytest.approx(math.log(abs(direct)), rel=1e-9, abs=1e-12)
-
-    def test_signed_total_cancellation(self):
-        ln_mag, sign, cancelled = signed_logsumexp([0.0, 0.0], [1.0, -1.0])
-        assert ln_mag == NEG_INF and sign == 0 and cancelled
-
-    def test_signed_flags_catastrophic_loss(self):
-        # two nearly equal magnitudes of opposite sign differing at 1e-17
-        big = 20.0
-        _, _, cancelled = signed_logsumexp([big, big], [1.0, -1.0])
-        assert cancelled
-
-
-def _repeated(terms):
-    """(ln_mags, signs) listing a term of weight w as |w| entries of sign +-1."""
-    mags, signs = [], []
-    for v, w in terms:
-        mags += [v] * abs(w)
-        signs += [math.copysign(1.0, w)] * abs(w)
-    return mags, signs
-
-
-class TestSignedWeights:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-700.0, 5.0), st.integers(-3000, 3000).filter(bool)),
-                    min_size=1, max_size=6))
-    def test_weight_equals_repeated_signs(self, terms):
-        mags = [v for v, _ in terms]
-        weights = [w for _, w in terms]
-        assert signed_logsumexp(mags, weights) == signed_logsumexp(*_repeated(terms))
-
-    @pytest.mark.parametrize("terms", [
-        [(0.0, 2**20), (-1e-9, -(2**20))],
-        [(-600.0, 2**20), (3.0, 1), (3.0, -1)],
-        [(-40.0, -(2**20)), (0.0, 1), (-20.0, 12345)],
-    ])
-    def test_large_weights(self, terms):
-        mags = [v for v, _ in terms]
-        weights = [w for _, w in terms]
-        assert signed_logsumexp(mags, weights) == signed_logsumexp(*_repeated(terms))
-
-    def test_fractional_weight_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
-            signed_logsumexp([0.0, -1.0], [1, 0.5])
 
 class TestInnerHelper:
     def test_ln_neg_ln_regimes(self):

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import deltrace as dt
+from deltrace.bits import rounded_run_lengths, span_matches
+
 ROOT = Path(__file__).parent.parent
 
 
@@ -161,14 +164,14 @@ def test_no_private_name_is_orphaned():
 
 
 def test_kernel_sizes_are_defined_once():
-    # the object API imports the kernel's stages but not its sizes, so a test
-    # that patches a size on channel, events or reconstruct fails at the patch
-    # instead of changing nothing the stages read
-    from deltrace import channel, events, kernel, reconstruct
+    # the object API and the harness import the kernel's stages but not its
+    # sizes, so a test that patches a size on channel, events, reconstruct or
+    # harness fails at the patch instead of changing nothing the stages read
+    from deltrace import channel, events, harness, kernel, reconstruct
 
     for name in ("BLOCK_ELEMENTS", "SEED_CHUNK", "SHORT_RUN_LENGTH", "MAX_ORACLE_STATES"):
         assert isinstance(getattr(kernel, name), int)
-        assert [module.__name__ for module in (channel, events, reconstruct) if hasattr(module, name)] == []
+        assert [module.__name__ for module in (channel, events, reconstruct, harness) if hasattr(module, name)] == []
 
 
 def test_oracle_budget_is_the_documented_one():
@@ -181,3 +184,76 @@ def test_oracle_budget_is_the_documented_one():
     counts = re.findall(r"budget of (\d+) automaton states", readme)
     assert (len(powers), len(counts)) == (2, 1)
     assert {1 << int(k) for k in powers} == {int(c) for c in counts} == {kernel.MAX_ORACLE_STATES}
+
+
+def _traces(bits, p=0.5, count=2):
+    return dt.sample_traces(dt.BitString(bits), p, count, dt.RngSpec(3))
+
+
+# (call, exception, message fragment): every refusal of a public constructor
+# or entry point that no other test reaches
+_REFUSALS = {
+    "TraceCount-exact": (lambda: dt.TraceCount(0.0, exact=0), ValueError, "empty trace set"),
+    "TraceCount.exponential": (lambda: dt.TraceCount.exponential(0.0, 10), ValueError, "growth schedule needs c > 0"),
+    "trace-count-type": (lambda: dt.prob_no_pattern_witness_exact(1, 2, 0.3, 2.5), TypeError,
+                         "trace count must be an int or a TraceCount"),
+    "p-outside": (lambda: dt.prob_no_pattern_witness_exact(1, 2, 1.5, 3), ValueError,
+                  "deletion probability must lie in [0, 1]"),
+    "run-length": (lambda: dt.prob_uncovered_run_mgf([2, 0], 0.3, 3), ValueError, "run lengths must be positive"),
+    "pattern-length": (lambda: dt.prob_no_pattern_witness_exact(0, 2, 0.3, 3), ValueError,
+                       "pattern length r must be a positive integer"),
+    "copy-count": (lambda: dt.prob_no_pattern_witness_exact(1, 0, 0.3, 3), ValueError, "copy count f must be positive"),
+    "witness-asymptotic-c": (lambda: dt.prob_no_pattern_witness_asymptotic(dt.ThresholdParams(1, 0.5, 0.3), 0.0, 3),
+                             ValueError, "growth rate c must be positive"),
+    "run-asymptotic-c": (lambda: dt.prob_uncovered_run_asymptotic([0.5, 0.5], 0.3, 0.0, 3), ValueError,
+                         "growth rate c must be positive"),
+    "poly-schedule": (lambda: dt.poly_trace_table([0.5, 0.5], 0.3, 1.0, 0.0, [4]), ValueError,
+                      "schedule needs c > 0 and b > 0"),
+    "BitString-2d": (lambda: dt.BitString([[0, 1]]), ValueError, "bits must be one-dimensional"),
+    "RunProfile-first-bit": (lambda: dt.RunProfile(2, (1,)), ValueError, "first_bit must be 0 or 1"),
+    "RunProfile-length": (lambda: dt.RunProfile(0, (1, 0)), ValueError, "every run length must be >= 1"),
+    "RepeatBlockSpec-pattern": (lambda: dt.RepeatBlockSpec(""), ValueError, "pattern must be nonempty"),
+    "RepeatBlockSpec-ell": (lambda: dt.RepeatBlockSpec("01", ell=0.0), ValueError, "ell must be in (0, 1]"),
+    "RepeatBlockSpec-a": (lambda: dt.RepeatBlockSpec("01", a=1.5), ValueError, "a must be in (0, 1]"),
+    "RunFractionSpec-first-bit": (lambda: dt.RunFractionSpec(2, (1.0,)), ValueError, "first_bit must be 0 or 1"),
+    "RunFractionSpec-empty": (lambda: dt.RunFractionSpec(0, ()), ValueError, "fractions must be positive"),
+    "RunFractionSpec-sum": (lambda: dt.RunFractionSpec(0, (0.5, 0.4)), ValueError, "fractions must sum to 1"),
+    "rounded-run-lengths": (lambda: rounded_run_lengths((0.6, 0.6), 5), ValueError, "fractions must sum to at most 1"),
+    "DeletionMask-2d": (lambda: dt.DeletionMask([[True]]), ValueError, "flags must be one-dimensional"),
+    "MaskedTrace-length": (lambda: dt.MaskedTrace(dt.BitString("0"), dt.DeletionMask([False, False]), 1), ValueError,
+                           "mask length must equal source length"),
+    "sample-traces-rng": (lambda: dt.sample_traces(dt.BitString("01"), 0.3, 2, 5), TypeError,
+                          "rng must be a numpy Generator or an RngSpec"),
+    "detect-events-empty": (lambda: dt.detect_events([], [], dt.RunProfile(0, (2,))), ValueError,
+                            "need at least one trace"),
+    "detect-events-length": (lambda: dt.detect_events(_traces("0011"), [], dt.RunProfile(0, (2, 1))), ValueError,
+                             "trace source length does not match"),
+    "SandwichPattern-offset": (lambda: dt.SandwichPattern(-1, "01", "1", 1, 1), ValueError,
+                               "need offset >= 0 and copies >= 1"),
+    "AdjacentPattern-offset": (lambda: dt.AdjacentPattern(0, "01", 0, "1", 1), ValueError,
+                               "need offset >= 0 and copies >= 1"),
+    "AdjacentPattern-empty": (lambda: dt.AdjacentPattern(0, "", 1, "1", 1), ValueError, "blocks must be nonempty"),
+    "pattern-absent": (lambda: dt.detect_ambiguities(dt.BitString("0011"), _traces("0011"),
+                                                     [dt.AdjacentPattern(0, "1", 2, "0", 2)]),
+                       ValueError, "declared pattern absent from source"),
+    "pattern-type": (lambda: dt.detect_ambiguities(dt.BitString("0011"), _traces("0011"), [object()]), TypeError,
+                     "unknown pattern declaration object"),
+    "trial-index": (lambda: dt.RngSpec(1).trial_rng(-1), ValueError, "trial_index must be >= 0"),
+    "consistent-sources-n": (lambda: dt.consistent_sources(-1, []), ValueError, "n must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_public_validation_refuses(case):
+    call, error, fragment = _REFUSALS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_span_past_the_end_does_not_match():
+    # a span starting at the end would read an empty window, which equals any
+    # number of copies of its empty block
+    s = dt.BitString("010101")
+    assert span_matches(s, dt.PatternSpan(offset=2, period=2, copies=2))
+    assert not span_matches(s, dt.PatternSpan(offset=3, period=2, copies=2))
+    assert not span_matches(s, dt.PatternSpan(offset=6, period=2, copies=1))
