@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logspace import (
-    _EXP_OVERFLOW,
     _TINY_LOG,
     NEG_INF,
     ln_one_minus_exp,
     log_comb,
     logsumexp_pos,
+    neg_exp,
     pow_one_minus_ln,
 )
 from .kernel import InfeasibleError
@@ -172,10 +172,8 @@ def prob_no_pattern_witness_exact(r: int, f: float, p: float, T) -> ProbReport:
         raise ValueError("copy count f must be positive")
     p = _check_p(p)
     count = _as_count(T)
-    if p == 0.0:
-        return _report(NEG_INF, "exact-closed-form")
-    if p == 1.0:
-        return _report(0.0, "exact-closed-form")
+    if p in (0.0, 1.0):
+        return _report(0.0 if p else NEG_INF, "exact-closed-form")
     x = p ** int(r)
     if x < sys.float_info.min:
         # p^r is subnormal or 0, lost against 1 in (1 - p^r)^f = e^-u with
@@ -183,8 +181,7 @@ def prob_no_pattern_witness_exact(r: int, f: float, p: float, T) -> ProbReport:
         # trace wipes a copy, is ln u to double precision below e^-500
         lu = math.log(f) + int(r) * math.log(p)
         ln_wipe = lu if lu < _TINY_LOG else ln_one_minus_exp(-math.exp(lu))
-        exponent = count.ln_value + math.log(-ln_wipe)
-        return _report(NEG_INF if exponent > _EXP_OVERFLOW else -math.exp(exponent), "exact-closed-form")
+        return _report(neg_exp(count.ln_value + math.log(-ln_wipe)), "exact-closed-form")
     # lx = ln((1 - p^r)^f), the per-trace miss probability in log form
     lx = f * math.log1p(-x)
     return _report(pow_one_minus_ln(lx, count.ln_value), "exact-closed-form")
@@ -202,8 +199,7 @@ def prob_no_pattern_witness_asymptotic(params: ThresholdParams, c: float, T) -> 
         raise ValueError("growth rate c must be positive")
     count = _as_count(T)
     slope = (params.ell / c) * math.log1p(-params.p ** params.r)
-    power = (slope + 1.0) * count.ln_value
-    ln_value = NEG_INF if power > _EXP_OVERFLOW else -math.exp(power)
+    ln_value = neg_exp((slope + 1.0) * count.ln_value)
     # ln y = slope * ln T, not (E - 1) * ln T: E rounds to 1 once |slope| < eps
     flags = ("outside-validity-regime",) if slope * count.ln_value >= _LN_TENTH else ()
     return _report(ln_value, "asymptotic", flags=flags)
@@ -225,7 +221,7 @@ def _run_log_quantities(lengths: list[float], p: float):
     ln_px = 0.0
     for r in lengths:
         ln_keep_all = r * ln_q                      # run survives untouched
-        ln_alive = math.log1p(-math.exp(r * ln_p))  # run not fully deleted
+        ln_alive = ln_one_minus_exp(r * ln_p)       # run not fully deleted
         ln_px += ln_alive
         ln_delta = min(ln_keep_all - ln_alive, 0.0)
         ln_beta.append(ln_one_minus_exp(ln_delta))
@@ -259,10 +255,8 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
     _check_mgf_runs(len(run_lengths), p)
     lengths = _check_lengths(run_lengths)
     count = _as_count(T)
-    if p == 0.0:
-        return _report(NEG_INF, "exact-closed-form")
-    if p == 1.0:
-        return _report(0.0, "exact-closed-form")
+    if p in (0.0, 1.0):
+        return _report(0.0 if p else NEG_INF, "exact-closed-form")
     ln_beta, ln_px = _run_log_quantities(lengths, p)
     # Per nonempty subset K: sign (-1)^{|K|+1} times (1 - p_X (1 - prod beta))^T.
     # Group the subsets by their float sum of ln(beta_i), as (even, odd)
@@ -314,10 +308,8 @@ def prob_uncovered_run_sum(run_lengths, p: float, T) -> ProbReport:
         raise ValueError(
             f"direct sum needs a literal trace count <= {DIRECT_SUM_MAX_TRACES}"
         )
-    if p == 0.0:
-        return _report(NEG_INF, "exact-direct-sum")
-    if p == 1.0:
-        return _report(0.0, "exact-direct-sum")
+    if p in (0.0, 1.0):
+        return _report(0.0 if p else NEG_INF, "exact-direct-sum")
     t_count = count.exact
     ln_beta, ln_px = _run_log_quantities(lengths, p)
     ln_qx = ln_one_minus_exp(ln_px)  # some run wiped out in a given trace
@@ -359,11 +351,10 @@ def prob_uncovered_run_asymptotic(fractions, p: float, c: float, T) -> ProbRepor
     i_star = fracs.index(ell_star)
     multiplicity = sum(1 for frac in fracs if frac == ell_star)
     # F = prod_k (1 - T^{q_k ln p}); each factor in (0, 1)
-    ln_f = math.fsum(math.log1p(-math.exp(qk * ln_p * ln_t)) for qk in q)
+    ln_factors = [ln_one_minus_exp(qk * ln_p * ln_t) for qk in q]
     ln_power = (q[i_star] * ln_q + 1.0) * ln_t
-    ln_d = math.log1p(-math.exp(q[i_star] * ln_p * ln_t))
-    drop = ln_f + ln_power - ln_d
-    ln_value = NEG_INF if drop > _EXP_OVERFLOW else math.log(multiplicity) - math.exp(drop)
+    drop = math.fsum(ln_factors) + ln_power - ln_factors[i_star]
+    ln_value = math.log(multiplicity) + neg_exp(drop)
     flags: tuple[str, ...] = ()
     if c <= critical_rate(1, ell_star, p):
         flags = ("outside-validity-regime",)

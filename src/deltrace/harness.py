@@ -459,6 +459,14 @@ def _sufficient_sets(s: BitString, padded, lens, tables, first: int) -> np.ndarr
                                             first + lo) for lo, hi in zip(edges, edges[1:]) if lo < hi])
 
 
+def _figure(value: int) -> str:
+    """A count for a one-line message: in full below 10^15, otherwise to three
+    digits (1.00e+331), by Decimal, which takes any int where a float overflows."""
+    from decimal import Decimal
+
+    return str(value) if value < 10**15 else f"{Decimal(value):.3g}"
+
+
 def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     """(fired, offenders): the trials on which each estimator's event
     occurred, by name, and an audit's breaches as (trial, check), trial by
@@ -494,8 +502,8 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     t_count, p, n = config.traces, config.p, config.source.n
     if t_count * n > MAX_TRIAL_ELEMENTS:
         raise InfeasibleError(
-            f"one trial needs traces x n = {t_count * n} mask bits, up to about "
-            f"{(PEAK_BYTES_PER_BIT * t_count * n + 2**29) >> 30} GiB at peak, over the cap of "
+            f"one trial needs traces x n = {_figure(t_count * n)} mask bits, up to about "
+            f"{_figure((PEAK_BYTES_PER_BIT * t_count * n + 2**29) >> 30)} GiB at peak, over the cap of "
             f"{MAX_TRIAL_ELEMENTS} bits (up to about {PEAK_BYTES_PER_BIT * MAX_TRIAL_ELEMENTS / 2**30:.0f} GiB)"
         )
     oracle = audit or "difficulty" in estimators
@@ -641,8 +649,11 @@ def _formula_rows(config: ExperimentConfig) -> list[EstimateRow]:
         t_or_c, a = config.schedule
         count = TraceCount.exponential(t_or_c, n, a)
     _check_mgf_runs(runs, p)  # refused before the instance is allocated
-    instance = config.source.instance()
-    span, lengths = instance.span, np.diff(instance.bounds)
+    if p in (0.0, 1.0):  # every route answers from p alone: a one-bit stand-in, not the source
+        span, lengths = PatternSpan(0, 1, 1), [1]
+    else:
+        instance = config.source.instance()
+        span, lengths = instance.span, np.diff(instance.bounds)
     reports = [
         ("no-pattern-witness", prob_no_pattern_witness_exact(span.period, span.copies, p, count)),
         ("uncovered-run", prob_uncovered_run_mgf(lengths, p, count)),

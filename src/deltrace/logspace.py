@@ -27,17 +27,9 @@ def ln_one_minus_exp(lx):
     return math.log1p(-math.exp(lx))
 
 
-def ln_neg_ln_one_minus_exp(lx):
-    """log(-log(1 - e**lx)) for lx < 0.
-
-    For very negative lx, -log(1 - e^lx) ~ e^lx, so the answer is lx itself;
-    the explicit branch avoids log1p underflowing to exactly 0.
-    """
-    if lx >= 0:
-        raise ValueError(f"need lx < 0, got {lx}")
-    if lx < _TINY_LOG:
-        return lx
-    return math.log(-ln_one_minus_exp(lx))
+def neg_exp(x):
+    """-e**x, and -inf where e**x would overflow."""
+    return NEG_INF if x > _EXP_OVERFLOW else -math.exp(x)
 
 
 def pow_one_minus_ln(lx, ln_count):
@@ -49,10 +41,10 @@ def pow_one_minus_ln(lx, ln_count):
         return 0.0
     if lx == 0.0:
         return NEG_INF  # zero base, any positive power
-    exponent = ln_count + ln_neg_ln_one_minus_exp(lx)
-    if exponent > _EXP_OVERFLOW:
-        return NEG_INF
-    return -math.exp(exponent)
+    # log(-log(1 - e^lx)); below _TINY_LOG, -log(1 - e^lx) is e^lx to double
+    # precision, where log1p would underflow to exactly 0
+    ln_neg_ln = lx if lx < _TINY_LOG else math.log(-ln_one_minus_exp(lx))
+    return neg_exp(ln_count + ln_neg_ln)
 
 
 def log_comb(n, k):

@@ -1,11 +1,16 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltrace import cli, harness, kernel
 from test_golden import CASES, GOLDEN
@@ -375,7 +380,8 @@ def test_trial_size_cap_exit_3(tmp_path):
     assert proc.stderr.startswith("infeasible: one trial needs traces x n = 8000000000 mask bits, "
                                   "up to about 52 GiB at peak")
     assert proc.stderr.count("\n") == 1
-    # a trace count past the largest float: its GiB figure overflows a float
+    # a trace count past the largest float: its GiB figure overflows a float,
+    # and both figures print to three digits
     for mode in ("montecarlo", "audit"):
         path = write_config(tmp_path, {
             "mode": mode,
@@ -387,8 +393,8 @@ def test_trial_size_cap_exit_3(tmp_path):
         }, name=f"{mode}.json")
         proc = run_cli(mode, "--config", path)
         assert proc.returncode == 3
-        assert proc.stderr.startswith(f"infeasible: one trial needs traces x n = {10**331} mask bits, ")
-        assert proc.stderr.count("\n") == 1
+        assert proc.stderr == ("infeasible: one trial needs traces x n = 1.00e+331 mask bits, up to about "
+                               "6.52e+322 GiB at peak, over the cap of 1073741824 bits (up to about 7 GiB)\n")
 
 
 @pytest.mark.parametrize("trials", [0, 2**64 + 1, 10**30])
@@ -415,19 +421,38 @@ def test_inclusion_exclusion_cap_exit_3(tmp_path, command, n, rest):
     assert proc.stderr == "infeasible: inclusion-exclusion over 21 runs exceeds the cap of 20\n"
 
 
-@pytest.mark.parametrize("p,code", [(0.3, 3), (0.0, 0), (1.0, 0)])
-def test_exact_refuses_a_many_run_literal_before_its_run_table(tmp_path, monkeypatch, capsys, p, code):
-    # 21 runs: over the inclusion-exclusion cap, which p = 0 and 1 do not need
-    bits = "0011" * 10 + "0"
-    path = write_config(tmp_path, {"mode": "exact", "source": {"kind": "bits", "bits": bits}, "p": p, "traces": 4})
-    if code == 3:
-        def tabled(arr):
-            raise AssertionError("the run table was built")
+# (source, n, runs): runs of 2 bits but the literal's last, and a run per bit
+_MANY_RUNS = {
+    "bits": ({"kind": "bits", "bits": "0011" * 10 + "0"}, 41, 21),
+    "runs": ({"kind": "runs", "first_bit": 0, "fractions": [1 / 21] * 21, "n": 42}, 42, 21),
+    "repeat": ({"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 42}, 42, 42),
+}
 
-        monkeypatch.setattr(harness, "_run_bounds", tabled)
+
+@pytest.mark.parametrize("kind,p,code", [
+    ("bits", 0.3, 3), ("bits", 0.0, 0), ("bits", 1.0, 0),
+    ("runs", 0.3, 3), ("runs", 0.0, 0), ("runs", 1.0, 0),
+    ("repeat", 0.3, 3), ("repeat", 0.0, 0), ("repeat", 1.0, 0),
+], ids=["0.3-3", "0.0-0", "1.0-0", "runs-0.3-3", "runs-0.0-0", "runs-1.0-0",
+        "repeat-0.3-3", "repeat-0.0-0", "repeat-1.0-0"])
+def test_exact_refuses_a_many_run_literal_before_its_run_table(tmp_path, monkeypatch, capsys, kind, p, code):
+    # over the inclusion-exclusion cap, which p = 0 and 1 do not need: there
+    # every row is a constant, and the source is not built either
+    def built(*args):
+        raise AssertionError("the source or its run table was built")
+
+    for name in ("_run_bounds", "make_run_instance", "make_repeat_instance"):
+        monkeypatch.setattr(harness, name, built)
+    source, n, runs = _MANY_RUNS[kind]
+    path = write_config(tmp_path, {"mode": "exact", "source": source, "p": p, "traces": 4})
     assert cli.main(["exact", "--config", path]) == code
-    err = capsys.readouterr().err
-    assert err == ("infeasible: inclusion-exclusion over 21 runs exceeds the cap of 20\n" if code else "")
+    out, err = capsys.readouterr()
+    assert err == (f"infeasible: inclusion-exclusion over {runs} runs exceeds the cap of 20\n" if code else "")
+    if not code:
+        value, ln_value = ("1.0", "0.0") if p else ("0.0", "-inf")
+        assert out.splitlines()[1:] == [f"{name},{n},{p},4,,{value},{ln_value},,,,,{method}" for name, method in (
+            ("no-pattern-witness", "exact-closed-form"), ("uncovered-run", "exact-closed-form"),
+            ("uncovered-run", "exact-direct-sum"))]
 
 
 def test_deeply_nested_config_exit_2(tmp_path):
@@ -516,3 +541,113 @@ def test_coverage_breach_exit_4(tmp_path, monkeypatch, capsys):
     assert "offender trial=0 check=covered-and-wrong" in lines
     assert lines[-1] == "audit result: FAIL"
     assert captured.err == ""
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on random configs of every mode, in process
+
+_PREFIXES = {2: ("usage error: ", "config error: "), 3: ("infeasible: ",)}
+_COMMAND = {"exact": "exact", "asymptotic": "asympt", "sweep": "sweep", "montecarlo": "montecarlo",
+            "audit": "audit", "generate": "generate"}
+
+
+def _mostly(common, rare):
+    """common in about seven of eight draws, rare in the rest"""
+    return st.sampled_from(range(8)).flatmap(lambda k: rare if k == 7 else common)
+
+
+_EDGE_P = _mostly(st.floats(0, 1, exclude_min=True, exclude_max=True), st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1 - 1e-16]))
+# 1e-300 to 1e300, spread by exponent
+_WIDE = st.floats(-300, 300).map(lambda e: 10.0 ** e)
+# ell and a in (0, 1]: below 1/4 most repeat sources keep no copy
+_UNIT = _mostly(st.floats(0.25, 1), st.sampled_from([1e-300, 5e-324]) | st.floats(0, 0.25, exclude_min=True))
+# run fractions down to 1e-19, whose run lengths round to 0 in a small source
+_FRACTIONS = st.lists(_mostly(st.floats(-3, 0), st.floats(-19, 0)).map(lambda e: 10.0 ** e), min_size=2, max_size=5).map(
+    lambda w: [x / sum(w) for x in w])
+
+
+@st.composite
+def _configs(draw):
+    """A config of any mode: mostly valid, with edge values everywhere; the
+    simulation modes keep n <= 64 and few traces and trials."""
+    mode = draw(st.sampled_from(sorted(_COMMAND)))
+    simulated = mode in ("montecarlo", "audit")
+    small_n = _mostly(st.integers(8, 64), st.integers(1, 7))
+    n = draw(small_n if simulated else _mostly(small_n, st.sampled_from([10**3, 10**6, 10**20, 10**300])))
+    kind = draw(st.sampled_from(["repeat", "runs"] if mode in ("asymptotic", "sweep") else ["repeat", "runs", "bits"]))
+    if kind == "bits":
+        source = {"kind": "bits", "bits": draw(st.text("01", min_size=1, max_size=64))}
+    elif kind == "repeat":
+        source = {"kind": "repeat", "pattern": draw(st.text("01", min_size=1, max_size=4)),
+                  "ell": draw(_UNIT), "a": draw(_UNIT), "n": n}
+    else:
+        source = {"kind": "runs", "first_bit": draw(st.integers(0, 1)), "fractions": draw(_FRACTIONS), "n": n}
+    config = {"mode": mode, "source": source}
+    if mode == "generate":
+        return config
+    config["p"] = draw(_EDGE_P)
+    if mode == "sweep":
+        del source["n"]
+        config["c_grid"] = draw(st.lists(_WIDE, min_size=1, max_size=3))
+        config["n_grid"] = draw(st.lists(small_n | st.sampled_from([10**6, 10**300]), min_size=1, max_size=3))
+        config["a"] = draw(_UNIT)
+        return config
+    literal = _mostly(st.integers(1, 16), st.sampled_from([0, 10**4, 10**330]))
+    schedule = st.fixed_dictionaries({"c": _WIDE, "a": _UNIT})
+    config["traces"] = draw(literal if simulated else schedule if mode == "asymptotic" else literal | schedule)
+    if simulated:
+        config["trials"] = draw(_mostly(st.integers(1, 12), st.sampled_from([0, 2**64 + 1])))
+        config["seed"] = draw(st.integers(0, 2**64 - 1))
+    if mode == "montecarlo" and draw(st.booleans()):
+        config["estimators"] = draw(st.lists(st.sampled_from(harness.ESTIMATORS), min_size=1, max_size=4,
+                                             unique=True))
+    return config
+
+
+def _run_in_process(folder, config) -> tuple[int, str, str]:
+    """cli.main on config with the oracle's budget and the per-trial and
+    source cap patched low, so that no example allocates much."""
+    path = folder / "fuzz.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(kernel, "MAX_ORACLE_STATES", 2000), \
+            mock.patch.object(harness, "MAX_TRIAL_ELEMENTS", 1 << 12), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([_COMMAND[config["mode"]], "--config", str(path)])
+        finally:
+            gc.unfreeze()
+    return code, out.getvalue(), err.getvalue()
+
+
+# each exited 2 with "config error: math domain error": analytics took
+# log(1 - e^x) by hand where e^x rounds to 1
+_CATCHES = {
+    "sweep": {"mode": "sweep", "source": {"kind": "runs", "first_bit": 0, "fractions": [1e-18, 0.5, 0.5]},
+              "p": 0.99, "c_grid": [0.5], "n_grid": [1]},
+    "asympt": {"mode": "asymptotic", "source": {"kind": "runs", "first_bit": 0, "fractions": [5e-19, 0.5, 0.5],
+                                                "n": 10}, "p": 0.3, "traces": {"c": 0.05}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CATCHES))
+def test_run_lengths_whose_power_rounds_to_one_exit_0(tmp_path, name):
+    code, out, err = _run_in_process(tmp_path, _CATCHES[name])
+    assert (code, err) == (0, "")
+    assert "nan" not in out and out.count("\n") == {"sweep": 3, "asympt": 2}[name]
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_configs())
+@example(config=_CATCHES["sweep"])
+@example(config=_CATCHES["asympt"])
+def test_every_config_exits_with_a_documented_code(tmp_path_factory, config):
+    # code 2 or 3 prints one stderr line with its prefix; 0 prints nothing
+    # there, and 4, an audit breach, reports on stdout
+    code, out, err = _run_in_process(tmp_path_factory.getbasetemp(), config)
+    assert code in (0, 2, 3, 4)
+    if code in _PREFIXES:
+        assert err.count("\n") == 1 and err.endswith("\n") and err.startswith(_PREFIXES[code]), err
+    else:
+        assert err == ""
+        assert code == 0 or out.endswith("audit result: FAIL\n")

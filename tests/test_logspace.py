@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from deltrace.logspace import (
     NEG_INF,
     ln_one_minus_exp,
-    ln_neg_ln_one_minus_exp,
     log_comb,
     logsumexp_pos,
     pow_one_minus_ln,
@@ -79,15 +78,19 @@ class TestAggregation:
 
 
 class TestInnerHelper:
+    # pow_one_minus_ln is -exp(ln_count + log(-log(1 - e^lx))), so a count of
+    # ln_count = -log(-log(1 - e^lx)) brings it to -1
     def test_ln_neg_ln_regimes(self):
         # log1p keeps the reference stable where 1 - e^lx loses digits
         for lx in (-0.3, -1.0, -5.0, -30.0):
-            expected = math.log(-math.log1p(-math.exp(lx)))
-            assert ln_neg_ln_one_minus_exp(lx) == pytest.approx(expected, rel=1e-12)
+            ln_neg_ln = math.log(-math.log1p(-math.exp(lx)))
+            assert pow_one_minus_ln(lx, -ln_neg_ln) == pytest.approx(-1.0, rel=1e-12)
 
     def test_ln_neg_ln_deep_tail(self):
-        # below the cutoff, -ln(1 - e^lx) equals e^lx to machine precision
-        assert ln_neg_ln_one_minus_exp(-600.0) == -600.0
+        # below the cutoff, -ln(1 - e^lx) equals e^lx to machine precision;
+        # at -800, e^lx underflows to 0 and log1p would give log(0)
+        assert pow_one_minus_ln(-600.0, 600.0) == -1.0
+        assert pow_one_minus_ln(-800.0, 800.0) == -1.0
 
 
 def test_import_leaves_scipy_out():

@@ -163,6 +163,27 @@ def test_no_private_name_is_orphaned():
     assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in read) == []
 
 
+def test_log_one_minus_exp_is_taken_from_logspace():
+    # log(1 - e^x) is logspace.ln_one_minus_exp, which keeps its digits, and
+    # its domain, where e^x rounds to 1; the clamp on -e^x past exp's overflow
+    # is logspace.neg_exp.  So no other module writes log1p(-exp(x)) or reads
+    # the overflow bound
+    def called(node, name):
+        return isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+    found = []
+    for path in sorted((ROOT / "src" / "deltrace").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if called(node, "log1p") and isinstance(node.args[0], ast.UnaryOp)
+                  and isinstance(node.args[0].op, ast.USub) and called(node.args[0].operand, "exp")]
+        found += [f"{path.stem}: _EXP_OVERFLOW" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and "_EXP_OVERFLOW" in [alias.name for alias in node.names]]
+    # the scan finds logspace's own; an empty one would prove nothing
+    assert [entry for entry in found if not entry.startswith("logspace:")] == []
+    assert len(found) == 1
+
+
 def test_kernel_sizes_are_defined_once():
     # the object API and the harness import the kernel's stages but not its
     # sizes, so a test that patches a size on channel, events, reconstruct or
