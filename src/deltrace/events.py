@@ -13,10 +13,12 @@ Two events matter:
   deleted no run completely and left run i untouched.  With coverage the
   maximal-runs reconstructor provably returns the source.
 
-The mask stages behind both, _span_wiped and run coverage (_RunTables,
-_clean_runs, _covered_runs), live in kernel, where the harness's Monte Carlo
+The mask stages behind both live in kernel, where the harness's Monte Carlo
 kernel runs them a block of trials at a time; the detectors here run them on
-one trace set.
+one trace set, through the same calls.  _span_wiped reads every copy of the
+span off contiguous shifted ANDs of the mask.  Run coverage (_covered_runs,
+over the index arrays of _RunTables) first finds the traces that wiped a run,
+then reads the clean runs only if some trace wiped none.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .bits import BitString, PatternSpan, RunProfile, span_matches
 from .channel import MaskedTrace
-from .kernel import _clean_runs, _covered_runs, _RunTables, _span_wiped
+from .kernel import _covered_runs, _RunTables, _span_wiped
 
 __all__ = [
     "EventReport",
@@ -78,7 +80,7 @@ def detect_events(traces: list[MaskedTrace], spans: list[PatternSpan], profile: 
     flags = _flags_matrix(traces, profile.total)
     # some trace deleted no copy of the span outright
     witness = tuple(not _span_wiped(flags, span).all() for span in spans)
-    per_run = _covered_runs(*_clean_runs(flags, _RunTables(np.asarray(profile.lengths, dtype=np.int64))))
+    per_run = _covered_runs(flags[np.newaxis], _RunTables(np.asarray(profile.lengths, dtype=np.int64)))[0][0]
     return EventReport(witness, tuple(per_run.tolist()))
 
 

@@ -40,8 +40,8 @@ from .bits import (
     make_run_instance,
 )
 from . import kernel
-from .kernel import (InfeasibleError, RngSpec, _clean_runs, _covered_runs, _embedding_tables, _embeds_flipped,
-                     _mask_block, _matchers, _run_alignment_misses, _RunTables, _span_wiped, _sufficient)
+from .kernel import (InfeasibleError, RngSpec, _covered_runs, _embedding_tables, _embeds_flipped, _mask_block,
+                     _matchers, _run_alignment_misses, _RunTables, _span_wiped, _sufficient)
 
 __all__ = [
     "ConfigError",
@@ -410,16 +410,16 @@ def write_outputs(config: ExperimentConfig, text: str) -> None:
 
 # Blocks hold B = max(1, kernel.BLOCK_ELEMENTS // (T * n)) trials.  One
 # trial's T x n mask bits above this are refused before anything is
-# allocated.  A trial larger than a block peaks at about 5 (a run per bit) to
-# 6 (few runs, whose coverage counts cast the whole mask to int32) bytes per
-# mask bit, PEAK_BYTES_PER_BIT with a margin: CLI peak RSS on Linux at 32
-# traces, measured at 2^25 and 2^26 bits, p = 0.5 and 0.99 (4.9-5.5 and
-# 5.6-6.2), and taken as linear beyond.  At the cap that is up to 7 GiB.  With
-# one trace the arrays of n entries dominate (the run table and its
-# transients while the instance is built, the gathers' column table):
+# allocated.  A trial larger than a block peaks at about 4.5 (a run per bit)
+# to 6.2 (few runs, whose coverage counts cast the whole mask to int32) bytes
+# per mask bit, PEAK_BYTES_PER_BIT with a margin: CLI peak RSS on Linux at 32
+# traces and 2^25 bits, p = 0.001, 0.5 and 0.99 (4.5, 4.8-4.9 on runs of 2
+# bits, and 6.2), and taken as linear beyond.  At the cap that is up to 7
+# GiB.  With one trace the arrays of n entries dominate (the run table and
+# its transients while the instance is built, coverage's start columns):
 # montecarlo on repeat 01, ell 0.5 (a run per bit), p = 0.99, one trial
-# peaked at 146 MB for 2^22 bits and 898 MB for 2^25, 36 and 28 bytes per
-# mask bit.
+# peaked at 213 MB for 2^22 bits, 51 bytes per mask bit (270 MB when coverage
+# gathered each run's columns).
 MAX_TRIAL_ELEMENTS = 1 << 30
 PEAK_BYTES_PER_BIT = 7
 
@@ -474,24 +474,25 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     kernel._mask_block fills a block's (B, T, n) mask, trial i from its own
     stream, B streams taken in order from one RngSpec(seed).block_rngs over
     all trials (bit-equal to trial_rng(i)), so the counts do not depend on B.
-    The mask is allocated once per run; each block draws into a [:size] view
-    of it through _mask_block, which allocates its own buffer of uniforms per
-    call and compares it with p whenever the next piece would not fit and at
-    the block's end.  Run coverage's index arrays
-    (kernel._RunTables) are built once per run, its tables per call.  The mask
-    events, the oracle's verdicts (one call, see _sufficient_sets) and every
-    audit check cover the whole block, the last two reading the traces only
-    through their padded bits (_matchers), and the oracle and the pattern checks
-    also through one pair of embedding tables (_embedding_tables), built once
-    per block.  The oracle decides whether s is each trial's only length-n
-    source and stops at the first witness of another; it never counts them.
-    The audit reads every declared pattern's verdict off the (trace, run)
-    table of clean runs that coverage counts; in each block it checks every
-    (trial, run pair) hit, a pair that fired on the trial, against the pair's
-    competing source: s with the bits where run i meets run j flipped, 2 for
-    adjacent runs and 3 around a single-bit run, as events.AdjacentPattern and
-    SandwichPattern swap them.  The hits go to _embeds_flipped in chunks of at
-    most max(1, kernel.BLOCK_ELEMENTS // T).
+    The mask is allocated once per run; each block draws into a [:size] view of
+    it through _mask_block, which allocates its own buffer of uniforms per call
+    and compares it with p whenever the next piece would not fit and at the
+    block's end.  Run coverage's index arrays (kernel._RunTables) are built
+    once per run.  Coverage first finds the traces that wiped a run, and reads
+    clean runs only on trials where some trace wiped none, unless the audit
+    asks for their (trace, run) table.  The mask events, the oracle's verdicts
+    (one call, see _sufficient_sets) and every audit check cover the whole
+    block, the last two reading the traces only through their padded bits
+    (_matchers), and the oracle and the pattern checks also through one pair of
+    embedding tables (_embedding_tables), built once per block.  The oracle
+    decides whether s is each trial's only length-n source and stops at the
+    first witness of another; it never counts them.  The audit reads every
+    declared pattern's verdict off that table of clean runs; in each block it
+    checks every (trial, run pair) hit, a pair that fired on the trial, against
+    the pair's competing source: s with the bits where run i meets run j
+    flipped, 2 for adjacent runs and 3 around a single-bit run, as
+    events.AdjacentPattern and SandwichPattern swap them.  The hits go to
+    _embeds_flipped in chunks of at most max(1, kernel.BLOCK_ELEMENTS // T).
 
     montecarlo counts reconstruction-error as the uncovered trials: a trace
     that wipes out a run has fewer runs than s, so maximal_runs uses exactly
@@ -521,8 +522,8 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
         flags = _mask_block(rngs, p, masks[:size])
         # no trace kept a copy of the span whole
         no_witness = _span_wiped(flags, instance.span).all(axis=-1)
-        clean, wiped = _clean_runs(flags, runs)
-        covered = _covered_runs(clean, wiped).all(axis=-1)
+        per_run, clean = _covered_runs(flags, runs, table=audit)
+        covered = per_run.all(axis=-1)
         uncovered = int((~covered).sum())
         fired["no-pattern-witness"] += int(no_witness.sum())
         fired["uncovered-run"] += uncovered
@@ -720,8 +721,10 @@ def _sweep_threshold(config: ExperimentConfig) -> tuple[list[EstimateRow], list[
 def _comma_joined(values: np.ndarray) -> str:
     """",".join(map(str, values)) for nonnegative integers without a str per
     value: each value as bytes, NUL-padded to the widest, with its comma; the
-    padding is then dropped."""
-    cells = np.char.add(values.astype(f"S{len(str(values.max()))}"), b",")
+    padding is then dropped.  Not np.char, which loads numpy.char on use."""
+    width = len(str(values.max()))
+    cells = np.full((values.size, width + 1), ord(","), dtype=np.uint8)
+    cells[:, :width] = values.astype(f"S{width}").view(np.uint8).reshape(-1, width)
     return cells.tobytes().replace(b"\0", b"")[:-1].decode()
 
 

@@ -6,15 +6,16 @@ reuses the matchers, state keys and budget.  The CLI loads none of those.
 _mask_block draws deletion masks, trial i from its own PCG64 stream
 (RngSpec), through a per-call buffer of at most BLOCK_ELEMENTS uniforms:
 trials fill it in order, piece by piece when larger than it, and it is
-compared with p whenever a piece would not fit, and at the end.  Run coverage
-reads, per (trace, run), whether the mask deleted some and every bit of the
-run, by clipped gathers on runs shorter than SHORT_RUN_LENGTH bits and by
-np.add.reduceat on the others (_clean_runs), from index arrays built once
-per run (_RunTables); the audit reads its declared patterns off the same
-table of clean runs.  Run alignment (_run_alignment_misses), the uniqueness
-oracle (_sufficient) and the audit's embedding check (_embeds_flipped) read
-the kept bits only through the padded matchers (_matchers), the last two
-also through one pair of embedding tables (_embedding_tables).
+compared with p whenever a piece would not fit, and at the end.  The span
+witness (_span_wiped) and run coverage (_covered_runs, over index arrays
+built once per run by _RunTables) read shifted contiguous ANDs of the mask
+(_window_and).  Coverage reads clean runs only on trials where some trace
+wiped no run.  The audit's (trace, run) table of clean runs, off which it
+reads its declared patterns, counts every run's deleted bits instead.  Run
+alignment (_run_alignment_misses), the uniqueness oracle (_sufficient) and
+the audit's embedding check (_embeds_flipped) read the kept bits only
+through the padded matchers (_matchers), the last two also through one pair
+of embedding tables (_embedding_tables).
 """
 
 from __future__ import annotations
@@ -185,100 +186,113 @@ def _mask_block(rngs, p: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Run coverage reads, per (trace, run), whether some bit and whether every bit
-# was deleted.  Runs shorter than this many bits are gathered: for each offset
-# k below the longest of them, one np.take of column min(start + k, last) per
-# run, OR-folded and AND-folded, so the gathers read about one column per mask
-# column whatever the lengths.  Longer runs take np.add.reduceat, about 7 ns per
-# (trace, run) segment, plus a cast of the mask to the count type.  _clean_runs
-# on one block of 32 x 3000 bits at p = 0.17 (in process, 2 cores, numpy 2.4),
-# all gathered against all to reduceat: runs of 1-2 bits 0.10-0.16 against
-# 1.0-1.2 ms; 4: 0.11 against 0.56; 8: 0.12 against 0.33; 12: 0.20 against
-# 0.24; 16: 0.26 against 0.19.  A higher cutoff would move mc-short's runs of
-# 4-12 bits off reduceat; it stays at 4.
+# Runs shorter than this many bits are read at their starts off _window_and
+# of their length, a group per length; longer ones off np.add.reduceat's
+# count of their deleted bits.  On one trial of 32 x 3000 bits where no trace
+# wiped a run (in process, 2 cores, numpy 2.4), every run of one length,
+# coverage took 0.06-0.10 ms read at the starts against 1.14 (1 bit), 0.34
+# (4) and 0.10 ms (16) counted; but each length costs its own passes:
+# mc-short's blocks (runs of 4-12 bits) took 0.09 ms at 4 against 0.64 at 13.
 SHORT_RUN_LENGTH = 4
+
+
+def _window_and(x: np.ndarray, width: int) -> np.ndarray:
+    """x (..., m) -> (..., m - width + 1): is every bit of x[..., i : i + width]
+    set?  Each pass ANDs two contiguous slices shifted by the width covered so
+    far, doubling it while it stays within width; one more pass, shifted by
+    the remainder, covers the rest."""
+    covered = 1
+    while 2 * covered <= width:
+        x = x[..., :-covered] & x[..., covered:]
+        covered *= 2
+    rest = width - covered
+    return x[..., : x.shape[-1] - rest] & x[..., rest:] if rest else x
 
 
 def _span_wiped(flags: np.ndarray, span: PatternSpan) -> np.ndarray:
     """Masks (..., n) -> (...): is some aligned copy of span fully deleted?
-    The window is viewed as a (..., copies, period) block, so the check ANDs
-    the period columns of every copy at once."""
+    _window_and over the span's window, read at every period-th start."""
     if span.end > flags.shape[-1]:
         raise ValueError("span extends past the source")
-    window = flags[..., span.offset : span.end].reshape(*flags.shape[:-1], span.copies, span.period)
-    deleted = window[..., 0].copy()
-    for j in range(1, span.period):
-        deleted &= window[..., j]
-    return np.any(deleted, axis=-1)
+    window = _window_and(flags[..., span.offset : span.end], span.period)
+    return np.any(window[..., :: span.period], axis=-1)
 
 
 class _RunTables:
-    """Run coverage's index arrays for one run table: the columns gathered
-    and the segments counted.  _clean_runs allocates its tables per call.
-
-    Runs are routed by length (SHORT_RUN_LENGTH): the short ones are
-    gathered, the long ones counted by reduceat, and their columns are
-    tabled in that order, then put back in run order unless they already are.
-    """
+    """Run coverage's index arrays: per length of short run, the runs, their
+    starts, and those as a mask over _window_and's columns; the long runs and
+    the segments counted; and every run's start, for the audit's table."""
 
     def __init__(self, lengths: np.ndarray):
         starts = np.zeros_like(lengths)
         np.cumsum(lengths[:-1], out=starts[1:])
         n = int(lengths.sum())
         short = lengths < SHORT_RUN_LENGTH
-        # column min(start + k, last) of each short run for k below the
-        # longest: a repeated column changes neither the OR nor the AND
-        first, last = starts[short], starts[short] + lengths[short] - 1
-        self.columns = [np.minimum(first + k, last) for k in range(lengths[short].max(initial=0))]
-        # each long run's [start, end) segment, every other reduceat result;
-        # an end at n is implicit
+        self.lengths, self.starts, self.count = lengths, starts, lengths.size
+        self.groups = []
+        for length in np.flatnonzero(np.bincount(lengths[short])).tolist():
+            index = np.flatnonzero(lengths == length)
+            at = np.zeros(n - length + 1, dtype=bool)
+            at[starts[index]] = True
+            self.groups.append((length, index, starts[index], at))
+        # reduceat's edges: each long run's start, and its end unless that is
+        # n or the next long run's start; long_at picks the long runs' segments
+        self.long_index = np.flatnonzero(~short)
         self.long_lengths = lengths[~short]
         long_starts = starts[~short]
-        edges = np.column_stack([long_starts, long_starts + self.long_lengths]).ravel()
-        self.edges = edges[:-1] if edges.size and edges[-1] == n else edges
-        # each run's column among the short runs then the long ones, unless a
-        # short run follows a long one, that is its own
-        self.order = np.argsort(np.argsort(~short, kind="stable")) if np.any(short[1:] > short[:-1]) else None
+        ends = long_starts + self.long_lengths
+        self.edges = np.sort(np.concatenate([long_starts, ends[ends != np.append(long_starts, n)[1:]]]))
+        self.long_at = np.searchsorted(self.edges, long_starts)
         # reduceat casts the mask to the count type; int32 holds any run of
         # a mask with fewer than 2^31 columns at half the memory of int64
         self.count_type = np.int32 if n < 2**31 else np.int64
 
 
-def _clean_runs(flags: np.ndarray, runs: _RunTables) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (..., T, n) -> (clean (..., T, M), wiped (..., T)): trace t
-    deleted no bit of run i; trace t deleted every bit of some run, for the
-    runs whose index arrays runs holds."""
+def _wiped_runs(flags: np.ndarray, runs: _RunTables):
+    """Masks (B, T, n) -> (wiped (B, T), counts): trace t deleted every bit of
+    some run; the long runs' deleted bits (B, T, M_long), or None if there is
+    no long run or the short ones alone wiped every trace."""
     wiped = np.zeros(flags.shape[:-1], dtype=bool)
-    routed = []  # clean runs, short then long
-    if runs.columns:
-        # some bit deleted, and (past one offset) every bit deleted, per short
-        # run; each gather and every are freed once read, to hold the peak down
-        some = np.take(flags, runs.columns[0], axis=-1, mode="clip")
-        every = some.copy() if len(runs.columns) > 1 else some
-        for columns in runs.columns[1:]:
-            gathered = np.take(flags, columns, axis=-1, mode="clip")
-            some |= gathered
-            every &= gathered
-            del gathered
-        np.any(every, axis=-1, out=wiped)
-        del every
-        routed.append(np.logical_not(some, out=some))
-    if runs.edges.size:
-        counts = np.add.reduceat(flags, runs.edges, axis=-1, dtype=runs.count_type)[..., ::2]
-        wiped |= np.any(counts == runs.long_lengths, axis=-1)
-        routed.append(counts == 0)
-        del counts
-    clean = routed[0] if len(routed) == 1 else np.concatenate(routed, axis=-1)
-    if runs.order is None:
-        return clean, wiped
-    return np.take(clean, runs.order, axis=-1, mode="clip"), wiped
+    for length, _, _, at in runs.groups:  # shortest first, the likeliest wiped
+        wiped |= np.any(_window_and(flags, length) & at, axis=-1)
+        if wiped.all():
+            return wiped, None
+    if not runs.edges.size:
+        return wiped, None
+    counts = np.add.reduceat(flags, runs.edges, axis=-1, dtype=runs.count_type)[..., runs.long_at]
+    return wiped | np.any(counts == runs.long_lengths, axis=-1), counts
 
 
-def _covered_runs(clean: np.ndarray, wiped: np.ndarray) -> np.ndarray:
-    """_clean_runs' tables -> per_run (..., M): some trace deleted no run
-    completely while leaving run i untouched."""
-    kept = np.greater(clean, wiped[..., np.newaxis])  # clean and not wiped
-    return np.any(kept, axis=-2)
+def _clean_runs(flags: np.ndarray, runs: _RunTables, counts, traces) -> np.ndarray:
+    """Masks (B, T, n), _wiped_runs' counts of them and the traces to read
+    (B, T) -> (B, M): some of those traces deleted no bit of run i.  The
+    traces are folded before the runs' starts are read."""
+    clean = np.empty((len(flags), runs.count), dtype=bool)
+    if runs.groups:
+        kept = np.greater(traces[..., np.newaxis], flags)  # a read trace's kept bits
+    for length, index, starts, _ in runs.groups:
+        clean[:, index] = np.take(np.any(_window_and(kept, length), axis=1), starts, axis=-1, mode="clip")
+    if counts is not None:
+        clean[:, runs.long_index] = np.any((counts == 0) & traces[..., np.newaxis], axis=1)
+    return clean
+
+
+def _covered_runs(flags: np.ndarray, runs: _RunTables, *, table: bool = False):
+    """Masks (B, T, n) -> (per_run (B, M), clean): some trace wiped no run and
+    left run i untouched; with table, clean (B, T, M) says that trace t
+    deleted no bit of run i, from every run's count of deleted bits.  Without
+    it, only trials where some trace wiped no run read their clean runs."""
+    if table:
+        counts = np.add.reduceat(flags, runs.starts, axis=-1, dtype=runs.count_type)
+        clean = counts == 0
+        return np.greater(clean, np.any(counts == runs.lengths, axis=-1)[..., np.newaxis]).any(axis=1), clean
+    wiped, counts = _wiped_runs(flags, runs)
+    per_run = np.zeros((len(flags), runs.count), dtype=bool)
+    live = ~wiped.all(axis=-1)
+    if live.any():
+        live = slice(None) if live.all() else live  # a slice copies no mask
+        per_run[live] = _clean_runs(flags[live], runs, None if counts is None else counts[live], ~wiped[live])
+    return per_run, None
 
 
 def _run_alignment_misses(s: BitString, padded) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltrace import cli, harness, kernel
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, _cases
 
 CLI = [sys.executable, "-m", "deltrace.cli"]
 
@@ -279,8 +279,10 @@ def test_main_freezes_the_collector(runs_config, unfrozen):
 
 
 # numpy 2 loads numpy.random on first use, about 10 ms with secrets and hmac;
-# only montecarlo and audit draw anything, so only they may pay for it.  Under
-# a numpy whose own import loads it, only scipy is left to check.
+# only montecarlo and audit draw anything, so only they may pay for it.  Any
+# other numpy submodule loaded on first use (numpy.ma for np.unique, numpy.char
+# for np.char) costs every start 8-17 ms, counted as work by the benchmark.
+# Under a numpy whose own import loads one of them, it goes unchecked.
 _START_UP = """
 import json, sys
 import numpy
@@ -288,7 +290,7 @@ before = set(sys.modules)
 import deltrace.cli
 
 def added():
-    return sorted(m for m in set(sys.modules) - before if m == "numpy.random" or m.split(".")[0] == "scipy")
+    return sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "scipy"))
 
 on_import = added()
 codes = [deltrace.cli.main([command, "--config", config, "--out", out])
@@ -297,13 +299,30 @@ print(json.dumps([codes, on_import, added()]))
 """
 
 
+def _start_up(runs):
+    proc = subprocess.run([sys.executable, "-c", _START_UP, json.dumps(runs)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])  # after an audit's summary
+
+
 def test_formula_modes_load_no_random_module(tmp_path):
     runs = [(command, str(GOLDEN / f"{name}.json"), str(tmp_path / name))
             for command, name in CASES if command != "montecarlo"]
     assert {command for command, _, _ in runs} == {"sweep", "exact", "asympt", "generate"}
-    proc = subprocess.run([sys.executable, "-c", _START_UP, json.dumps(runs)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * len(runs), [], []]
+    assert _start_up(runs) == [[0] * len(runs), [], []]
+
+
+def test_every_mode_loads_no_numpy_submodule_but_random(tmp_path):
+    # one golden config of each mode, in one fresh interpreter
+    first = {}
+    for command, name in _cases():
+        first.setdefault(command, name)
+    assert first.keys() == cli._COMMANDS.keys()
+    runs = [(command, str(GOLDEN / f"{name}.json"), str(tmp_path / name)) for command, name in first.items()]
+    codes, on_import, loaded = _start_up(runs)
+    assert codes == [0] * len(runs) and on_import == []
+    assert "numpy.random" in loaded
+    assert [m for m in loaded if m.split(".")[:2] != ["numpy", "random"]] == []
 
 
 # a meta-path finder sees every import request first, so it records the

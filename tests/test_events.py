@@ -126,6 +126,9 @@ class TestRunCoverage:
     @example([2, 1, 3, 6], 0.3, 3, 2, 2)  # a long last run, ending at n
     @example([6, 1, 2, 1], 0.3, 3, 2, 3)  # a long first run
     @example([1] * 7, 0.3, 1, 3, 4)  # 1-bit runs at T = 1
+    @example([1, 2] * 6, 0.4, 3, 2, 1)  # every trace of every trial wipes a run
+    @example([1, 2, 1, 3, 1, 2], 0.35, 3, 2, 0)  # one trace of one trial wipes none
+    @example([1, 5, 2, 4, 3, 1, 6, 2], 0.25, 3, 3, 1)  # short and long runs; trial 1 alone has no clean trace
     def test_both_counting_routes_match_oracle(self, lengths, p, t_count, block, seed):
         s = BitString(np.repeat(np.arange(len(lengths)) % 2, lengths))
         profile = run_decompose(s)
@@ -135,18 +138,22 @@ class TestRunCoverage:
         runs = [[row[a:b] for a, b in zip(bounds, bounds[1:])] for row in flags.reshape(-1, len(s))]
         clean = [[not run.any() for run in row] for row in runs]
         wiped = [any(run.all() for run in row) for row in runs]
-        # 0 sends every run to reduceat, one past the longest gathers every
-        # run, and the longest alone sends the longest runs to reduceat
+        # 0 sends every run to reduceat, one past the longest reads every run
+        # at its start, and the longest alone sends the longest runs to reduceat
         for cutoff in (0, max(lengths) + 1, max(lengths)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernel, "SHORT_RUN_LENGTH", cutoff)
                 # the same index arrays serve every call
                 runs = kernel._RunTables(np.asarray(lengths, dtype=np.int64))
                 for _ in range(2):
-                    tables = kernel._clean_runs(flags, runs)
-                    assert tables[0].reshape(-1, len(lengths)).tolist() == clean
-                    assert tables[1].ravel().tolist() == wiped
-                    assert kernel._covered_runs(*tables).tolist() == expected
+                    assert kernel._wiped_runs(flags, runs)[0].ravel().tolist() == wiped
+                    # the audit's full table, and the shortcut that reads clean
+                    # runs only on trials where some trace wiped none
+                    per_run, table = kernel._covered_runs(flags, runs, table=True)
+                    assert table.reshape(-1, len(lengths)).tolist() == clean
+                    assert per_run.tolist() == expected
+                    per_run, table = kernel._covered_runs(flags, runs)
+                    assert per_run.tolist() == expected and table is None
                 traces = traces_from_masks(s, flags[0])
                 assert coverage(traces, profile) == (all(expected[0]), tuple(expected[0]))
 

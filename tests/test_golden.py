@@ -8,7 +8,7 @@ run by the subcommand of its `mode` with its expected output `golden/NAME.csv`
 pin their summary text, `golden/NAME.summary.txt`.  Among them, two
 montecarlo cases have T * n over a block, so each trial draws its mask in
 chunks (mc-chunked, and mc-long with the benchmark's many short runs), one
-has runs on both sides of run coverage's gather cutoff (mc-mixed-runs), and
+has runs on both sides of run coverage's short-run cutoff (mc-mixed-runs), and
 one audit case is a many-run repeat source with sandwich pairs.
 To add a case, drop in its files; to record one again after an intended
 change of output:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltrace import cli, harness, kernel
-from deltrace.bits import BitString, _run_lengths, is_subsequence, run_decompose
+from deltrace.bits import BitString, PatternSpan, _run_lengths, is_subsequence, run_decompose
 from deltrace.channel import sample_traces
 from deltrace.events import (
     AdjacentPattern,
@@ -36,7 +36,6 @@ from deltrace.harness import (
 )
 from deltrace.kernel import (
     RngSpec,
-    _clean_runs,
     _covered_runs,
     _embedding_tables,
     _embeds_flipped,
@@ -44,6 +43,7 @@ from deltrace.kernel import (
     _matchers,
     _run_alignment_misses,
     _RunTables,
+    _span_wiped,
     _sufficient,
 )
 from deltrace.reconstruct import (
@@ -88,7 +88,7 @@ def test_batched_alignment_matches_maximal_runs(source, p, t_count, block, seed)
 
 def test_blocks_fit_int32_run_indexes():
     # a block holds at most max(BLOCK_ELEMENTS, MAX_TRIAL_ELEMENTS) mask bits,
-    # so no trace reaches 2^31 bits: the oracle's int32 pointers and _clean_runs'
+    # so no trace reaches 2^31 bits: the oracle's int32 pointers and run coverage's
     # int32 counts hold any of them
     assert max(kernel.BLOCK_ELEMENTS, harness.MAX_TRIAL_ELEMENTS) < 2**31
 
@@ -106,7 +106,7 @@ def _check_alignment(s, p, t_count, block, seed):
         assert misses[b] == (not (result.ok and result.string == s))
     # a trace that wipes out a run has fewer runs than s, so alignment uses
     # the traces that wiped no run: it misses exactly when some run is uncovered
-    assert np.array_equal(misses, ~_covered_runs(*_clean_runs(flags, _RunTables(_run_lengths(s.bits)))).all(axis=-1))
+    assert np.array_equal(misses, ~_covered_runs(flags, _RunTables(_run_lengths(s.bits)))[0].all(axis=-1))
 
 
 # 3 leaves a short last draw; 12 rows hold the whole block, compared at once
@@ -158,6 +158,40 @@ def _competing_source(s, bounds, i, j):
     return _flipped(s, *_junction(bounds, i, j))
 
 
+def _span_masks(span, n, p, block, t_count, seed):
+    """Masks with p-deleted bits, on which each trace also wipes, at random,
+    nothing, one aligned copy of span, one aligned copy but for one bit, or
+    a window of one period anywhere, aligned or not."""
+    rng = np.random.default_rng(seed)
+    flags = rng.random((block, t_count, n)) < p
+    for row in flags.reshape(-1, n):
+        kind = rng.integers(4)
+        start = span.offset + span.period * rng.integers(span.copies) if kind < 3 else rng.integers(n - span.period + 1)
+        if kind:
+            row[start:start + span.period] = True
+        if kind == 2:
+            row[start + rng.integers(span.period)] = False
+    return flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(1, 70), st.just(1500)), st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
+       PROBS, st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32))
+@example(1500, 1, 0, 0, 0.5, 2, 3, 0)  # one copy, the whole source
+@example(64, 3, 2, 0, 0.9, 4, 4, 1)  # a power of two, no remainder pass; ending at n
+@example(70, 2, 0, 0, 0.2, 1, 1, 2)  # a remainder of 6 past 64; one trace
+@example(5, 1, 3, 4, 0.7, 3, 2, 0)  # one copy inside the source
+@example(3, 4, 1, 2, 0.3, 2, 3, 0)  # mc-long's period, a remainder of 1
+def test_span_witness_matches_oracle(period, copies, offset, tail, p, block, t_count, seed):
+    span = PatternSpan(offset, period, copies)
+    n = span.end + tail
+    flags = _span_masks(span, n, p, block, t_count, seed)
+    windows = [(offset + j * period, period) for j in range(copies)]
+    expected = [[every_trace_kills_a_copy([row], windows) for row in trial] for trial in flags.tolist()]
+    assert _span_wiped(flags, span).tolist() == expected
+    assert _span_wiped(flags[0, 0], span) == expected[0][0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(SOURCES, PROBS, st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
 def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
@@ -171,7 +205,7 @@ def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
         assert BitString(_competing_source(s, bounds, i, j)) == _validated_alternative(s, pattern)[2]
     # the kernel's verdict on pair (i, j): every trace deleted a bit of run i or of run j
     flags = np.random.default_rng(seed).random((block, t_count, len(s))) < p
-    clean = _clean_runs(flags, _RunTables(np.diff(bounds)))[0]
+    clean = _covered_runs(flags, _RunTables(np.diff(bounds)), table=True)[1]
     for (i, j), pattern in zip(pairs, declared):
         fired = ~(clean[..., i] & clean[..., j]).any(axis=-1)
         assert np.array_equal(fired, _copies_violated(flags, pattern.copy_spans()).all(axis=-1))
@@ -238,6 +272,25 @@ def test_counts_do_not_depend_on_block_size(source, p, t_count, trials, seed):
         assert one == three == single
         fired.append(one[0]["difficulty"])
     assert fired[0] == fired[1]
+
+
+def test_montecarlo_and_audit_count_the_same_uncovered_runs():
+    # montecarlo reads clean runs only on trials where some trace wiped no
+    # run, through both the short and the long runs' route (runs of 1-4
+    # bits); the audit counts every run's deleted bits, for its patterns
+    bits = "010011101000011010001101"
+    configs = [ExperimentConfig.from_dict({"mode": mode, "source": {"kind": "bits", "bits": bits}, "p": 0.12,
+                                           "traces": 3, "trials": 300, "seed": 9}) for mode in ("montecarlo", "audit")]
+    counts = [_simulate(config, ("uncovered-run",), audit=config.mode == "audit")[0]["uncovered-run"]
+              for config in configs]
+    bounds = np.cumsum([0, *_run_lengths(BitString(bits).bits)])
+    spec, every_trace_wiped, uncovered = RngSpec(master_seed=9), 0, 0
+    for trial in range(300):
+        flags = (spec.trial_rng(trial).random((3, len(bits))) < 0.12).tolist()
+        every_trace_wiped += all(any(all(row[a:b]) for a, b in zip(bounds, bounds[1:])) for row in flags)
+        uncovered += not all(run_coverage_oracle(flags, np.diff(bounds).tolist()))
+    assert counts == [uncovered, uncovered]
+    assert 0 < every_trace_wiped < uncovered < 300
 
 
 def _replayed_counts(config, faults=None):
@@ -514,8 +567,9 @@ def test_offenders_keep_check_order_within_a_trial(monkeypatch):
     assert any(sum(entry[0] == trial for entry in wiped) > 1 for trial in range(config.trials))
     for name, kernel_fault, _ in _FAULTS.values():
         monkeypatch.setattr(harness, name, kernel_fault)
-    monkeypatch.setattr(harness, "_covered_runs",
-                        lambda clean, wiped: np.ones(clean.shape[:-2] + clean.shape[-1:], dtype=bool))
+    covered_runs = harness._covered_runs
+    monkeypatch.setattr(harness, "_covered_runs", lambda flags, runs, table: (
+        np.ones((*flags.shape[:-2], runs.count), dtype=bool), covered_runs(flags, runs, table=table)[1]))
     # every trace wiped a copy of the span
     monkeypatch.setattr(harness, "_span_wiped",
                         lambda flags, span: np.ones(flags.shape[:-1], dtype=bool))
