@@ -23,23 +23,6 @@ from .logspace import (
 )
 from .kernel import InfeasibleError
 
-__all__ = [
-    "METHODS",
-    "MGF_MAX_RUNS",
-    "DIRECT_SUM_MAX_TRACES",
-    "ProbReport",
-    "TraceCount",
-    "ThresholdParams",
-    "critical_rate",
-    "prob_no_pattern_witness_exact",
-    "prob_no_pattern_witness_asymptotic",
-    "prob_uncovered_run_mgf",
-    "prob_uncovered_run_sum",
-    "prob_uncovered_run_asymptotic",
-    "poly_trace_table",
-    "log_ratio_diagnostic",
-]
-
 METHODS = frozenset(
     {"exact-closed-form", "exact-direct-sum", "asymptotic", "monte-carlo"}
 )
@@ -299,8 +282,9 @@ def prob_uncovered_run_mgf(run_lengths, p: float, T) -> ProbReport:
 
 def prob_uncovered_run_sum(run_lengths, p: float, T) -> ProbReport:
     """Same probability as prob_uncovered_run_mgf, summed instead over the
-    number of traces that kept every run alive.  All terms are nonnegative,
-    so no cancellation; requires a literal trace count (O(T * M) work)."""
+    number of traces that kept every run alive; requires a literal trace count
+    (O(T * M) work).  P and 1 - P are each a sum of nonnegative terms, so no
+    cancellation: the smaller is taken as summed, and P from it."""
     lengths = _check_lengths(run_lengths)
     p = _check_p(p)
     count = _as_count(T)
@@ -313,25 +297,25 @@ def prob_uncovered_run_sum(run_lengths, p: float, T) -> ProbReport:
     t_count = count.exact
     ln_beta, ln_px = _run_log_quantities(lengths, p)
     ln_qx = ln_one_minus_exp(ln_px)  # some run wiped out in a given trace
-    terms = []
+    # ln w_j (1 - phi_j), which sum to P, and ln w_j phi_j, which sum to 1 - P,
+    # over j clean traces: w_j = P(j clean), phi_j = P(covered | j clean)
+    uncovered, covered = [], []
     for j in range(t_count + 1):
-        # ln P(covered | j clean traces) summed out of the complement
-        if j == 0:
-            ln_miss = 0.0
-        elif j * max(ln_beta) < _TINY_LOG:
+        # with no clean trace no run is covered: phi_0 = 0
+        ln_phi = math.fsum(ln_one_minus_exp(j * lb) for lb in ln_beta) if j else NEG_INF
+        if j and j * max(ln_beta) < _TINY_LOG:
             # every beta_i^j is below e^-500, where 1 - prod(1 - beta_i^j) is
             # their sum to double precision and 1 - beta_i^j rounds to 1
             ln_miss = logsumexp_pos([j * lb for lb in ln_beta])
         else:
-            ln_phi = math.fsum(ln_one_minus_exp(j * lb) for lb in ln_beta)
             ln_miss = ln_one_minus_exp(ln_phi)
-        if ln_miss == NEG_INF:
-            continue
         # no trace lost a run at j = T; ln_qx is -inf where every p^r underflows
         ln_lost = (t_count - j) * ln_qx if j < t_count else 0.0
         ln_weight = log_comb(t_count, j) + j * ln_px + ln_lost
-        terms.append(ln_weight + ln_miss)
-    return _report(logsumexp_pos(terms), "exact-direct-sum")
+        uncovered.append(ln_weight + ln_miss)
+        covered.append(ln_weight + ln_phi)
+    ln_m, ln_a = logsumexp_pos(uncovered), logsumexp_pos(covered)
+    return _report(ln_m if ln_m <= ln_a else ln_one_minus_exp(ln_a), "exact-direct-sum")
 
 
 def prob_uncovered_run_asymptotic(fractions, p: float, c: float, T) -> ProbReport:

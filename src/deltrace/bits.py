@@ -13,20 +13,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "BitString",
-    "RunProfile",
-    "PatternSpan",
-    "RepeatBlockSpec",
-    "RunFractionSpec",
-    "run_decompose",
-    "is_subsequence",
-    "span_matches",
-    "rounded_run_lengths",
-    "make_repeat_instance",
-    "make_run_instance",
-]
-
 # Guard against float dust when flooring products like 0.29 * 100.
 _FLOOR_EPS = 1e-9
 

@@ -16,8 +16,6 @@ import numpy as np
 from .bits import BitString
 from .kernel import RngSpec, _mask_block
 
-__all__ = ["DeletionMask", "MaskedTrace", "RngSpec", "apply_mask", "sample_traces"]
-
 
 class DeletionMask:
     """Per-position deletion flags for one channel use; True = bit deleted."""

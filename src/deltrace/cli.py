@@ -32,8 +32,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .harness import ExperimentConfig, InfeasibleError, run_mode
 
-__all__ = ["main"]
-
 _COMMANDS = {
     "exact": ("exact", "evaluate the closed-form probabilities for one instance"),
     "asympt": ("asymptotic", "evaluate the large-n approximations for one instance"),

@@ -31,15 +31,6 @@ from .bits import BitString, PatternSpan, RunProfile, span_matches
 from .channel import MaskedTrace
 from .kernel import _covered_runs, _RunTables, _span_wiped
 
-__all__ = [
-    "EventReport",
-    "SandwichPattern",
-    "AdjacentPattern",
-    "AmbiguityWitness",
-    "detect_events",
-    "detect_ambiguities",
-]
-
 
 def _flags_matrix(traces: list[MaskedTrace], n: int) -> np.ndarray:
     if not traces:

@@ -35,29 +35,13 @@ from .bits import (
     PatternSpan,
     RepeatBlockSpec,
     RunFractionSpec,
-    _run_bounds,
+    _run_lengths,
     make_repeat_instance,
     make_run_instance,
 )
 from . import kernel
 from .kernel import (InfeasibleError, RngSpec, _covered_runs, _embedding_tables, _embeds_flipped, _mask_block,
                      _matchers, _run_alignment_misses, _RunTables, _span_wiped, _sufficient)
-
-__all__ = [
-    "ConfigError",
-    "InfeasibleError",
-    "ExperimentConfig",
-    "EstimateRow",
-    "AuditReport",
-    "CSV_HEADER",
-    "ESTIMATORS",
-    "WILSON_Z",
-    "estimate_event_probs",
-    "audit_implications",
-    "run_mode",
-    "rows_to_csv",
-    "write_outputs",
-]
 
 
 class ConfigError(ValueError):
@@ -108,11 +92,11 @@ def _check_keys(obj: dict, allowed: set, where: str):
 @dataclass(frozen=True)
 class _Instance:
     """A concrete source string with everything the estimators consume:
-    bounds is its run table, bits._run_bounds(s.bits)."""
+    lengths is its run table, the length of each maximal run of s in order."""
 
     s: BitString
     span: PatternSpan
-    bounds: np.ndarray
+    lengths: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,8 +162,8 @@ class SourceSpec:
             raise ConfigError(str(exc)) from exc
 
     def instance(self) -> _Instance:
-        """The length-n string with its declared span: the repeated block of a
-        repeat source, otherwise the first longest run."""
+        """The length-n string, its declared span (the repeated block of a
+        repeat source, otherwise the first longest run) and its run table."""
         self.run_count()  # every refusal, before the string is allocated
         recipe, span = self.recipe, None
         if isinstance(recipe, RepeatBlockSpec):
@@ -188,11 +172,11 @@ class SourceSpec:
             s = make_run_instance(recipe, self.n)
         else:
             s = recipe
-        bounds = _run_bounds(s.bits)
+        lengths = _run_lengths(s.bits)
         if span is None:
-            longest = int(np.diff(bounds).argmax())
-            span = PatternSpan(int(bounds[longest]), 1, int(bounds[longest + 1] - bounds[longest]))
-        return _Instance(s, span, bounds)
+            longest = int(lengths.argmax())
+            span = PatternSpan(int(lengths[:longest].sum()), 1, int(lengths[longest]))
+        return _Instance(s, span, lengths)
 
 
 @dataclass(frozen=True)
@@ -433,13 +417,13 @@ _AUDIT_CHECKS = (
 _OFFENDER_CHECKS = ("covered-and-wrong", "no-witness-and-sufficient", "ambiguity-alternative-inconsistent")
 
 
-def _audit_patterns(bounds: np.ndarray) -> np.ndarray:
+def _audit_patterns(lengths: np.ndarray) -> np.ndarray:
     """The structural patterns audited on every trial, as (P, 2) run pairs (i, j):
     the adjacent runs at each boundary, then the runs around each single-bit
     interior run.  Each pattern's blocks are single bits, so every trace wipes
     one of its copies exactly when it deletes a bit of run i or of run j."""
-    runs = np.arange(len(bounds) - 1)
-    single = runs[1:-1][np.diff(bounds)[1:-1] == 1]
+    runs = np.arange(lengths.size)
+    single = runs[1:-1][lengths[1:-1] == 1]
     return np.column_stack([np.concatenate([runs[:-1], single - 1]), np.concatenate([runs[1:], single + 1])])
 
 
@@ -477,20 +461,21 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     The mask is allocated once per run; each block draws into a [:size] view of
     it through _mask_block, which allocates its own buffer of uniforms per call
     and compares it with p whenever the next piece would not fit and at the
-    block's end.  Run coverage's index arrays (kernel._RunTables) are built
-    once per run.  Coverage first finds the traces that wiped a run, and reads
-    clean runs only on trials where some trace wiped none, unless the audit
-    asks for their (trace, run) table.  The mask events, the oracle's verdicts
-    (one call, see _sufficient_sets) and every audit check cover the whole
-    block, the last two reading the traces only through their padded bits
-    (_matchers), and the oracle and the pattern checks also through one pair of
-    embedding tables (_embedding_tables), built once per block.  The oracle
-    decides whether s is each trial's only length-n source and stops at the
-    first witness of another; it never counts them.  The audit reads every
-    declared pattern's verdict off that table of clean runs; in each block it
-    checks every (trial, run pair) hit, a pair that fired on the trial, against
-    the pair's competing source: s with the bits where run i meets run j
-    flipped, 2 for adjacent runs and 3 around a single-bit run, as
+    block's end.  Run coverage's index arrays (kernel._RunTables) are built once
+    per run from the instance's run table, its run lengths; their starts also
+    place each audited pattern's junction bits.  Coverage first finds the traces
+    that wiped a run, and reads clean runs only on trials where some trace
+    wiped none, unless the audit asks for their (trace, run) table.  The mask
+    events, the oracle's verdicts (one call, see _sufficient_sets) and every
+    audit check cover the whole block, the last two reading the traces only
+    through their padded bits (_matchers), and the oracle and the pattern
+    checks also through one pair of embedding tables (_embedding_tables), built
+    once per block.  The oracle decides whether s is each trial's only length-n
+    source and stops at the first witness of another; it never counts them.  The
+    audit reads every declared pattern's verdict off that table of clean runs;
+    in each block it checks every (trial, run pair) hit, a pair that fired on
+    the trial, against the pair's competing source: s with the bits where run i
+    meets run j flipped, 2 for adjacent runs and 3 around a single-bit run, as
     events.AdjacentPattern and SandwichPattern swap them.  The hits go to
     _embeds_flipped in chunks of at most max(1, kernel.BLOCK_ELEMENTS // T).
 
@@ -509,12 +494,12 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
         )
     oracle = audit or "difficulty" in estimators
     instance = config.source.instance()
-    s, bounds = instance.s, instance.bounds
-    pairs = _audit_patterns(bounds) if audit else None
+    s, lengths = instance.s, instance.lengths
+    pairs = _audit_patterns(lengths) if audit else None
     rngs = RngSpec(master_seed=config.seed).block_rngs(0, config.trials)
     block = max(1, kernel.BLOCK_ELEMENTS // (t_count * n))
     masks = np.empty((min(block, config.trials), t_count, n), dtype=bool)
-    runs = _RunTables(np.diff(bounds))
+    runs = _RunTables(lengths)
     fired = dict.fromkeys(ESTIMATORS, 0)
     offenders = []
     for first in range(0, config.trials, block):
@@ -535,7 +520,7 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
         padded, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
         if audit:
             # before the tables, so that they never sit next to hit's (B, T, P) temporaries
-            wrong = _run_alignment_misses(s, padded)
+            wrong = _run_alignment_misses(s, lengths, padded)
             # pattern (i, j) fires where every trace deleted a bit of run i or of run j
             hit = ~(clean[..., pairs[:, 0]] & clean[..., pairs[:, 1]]).any(axis=-2)
         tables = _embedding_tables(s.bits, padded, lens)
@@ -549,8 +534,9 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
         chunk = max(1, kernel.BLOCK_ELEMENTS // t_count)
         for c in range(0, sets.size, chunk):
             b, pair = sets[c:c + chunk], k[c:c + chunk]
-            i, j = pairs[pair].T  # flip the junction bits [bounds[i + 1] - 1, bounds[j] + 1)
-            inconsistent[b, pair] = ~_embeds_flipped(s.bits, padded, lens, tables, b, bounds[i + 1] - 1, bounds[j] + 1)
+            i, j = pairs[pair].T  # flip the bits where run i meets run j
+            inconsistent[b, pair] = ~_embeds_flipped(s.bits, padded, lens, tables, b,
+                                                     runs.starts[i + 1] - 1, runs.starts[j] + 1)
         failed = np.column_stack([covered & wrong, no_witness & sufficient, inconsistent])
         offenders.extend((first + int(trial), _OFFENDER_CHECKS[min(check, 2)])
                          for trial, check in np.argwhere(failed))  # trial-major
@@ -642,19 +628,28 @@ def _formula_row(name, n, p, t_or_c, a, report) -> EstimateRow:
     return EstimateRow(name, n, p, t_or_c, a, report.value, report.ln_value, method=report.method)
 
 
+def _schedule_count(c: float, n: int, a: float, key: str) -> TraceCount:
+    """TraceCount.exponential(c, n, a), or ConfigError naming key where c * n^a
+    overflows a float."""
+    try:
+        return TraceCount.exponential(c, n, a)
+    except ValueError:
+        raise ConfigError(f"{key} must keep c * n^a below the largest float, about 1.8e308") from None
+
+
 def _formula_rows(config: ExperimentConfig) -> list[EstimateRow]:
     runs, n, p = config.source.run_count(), config.source.n, config.p
     if config.traces is not None:
         count, t_or_c, a = TraceCount.integer(config.traces), config.traces, None
     else:
         t_or_c, a = config.schedule
-        count = TraceCount.exponential(t_or_c, n, a)
+        count = _schedule_count(t_or_c, n, a, "traces")
     _check_mgf_runs(runs, p)  # refused before the instance is allocated
     if p in (0.0, 1.0):  # every route answers from p alone: a one-bit stand-in, not the source
         span, lengths = PatternSpan(0, 1, 1), [1]
     else:
         instance = config.source.instance()
-        span, lengths = instance.span, np.diff(instance.bounds)
+        span, lengths = instance.span, instance.lengths
     reports = [
         ("no-pattern-witness", prob_no_pattern_witness_exact(span.period, span.copies, p, count)),
         ("uncovered-run", prob_uncovered_run_mgf(lengths, p, count)),
@@ -669,6 +664,7 @@ def _event_routes(recipe: RepeatBlockSpec | RunFractionSpec, p: float):
     critical rate, the exact route exact(n, count) on the real-valued copy
     count ell * n^a or run lengths fraction * n, and the asymptotic route
     asymptotic(c, count)."""
+    _require(0 < p < 1, "p must lie strictly in (0, 1) in asymptotic and sweep modes")
     if isinstance(recipe, RepeatBlockSpec):
         r, ell = len(recipe.pattern), recipe.ell
         params = ThresholdParams(r=r, ell=ell, p=p)
@@ -691,7 +687,7 @@ def _asymptotic_rows(config: ExperimentConfig) -> list[EstimateRow]:
     c, a = config.schedule
     n = config.source.n
     name, _, _, asymptotic = _event_routes(config.source.recipe, config.p)
-    report = asymptotic(c, TraceCount.exponential(c, n, a))
+    report = asymptotic(c, _schedule_count(c, n, a, "traces"))
     return [_formula_row(name, n, config.p, c, a, report)]
 
 
@@ -711,7 +707,7 @@ def _sweep_threshold(config: ExperimentConfig) -> tuple[list[EstimateRow], list[
     regimes: list[str] = []
     for c in config.c_grid:
         for n in config.n_grid:
-            count = TraceCount.exponential(c, n, a)
+            count = _schedule_count(c, n, a, "c_grid")
             for report in (exact(n, count), asymptotic(c, count)):
                 rows.append(_formula_row(name, n, config.p, c, a, report))
                 regimes.append(_regime(c, c_star))
@@ -734,7 +730,7 @@ def _generate_text(config: ExperimentConfig) -> str:
     lines = [
         str(instance.s),
         f"span offset={span.offset} period={span.period} copies={span.copies}",
-        "runs first_bit=%d lengths=%s" % (instance.s[0], _comma_joined(np.diff(instance.bounds))),
+        "runs first_bit=%d lengths=%s" % (instance.s[0], _comma_joined(instance.lengths)),
         "",  # the last newline, without copying the text to append it
     ]
     return "\n".join(lines)

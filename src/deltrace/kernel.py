@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, PatternSpan, _run_lengths
+from .bits import BitString, PatternSpan
 
 # Uniforms one mask draw holds at once.  The harness's Monte Carlo kernel also
 # sizes its blocks by it: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share
@@ -295,10 +295,10 @@ def _covered_runs(flags: np.ndarray, runs: _RunTables, *, table: bool = False):
     return per_run, None
 
 
-def _run_alignment_misses(s: BitString, padded) -> np.ndarray:
+def _run_alignment_misses(s: BitString, lengths: np.ndarray, padded) -> np.ndarray:
     """maximal_runs over a block of trace sets at once: for B sets of T traces
-    of the nonempty source s, their padded bits from _matchers, is the
-    reconstruction from trace set b anything other than s?
+    of the nonempty source s, whose run lengths are lengths, their padded bits
+    from _matchers, is the reconstruction from trace set b anything other than s?
 
     Equals ``not (maximal_runs(n, traces_b).ok and .string == s)`` for every
     b.  A run starts at bit 0, where the bit changes, and so at the trace's
@@ -310,7 +310,6 @@ def _run_alignment_misses(s: BitString, padded) -> np.ndarray:
     kept traces agree on the first bit, (i) gives m_hat = M > 0, and (iii)
     makes the runs add up to n.
     """
-    lengths = _run_lengths(s.bits)
     m = lengths.size
     starts = np.ones(padded.shape, dtype=bool)
     np.not_equal(padded[..., 1:], padded[..., :-1], out=starts[..., 1:])

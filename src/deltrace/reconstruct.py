@@ -14,17 +14,6 @@ from . import kernel
 from .bits import BitString, _bits_of, _run_lengths, is_subsequence
 from .kernel import InfeasibleError, _check_budget, _distinct, _matchers, _state_keys
 
-__all__ = [
-    "FIRST_BIT_MISMATCH",
-    "LENGTH_MISMATCH",
-    "EMPTY_TRACE_SET",
-    "ReconstructionResult",
-    "SufficiencyVerdict",
-    "maximal_runs",
-    "consistent_sources",
-    "is_levenshtein_sufficient",
-]
-
 FIRST_BIT_MISMATCH = "first-bit mismatch"
 LENGTH_MISMATCH = "length mismatch"
 EMPTY_TRACE_SET = "empty trace set"

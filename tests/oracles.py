@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -193,3 +195,49 @@ def mgf_per_subset(run_lengths, p: float, T):
         return _report(NEG_INF, "exact-closed-form")
     total = math.fsum(math.copysign(math.exp(v - top), sign) for v, sign in zip(ln_mags, signs))
     return _report(top + math.log(total), "exact-closed-form")
+
+
+# ---------------------------------------------------------------------------
+# uncovered-run probability in exact rational arithmetic
+
+def _decimal(num: int, den: int) -> Decimal:
+    """num / den in the current decimal context, read off the top 200 bits of
+    each, so that no huge integer is converted whole."""
+    shift_num, shift_den = max(0, num.bit_length() - 200), max(0, den.bit_length() - 200)
+    return Decimal(num >> shift_num) / Decimal(den >> shift_den) * Decimal(2) ** (shift_num - shift_den)
+
+
+def uncovered_run_ln_exact(run_lengths, p: float, t_count: int) -> Decimal:
+    """ln P(some run uncovered) to 50 digits, summed over the number j of
+    traces that kept every run alive, in exact rational arithmetic from the
+    exact double p: the uncovered mass M = sum_j w_j (1 - phi_j) and the
+    covered mass A = sum_j w_j phi_j, with w_j = C(T, j) px^j (1 - px)^(T - j),
+    px = prod_i a_i and px^j phi_j = prod_i (a_i^j - (a_i - k_i)^j), where
+    a_i = 1 - p^r_i and k_i = (1 - p)^r_i.  p is a dyadic fraction, so every
+    term is an integer over one power of two: the masses are summed as those
+    integers, and M + A is that power exactly.  The log is taken of M where
+    M <= 1/2, and as ln(1 - A) otherwise, at a precision that keeps 50 digits
+    of it."""
+    p = Fraction(p)
+    one, deleted = p.denominator, p.numerator  # p = deleted / one, one a power of two
+    total = sum(run_lengths)
+    alive = [one**r - deleted**r for r in run_lengths]  # a_i, scaled by one^r_i
+    nicked = [a - (one - deleted) ** r for a, r in zip(alive, run_lengths)]  # a_i - k_i, likewise
+    px = math.prod(alive)  # scaled by one^total
+    covered_mass = uncovered_mass = 0  # scaled by one^(total * T)
+    for j in range(t_count + 1):
+        weight = math.comb(t_count, j) * (one**total - px) ** (t_count - j)
+        covered = math.prod(a**j - b**j for a, b in zip(alive, nicked)) if j else 0
+        covered_mass += weight * covered
+        uncovered_mass += weight * (px**j - covered)
+    scale = one ** (total * t_count)
+    assert covered_mass + uncovered_mass == scale
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 50, MIN_EMIN, MAX_EMAX
+        if 2 * uncovered_mass <= scale:
+            return _decimal(uncovered_mass, scale).ln()
+        # 1 - A in full needs as many more digits as A has leading zeros
+        ctx.prec += max(0, -_decimal(covered_mass, scale).adjusted())
+        ln_value = (1 - _decimal(covered_mass, scale)).ln()
+        ctx.prec = 50
+        return +ln_value

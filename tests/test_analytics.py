@@ -1,9 +1,10 @@
 import math
+import sys
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deltrace.analytics import (
@@ -29,6 +30,7 @@ from oracles import (
     every_trace_kills_a_copy,
     mgf_per_subset,
     some_run_uncovered,
+    uncovered_run_ln_exact,
 )
 
 
@@ -149,6 +151,22 @@ class TestPatternWitnessExact:
         assert prob_no_pattern_witness_exact(r, f, p, count).ln_value == pytest.approx(expected, rel=1e-12)
 
 
+# up to 4 runs of up to 8 bits, and p near 0, near 1 or between: the
+# exact-arithmetic route stays fast there
+_SMALL_RUNS = st.lists(st.integers(1, 8), min_size=1, max_size=4)
+_P_ANYWHERE = st.one_of(st.floats(-12, -2).map(lambda e: 10.0**e), st.floats(-12, -2).map(lambda e: 1 - 10.0**e),
+                        st.floats(0.01, 0.99))
+
+
+def _assert_ln_exact(route, lengths, p, t_count):
+    """route's ln_value is within rel 1e-12 of the exact-arithmetic one,
+    wherever a double holds that to 1e-12: not between 0 and the smallest
+    normal float, and to 0.0 beyond it."""
+    ln_true = float(uncovered_run_ln_exact(lengths, p, t_count))
+    assume(not 0 < -ln_true < sys.float_info.min)
+    assert route(lengths, p, t_count).ln_value == pytest.approx(ln_true, rel=1e-12, abs=0)
+
+
 class TestUncoveredRunExact:
     def test_edge_probabilities(self):
         assert prob_uncovered_run_mgf([3, 4], 0.0, 5).value == 0.0
@@ -204,6 +222,20 @@ class TestUncoveredRunExact:
         report = prob_uncovered_run_sum(lengths, p, t_count)
         assert report.ln_value == pytest.approx(ln_true, rel=1e-12, abs=0)
         assert report.value == pytest.approx(math.exp(ln_true), rel=1e-12, abs=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SMALL_RUNS, _P_ANYWHERE, st.integers(1, 30))
+    @example([1, 2, 3], 0.99999999, 5)  # literal 011000: P = 1 - 5.0e-48
+    @example([3, 5], 1e-6, 4)  # P about 4e-18
+    def test_direct_sum_to_exact_arithmetic(self, lengths, p, t_count):
+        _assert_ln_exact(prob_uncovered_run_sum, lengths, p, t_count)
+
+    @pytest.mark.xfail(strict=True, reason="inclusion-exclusion loses 1 - P near P = 1 (ROADMAP item 1)")
+    @settings(max_examples=150, deadline=None)
+    @given(_SMALL_RUNS, _P_ANYWHERE, st.integers(1, 30))
+    @example([1, 2, 3], 0.99999999, 5)  # prints ln P = -1.0e-39
+    def test_inclusion_exclusion_to_exact_arithmetic(self, lengths, p, t_count):
+        _assert_ln_exact(prob_uncovered_run_mgf, lengths, p, t_count)
 
     def test_real_valued_run_lengths(self):
         report = prob_uncovered_run_mgf([2.5, 5.0, 2.5], 0.25, 16)

@@ -460,7 +460,7 @@ def test_exact_refuses_a_many_run_literal_before_its_run_table(tmp_path, monkeyp
     def built(*args):
         raise AssertionError("the source or its run table was built")
 
-    for name in ("_run_bounds", "make_run_instance", "make_repeat_instance"):
+    for name in ("_run_lengths", "make_run_instance", "make_repeat_instance"):
         monkeypatch.setattr(harness, name, built)
     source, n, runs = _MANY_RUNS[kind]
     path = write_config(tmp_path, {"mode": "exact", "source": source, "p": p, "traces": 4})
@@ -489,7 +489,7 @@ def test_deeply_nested_config_exit_2(tmp_path):
     ("01", 10**14, 1, 3, "infeasible: the source needs n = 100000000000000 bits, over the cap of 1073741824 bits"),
     ("01", 1, 1, 2, "config error: n=1 too small: copy count floor(ell*n^a) = 0 < 1"),
     ("0110", 3, 1, 2, "config error: pattern block of 4 bits does not fit in n=3"),
-    ("01", 64, {"c": 1e308}, 2, "config error: trace count must be finite"),
+    ("01", 64, {"c": 1e308}, 2, "config error: traces must keep c * n^a below the largest float, about 1.8e308"),
 ], ids=["runs-cap", "n-cap", "no-copy", "block-too-long", "infinite-count"])
 def test_exact_refuses_a_many_run_recipe_before_building_it(tmp_path, monkeypatch, capsys, pattern, n, traces,
                                                             code, message):
@@ -544,7 +544,7 @@ def test_coverage_breach_exit_4(tmp_path, monkeypatch, capsys):
     # a reconstruction that always misses breaks "coverage implies success"
     # on every trial with run coverage, which p = 0 makes every trial
     monkeypatch.setattr(harness, "_run_alignment_misses",
-                        lambda s, padded: np.ones(len(padded), dtype=bool))
+                        lambda s, lengths, padded: np.ones(len(padded), dtype=bool))
     path = write_config(tmp_path, {
         "mode": "audit",
         "source": {"kind": "runs", "first_bit": 0, "fractions": [0.3, 0.4, 0.3], "n": 10},
@@ -623,20 +623,37 @@ def _configs(draw):
     return config
 
 
-def _run_in_process(folder, config) -> tuple[int, str, str]:
+def _recording_plain_errors(call, plain: list):
+    """call, appending to plain each ValueError it raises that is neither a
+    ConfigError nor a UsageError, before it reaches cli.main's handler."""
+    def wrapped(*args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except ValueError as exc:
+            if not isinstance(exc, (harness.ConfigError, cli.UsageError)):
+                plain.append(repr(exc))
+            raise
+    return wrapped
+
+
+def _run_in_process(folder, config) -> tuple[int, str, str, list]:
     """cli.main on config with the oracle's budget and the per-trial and
-    source cap patched low, so that no example allocates much."""
+    source cap patched low, so that no example allocates much; and the
+    refusals that reached its handler as plain ValueErrors."""
     path = folder / "fuzz.json"
     path.write_text(json.dumps(config))
-    out, err = io.StringIO(), io.StringIO()
+    out, err, plain = io.StringIO(), io.StringIO(), []
+    parse = harness.ExperimentConfig.from_file
     with mock.patch.object(kernel, "MAX_ORACLE_STATES", 2000), \
             mock.patch.object(harness, "MAX_TRIAL_ELEMENTS", 1 << 12), \
+            mock.patch.object(harness.ExperimentConfig, "from_file", _recording_plain_errors(parse, plain)), \
+            mock.patch.object(cli, "run_mode", _recording_plain_errors(harness.run_mode, plain)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main([_COMMAND[config["mode"]], "--config", str(path)])
         finally:
             gc.unfreeze()
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), plain
 
 
 # each exited 2 with "config error: math domain error": analytics took
@@ -651,19 +668,34 @@ _CATCHES = {
 
 @pytest.mark.parametrize("name", sorted(_CATCHES))
 def test_run_lengths_whose_power_rounds_to_one_exit_0(tmp_path, name):
-    code, out, err = _run_in_process(tmp_path, _CATCHES[name])
+    code, out, err, _ = _run_in_process(tmp_path, _CATCHES[name])
     assert (code, err) == (0, "")
     assert "nan" not in out and out.count("\n") == {"sweep": 3, "asympt": 2}[name]
+
+
+# each reached cli.main as a plain ValueError that named no config key:
+# ThresholdParams refused p, and TraceCount a c * n^a that overflowed
+_PLAIN_REFUSALS = {
+    "p-outside-open-interval": {"mode": "asymptotic", "source": {"kind": "runs", "first_bit": 0,
+                                                                 "fractions": [0.5, 0.5], "n": 10},
+                                "p": 0.0, "traces": {"c": 0.5}},
+    "infinite-count": {"mode": "exact", "source": {"kind": "repeat", "pattern": "01", "ell": 0.5, "n": 64},
+                       "p": 0.3, "traces": {"c": 1e308}},
+}
 
 
 @settings(max_examples=300, deadline=None)
 @given(config=_configs())
 @example(config=_CATCHES["sweep"])
 @example(config=_CATCHES["asympt"])
+@example(config=_PLAIN_REFUSALS["p-outside-open-interval"])
+@example(config=_PLAIN_REFUSALS["infinite-count"])
 def test_every_config_exits_with_a_documented_code(tmp_path_factory, config):
     # code 2 or 3 prints one stderr line with its prefix; 0 prints nothing
-    # there, and 4, an audit breach, reports on stdout
-    code, out, err = _run_in_process(tmp_path_factory.getbasetemp(), config)
+    # there, and 4, an audit breach, reports on stdout; every config refusal
+    # is a ConfigError, never a plain ValueError
+    code, out, err, plain = _run_in_process(tmp_path_factory.getbasetemp(), config)
+    assert plain == []
     assert code in (0, 2, 3, 4)
     if code in _PREFIXES:
         assert err.count("\n") == 1 and err.endswith("\n") and err.startswith(_PREFIXES[code]), err

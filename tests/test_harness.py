@@ -109,14 +109,14 @@ class TestSourceSpec:
         )
         inst = spec.instance()
         assert str(inst.s) == "0001111000"
-        assert np.diff(inst.bounds).tolist() == [3, 4, 3]
+        assert inst.lengths.tolist() == [3, 4, 3]
         # declared span sits on the first longest run
         assert (inst.span.offset, inst.span.copies) == (3, 4)
 
     def test_bits_instance(self):
         spec = SourceSpec.from_dict({"kind": "bits", "bits": "0110"}, allow_missing_n=False)
         inst = spec.instance()
-        assert str(inst.s) == "0110" and np.diff(inst.bounds).tolist() == [1, 2, 1]
+        assert str(inst.s) == "0110" and inst.lengths.tolist() == [1, 2, 1]
 
     def test_rejections(self):
         bad = [

@@ -98,15 +98,16 @@ def _check_alignment(s, p, t_count, block, seed):
     spec = RngSpec(master_seed=seed)
     flags = _mask_block(map(spec.trial_rng, range(block)), p, np.empty((block, t_count, n), dtype=bool))
     kept = ~flags
-    misses = _run_alignment_misses(s, _matchers(np.broadcast_to(s.bits, kept.shape)[kept],
-                                                np.count_nonzero(kept, axis=-1))[0])
+    lengths = _run_lengths(s.bits)
+    misses = _run_alignment_misses(s, lengths, _matchers(np.broadcast_to(s.bits, kept.shape)[kept],
+                                                         np.count_nonzero(kept, axis=-1))[0])
     assert misses.shape == (block,)
     for b in range(block):
         result = maximal_runs(n, [s.bits[~row] for row in flags[b]])
         assert misses[b] == (not (result.ok and result.string == s))
     # a trace that wipes out a run has fewer runs than s, so alignment uses
     # the traces that wiped no run: it misses exactly when some run is uncovered
-    assert np.array_equal(misses, ~_covered_runs(flags, _RunTables(_run_lengths(s.bits)))[0].all(axis=-1))
+    assert np.array_equal(misses, ~_covered_runs(flags, _RunTables(lengths))[0].all(axis=-1))
 
 
 # 3 leaves a short last draw; 12 rows hold the whole block, compared at once
@@ -196,8 +197,8 @@ def test_span_witness_matches_oracle(period, copies, offset, tail, p, block, t_c
 @given(SOURCES, PROBS, st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
 def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
     instance = SourceSpec.from_dict(source, allow_missing_n=False).instance()
-    s, bounds = instance.s, instance.bounds
-    pairs = _audit_patterns(bounds)
+    s, bounds = instance.s, np.cumsum([0, *instance.lengths])
+    pairs = _audit_patterns(instance.lengths)
     declared = _declared_patterns(s)
     assert len(pairs) == len(declared)
     # the flipped junction bits are the declared pattern's competing source
@@ -205,7 +206,7 @@ def test_run_pairs_declare_the_same_patterns(source, p, t_count, block, seed):
         assert BitString(_competing_source(s, bounds, i, j)) == _validated_alternative(s, pattern)[2]
     # the kernel's verdict on pair (i, j): every trace deleted a bit of run i or of run j
     flags = np.random.default_rng(seed).random((block, t_count, len(s))) < p
-    clean = _covered_runs(flags, _RunTables(np.diff(bounds)), table=True)[1]
+    clean = _covered_runs(flags, _RunTables(instance.lengths), table=True)[1]
     for (i, j), pattern in zip(pairs, declared):
         fired = ~(clean[..., i] & clean[..., j]).any(axis=-1)
         assert np.array_equal(fired, _copies_violated(flags, pattern.copy_spans()).all(axis=-1))
@@ -222,12 +223,12 @@ def test_competing_source_embedding_read_off_the_tables(source, p, t_count, bloc
     # random order: the tables' check against is_subsequence on the whole
     # flipped source
     instance = SourceSpec.from_dict(source, allow_missing_n=False).instance()
-    s, bounds = instance.s, instance.bounds
+    s, bounds = instance.s, np.cumsum([0, *instance.lengths])
     rng = np.random.default_rng(seed)
     kept = rng.random((block, t_count, len(s))) >= p
     padded, lens = _matchers(np.broadcast_to(s.bits, kept.shape)[kept], np.count_nonzero(kept, axis=-1))
     tables = _embedding_tables(s.bits, padded, lens)
-    windows = [_junction(bounds, i, j) for i, j in _audit_patterns(bounds)]
+    windows = [_junction(bounds, i, j) for i, j in _audit_patterns(instance.lengths)]
     windows += [(lo, min(lo + width, len(s)))
                 for lo, width in zip(rng.integers(0, len(s) + 1, 8), rng.integers(0, 4, 8))]
     hits = rng.permutation(np.repeat(np.arange(block * len(windows)), 2))
@@ -336,7 +337,7 @@ def test_kernel_matches_public_detectors(source, p, t_count, trials, seed):
     assert _simulate(config, ESTIMATORS, audit=True) == _replayed_counts(config)
 
 
-def _never_aligned(s, padded):
+def _never_aligned(s, lengths, padded):
     raise AssertionError("montecarlo called _run_alignment_misses")
 
 
@@ -441,7 +442,7 @@ def test_every_block_draws_into_the_first_blocks_buffers(t_count, trials, block_
 # reach every trial it applies to, though the audit visits only suspect trials:
 # (kernel function, its stand-in, the replay's stand-in by name)
 _FAULTS = {
-    "covered-and-wrong": ("_run_alignment_misses", lambda s, padded: np.ones(len(padded), dtype=bool),
+    "covered-and-wrong": ("_run_alignment_misses", lambda s, lengths, padded: np.ones(len(padded), dtype=bool),
                           {"maximal_runs": lambda n, traces: ReconstructionResult(failure="forced")}),
     "no-witness-and-sufficient": ("_sufficient_sets",
                                   lambda s, padded, lens, tables, first: np.ones(len(lens), dtype=bool),
@@ -456,8 +457,9 @@ def _checked_hits(config, embeds=_embeds_flipped):
     """An audit of config with _embeds_flipped replaced by embeds: its report,
     the (trial, run pair) hits it checks, in order, and for each call the
     index of its block and its number of hits."""
-    bounds = config.source.instance().bounds
-    pairs = _audit_patterns(bounds)
+    lengths = config.source.instance().lengths
+    bounds = np.cumsum([0, *lengths])
+    pairs = _audit_patterns(lengths)
     pair_of = {_junction(bounds, i, j): (int(i), int(j)) for i, j in pairs}
     assert len(pair_of) == len(pairs)  # one window per pair
     blocks, hits, calls = [], [], []
@@ -490,7 +492,7 @@ def test_competing_sources_are_built_when_a_pattern_first_fires(trials, monkeypa
     config = _audit_config(source, 0.15, 2, trials, 4)
     instance = config.source.instance()
     s = instance.s
-    pairs = [tuple(pair) for pair in _audit_patterns(instance.bounds).tolist()]
+    pairs = [tuple(pair) for pair in _audit_patterns(instance.lengths).tolist()]
     patterns = _declared_patterns(s)
     spec = RngSpec(master_seed=config.seed)
     expected = []

@@ -464,7 +464,7 @@ class TestRunAlignment:
     def test_misses_match_maximal_runs_on_any_trace_sets(self, case):
         text, texts = case
         s = BitString(text)
-        misses = _run_alignment_misses(s, _matchers_of(_arrays(texts))[0])
+        misses = _run_alignment_misses(s, np.array(run_decompose(s).lengths), _matchers_of(_arrays(texts))[0])
         assert misses.shape == (len(texts),)
         for b, ts in enumerate(texts):
             result = maximal_runs(len(s), bs(*ts))

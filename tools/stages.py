@@ -59,13 +59,13 @@ def _cases():
     cases = []
     for name, source, p, t_count in SHAPES:
         instance = SourceSpec.from_dict(source, allow_missing_n=False).instance()
-        n = int(instance.bounds[-1])
+        n = len(instance.s)
         block = max(1, kernel.BLOCK_ELEMENTS // (t_count * n))
         masks = np.empty((block, t_count, n), dtype=bool)
         cases.append((f"mask.{name}", lambda b=block, p=p, m=masks: ([spec.trial_rng(i) for i in range(b)], p, m),
                       kernel._mask_block))
         flags = kernel._mask_block(map(spec.trial_rng, range(block)), p, masks.copy())
-        runs = kernel._RunTables(np.diff(instance.bounds))
+        runs = kernel._RunTables(instance.lengths)
         cases.append((f"span.{name}", lambda f=flags, s=instance.span: (f, s), kernel._span_wiped))
         cases.append((f"coverage.{name}", lambda f=flags, r=runs: (f, r), coverage))
     flags = np.random.default_rng(SEED).random((1, 32, 3000)) < 0.9
