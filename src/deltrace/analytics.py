@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .logspace import (
     neg_exp,
     pow_one_minus_ln,
 )
+from .bits import frozen
 from .kernel import InfeasibleError
 
 METHODS = frozenset(
@@ -33,7 +33,7 @@ DIRECT_SUM_MAX_TRACES = 10_000
 _LN_TENTH = math.log(0.1)
 
 
-@dataclass(frozen=True)
+@frozen
 class ProbReport:
     """A probability with its log, how it was computed, and any caveats."""
 
@@ -54,7 +54,7 @@ def _report(ln_value: float, method: str, flags: tuple[str, ...] = ()) -> ProbRe
     return ProbReport(value=math.exp(ln_value), ln_value=ln_value, method=method, flags=flags)
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceCount:
     """Trace count carried in the log domain so schedules like exp(c * n) stay
     usable long past integer range.  exact is set only for literal counts."""
@@ -116,7 +116,7 @@ def _check_lengths(run_lengths) -> list[float]:
 # ---------------------------------------------------------------------------
 # threshold
 
-@dataclass(frozen=True)
+@frozen
 class ThresholdParams:
     """Pattern length, its length fraction of the source, and the deletion
     probability: together they fix the critical trace-count growth rate."""

@@ -7,8 +7,8 @@ leftmost character first.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,7 +87,80 @@ class BitString:
         return f"BitString({text!r}, n={len(self)})"
 
 
-@dataclass(frozen=True)
+def frozen(cls):
+    """Class decorator for the package's immutable value types, in place of
+    dataclass(frozen=True), which compiles its methods from generated source
+    at every import.  The fields are the class's annotations in order, a
+    class attribute of the same name giving the default.  Construction binds
+    them positionally or by keyword, then runs __post_init__ if the class has
+    one, which may set a field with object.__setattr__.  Instances compare
+    equal, and hash alike, when they are of the same class with equal fields;
+    the repr reads Name(field=value, ...); assignment and deletion raise
+    AttributeError; inspect.signature(cls) lists the fields."""
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    if list(defaults) != list(names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
+    post_init = getattr(cls, "__post_init__", None)
+    where = f"{cls.__qualname__}.__init__()"
+
+    def values(self):
+        return tuple(getattr(self, name) for name in names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bound_fields(where, names, defaults, args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
+    parameter = inspect.Parameter
+    cls.__signature__ = inspect.Signature(
+        [parameter(name, parameter.POSITIONAL_OR_KEYWORD, default=defaults.get(name, parameter.empty),
+                   annotation=cls.__annotations__[name]) for name in names], return_annotation=None)
+    return cls
+
+
+def _bound_fields(where: str, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+    """The field values of one construction, in field order, or the TypeError
+    Python raises for a call that does not fit the fields."""
+    if len(args) > len(names):
+        raise TypeError(f"{where} takes {len(names) + 1} positional arguments but {len(args) + 1} were given")
+    values = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+        if name in values:
+            raise TypeError(f"{where} got multiple values for argument {name!r}")
+        values[name] = value
+    missing = [repr(name) for name in names if name not in values and name not in defaults]
+    if missing:
+        raise TypeError(f"{where} missing required arguments: {', '.join(missing)}")
+    return [values[name] if name in values else defaults[name] for name in names]
+
+
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+@frozen
 class RunProfile:
     """First bit plus the ordered maximal run lengths of a string."""
 
@@ -106,7 +179,7 @@ class RunProfile:
         return sum(self.lengths)
 
 
-@dataclass(frozen=True)
+@frozen
 class PatternSpan:
     """Location of a repeated block inside a host string.
 
@@ -190,7 +263,7 @@ def span_matches(s: BitString, span: PatternSpan) -> bool:
     return bool(np.array_equal(window, np.tile(block, span.copies)))
 
 
-@dataclass(frozen=True)
+@frozen
 class RepeatBlockSpec:
     """Recipe for strings containing ``pattern`` repeated floor(ell * n**a) times.
 
@@ -249,7 +322,7 @@ def make_repeat_instance(spec: RepeatBlockSpec, n: int) -> tuple[BitString, Patt
     return BitString(arr), PatternSpan(offset=0, period=r, copies=f)
 
 
-@dataclass(frozen=True)
+@frozen
 class RunFractionSpec:
     """Recipe for strings with a fixed run count and run lengths ~ fractions[i] * n."""
 

@@ -9,11 +9,9 @@ them; RngSpec, the seeding recipe, lives in kernel and is re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, frozen
 from .kernel import RngSpec, _mask_block
 
 
@@ -54,7 +52,7 @@ class DeletionMask:
         return int(self._flags.sum())
 
 
-@dataclass(frozen=True)
+@frozen
 class MaskedTrace:
     """A trace together with the channel realization that produced it."""
 

@@ -17,7 +17,9 @@ Every failure is one line on stderr, never a traceback.  Exit codes:
 
 OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set: no
 deltrace routine calls BLAS, and the worker pool numpy would otherwise start
-is only start-up and exit cost.
+is only start-up and exit cost.  The imports run with the garbage collector
+off and end by freezing what they built; the collector's previous state is
+then restored, so a host that had switched it off finds it still off.
 """
 
 from __future__ import annotations
@@ -30,7 +32,17 @@ import sys
 # OpenBLAS's worker threads and 96 ms without them (medians of 15 processes).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .harness import ExperimentConfig, InfeasibleError, run_mode
+# No collector pass walks the heap while the imports build it (about 30
+# passes, 4-7 ms).  Freezing their objects afterwards also resets the
+# allocation count, so no pass is owed to the first allocation after them.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .harness import ExperimentConfig, InfeasibleError, run_mode
+finally:
+    gc.freeze()
+    if _collecting:
+        gc.enable()
 
 _COMMANDS = {
     "exact": ("exact", "evaluate the closed-form probabilities for one instance"),

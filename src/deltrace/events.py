@@ -23,11 +23,11 @@ then reads the clean runs only if some trace wiped none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
-from .bits import BitString, PatternSpan, RunProfile, span_matches
+from .bits import BitString, PatternSpan, RunProfile, frozen, span_matches
 from .channel import MaskedTrace
 from .kernel import _covered_runs, _RunTables, _span_wiped
 
@@ -54,7 +54,14 @@ def _span_windows(span: PatternSpan):
     return [(span.offset + j * span.period, span.period) for j in range(span.copies)]
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=1)
+def _profile_tables(lengths: tuple[int, ...]) -> _RunTables:
+    """Run coverage's tables for one profile's run lengths, kept for the last
+    lengths asked for, so a loop over one source's trace sets builds them once."""
+    return _RunTables(np.asarray(lengths, dtype=np.int64))
+
+
+@frozen
 class EventReport:
     """Event outcomes for one trace set: pattern witness per declared span,
     plus run coverage with its per-run detail."""
@@ -71,11 +78,11 @@ def detect_events(traces: list[MaskedTrace], spans: list[PatternSpan], profile: 
     flags = _flags_matrix(traces, profile.total)
     # some trace deleted no copy of the span outright
     witness = tuple(not _span_wiped(flags, span).all() for span in spans)
-    per_run = _covered_runs(flags[np.newaxis], _RunTables(np.asarray(profile.lengths, dtype=np.int64)))[0][0]
+    per_run = _covered_runs(flags[np.newaxis], _profile_tables(profile.lengths))[0][0]
     return EventReport(witness, tuple(per_run.tolist()))
 
 
-@dataclass(frozen=True)
+@frozen
 class SandwichPattern:
     """A contiguous window outer^left_copies + inner + outer^right_copies.
 
@@ -130,7 +137,7 @@ class SandwichPattern:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class AdjacentPattern:
     """A contiguous window left^left_copies + right^right_copies of two
     distinct blocks.  If every trace deletes one of the aligned copies
@@ -180,7 +187,7 @@ class AdjacentPattern:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class AmbiguityWitness:
     """Proof that a trace set cannot single out the source: a competing
     source of the same length from which every trace could equally arise.

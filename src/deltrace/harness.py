@@ -14,7 +14,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .bits import (
     RepeatBlockSpec,
     RunFractionSpec,
     _run_lengths,
+    frozen,
     make_repeat_instance,
     make_run_instance,
 )
@@ -89,7 +89,7 @@ def _check_keys(obj: dict, allowed: set, where: str):
     _require(not unknown, f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-@dataclass(frozen=True)
+@frozen
 class _Instance:
     """A concrete source string with everything the estimators consume:
     lengths is its run table, the length of each maximal run of s in order."""
@@ -99,7 +99,7 @@ class _Instance:
     lengths: np.ndarray
 
 
-@dataclass(frozen=True)
+@frozen
 class SourceSpec:
     """The config's source: a recipe from the bits layer plus the length n.
 
@@ -179,7 +179,7 @@ class SourceSpec:
         return _Instance(s, span, lengths)
 
 
-@dataclass(frozen=True)
+@frozen
 class ExperimentConfig:
     mode: str
     source: SourceSpec
@@ -307,7 +307,7 @@ def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, min(center - spread, freq)), min(1.0, max(center + spread, freq)))
 
 
-@dataclass(frozen=True)
+@frozen
 class EstimateRow:
     estimator: str
     n: int
@@ -584,7 +584,7 @@ def estimate_event_probs(config: ExperimentConfig) -> list[EstimateRow]:
 SUMMARY_OFFENDERS = 20
 
 
-@dataclass(frozen=True)
+@frozen
 class AuditReport:
     trials: int
     counts: dict[str, int]

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, PatternSpan
+from .bits import BitString, PatternSpan, frozen
 
 # Uniforms one mask draw holds at once.  The harness's Monte Carlo kernel also
 # sizes its blocks by it: B = max(1, BLOCK_ELEMENTS // (T * n)) trials share
@@ -94,7 +93,7 @@ def _pcg64_seed_words(seed: int, first: int, size: int) -> np.ndarray:
     return out.view("<u8")
 
 
-@dataclass(frozen=True)
+@frozen
 class RngSpec:
     """Deterministic randomness recipe.
 

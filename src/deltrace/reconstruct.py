@@ -6,12 +6,10 @@ budget of the kernel's uniqueness oracle, which decides instead of counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernel
-from .bits import BitString, _bits_of, _run_lengths, is_subsequence
+from .bits import BitString, _bits_of, _run_lengths, frozen, is_subsequence
 from .kernel import InfeasibleError, _check_budget, _distinct, _matchers, _state_keys
 
 FIRST_BIT_MISMATCH = "first-bit mismatch"
@@ -19,7 +17,7 @@ LENGTH_MISMATCH = "length mismatch"
 EMPTY_TRACE_SET = "empty trace set"
 
 
-@dataclass(frozen=True)
+@frozen
 class ReconstructionResult:
     """Either a reconstructed string or a named failure reason."""
 
@@ -135,7 +133,7 @@ def consistent_sources(n: int, traces) -> list[BitString]:
     return _sources(n, children, counts, budget)
 
 
-@dataclass(frozen=True)
+@frozen
 class SufficiencyVerdict:
     """Is the trace set enough to single out its source?  consistent_count
     is the number of length-n candidates embedding every trace; a witness is

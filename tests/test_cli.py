@@ -278,6 +278,16 @@ def test_main_freezes_the_collector(runs_config, unfrozen):
     assert gc.get_freeze_count() > 0
 
 
+@pytest.mark.parametrize("host_collects", [True, False])
+def test_import_leaves_the_collector_as_found(host_collects):
+    # the imports run with the collector off and end frozen; a host that had
+    # switched the collector off before importing the command finds it still off
+    code = ("import gc\n" + ("" if host_collects else "gc.disable()\n")
+            + "import deltrace.cli\nprint(gc.isenabled(), gc.get_freeze_count() > 0)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == f"{host_collects} True\n", proc.stderr
+
+
 # numpy 2 loads numpy.random on first use, about 10 ms with secrets and hmac;
 # only montecarlo and audit draw anything, so only they may pay for it.  Any
 # other numpy submodule loaded on first use (numpy.ma for np.unique, numpy.char

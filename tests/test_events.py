@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltrace import kernel
+from deltrace import events, kernel
 from deltrace.bits import BitString, PatternSpan, RepeatBlockSpec, make_repeat_instance, run_decompose
 from deltrace.channel import DeletionMask, MaskedTrace, RngSpec, apply_mask, sample_traces
 from deltrace.events import AdjacentPattern, SandwichPattern, detect_ambiguities, detect_events
@@ -313,3 +313,24 @@ class TestMonotonicity:
             assert after or not before
         if covered_head:
             assert covered_full
+
+
+def test_each_profile_gets_its_own_run_tables():
+    # equal run counts, different lengths: the cached tables of one profile
+    # must not answer for the other
+    s = BitString("0011100")
+    mask = DeletionMask([1, 1, 0, 0, 0, 0, 0])
+    trace = MaskedTrace(apply_mask(s, mask), mask, len(s))
+    assert detect_events([trace], [], run_decompose(s)).per_run == (False, False, False)  # run 0 wiped
+    other = BitString("0001100")
+    trace = MaskedTrace(apply_mask(other, mask), mask, len(other))
+    assert detect_events([trace], [], run_decompose(other)).per_run == (False, True, True)
+
+
+def test_repeated_calls_on_one_profile_build_the_run_tables_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(events, "_RunTables", lambda lengths: built.append(lengths) or kernel._RunTables(lengths))
+    profile = run_decompose(BitString("0110001111"))
+    traces = sample_traces(BitString("0110001111"), 0.3, 4, RngSpec(11))
+    reports = {detect_events(traces, [], profile) for _ in range(3)}
+    assert len(reports) == 1 and len(built) == 1

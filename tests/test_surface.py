@@ -4,7 +4,10 @@ load their submodule on first use.  Every public name has a reader outside
 its own module, and the oracle's budget is the one README documents."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
+import math
 import re
 import subprocess
 import sys
@@ -273,3 +276,103 @@ def test_span_past_the_end_does_not_match():
     assert span_matches(s, dt.PatternSpan(offset=2, period=2, copies=2))
     assert not span_matches(s, dt.PatternSpan(offset=3, period=2, copies=2))
     assert not span_matches(s, dt.PatternSpan(offset=6, period=2, copies=1))
+
+
+def test_no_module_imports_dataclasses():
+    # dataclass(frozen=True) compiles its methods from source at every import;
+    # the value types use bits.frozen, which compiles nothing
+    found = [f"{path.stem}:{node.lineno}" for path in sorted((ROOT / "src" / "deltrace").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import) and "dataclasses" in [alias.name.split(".")[0] for alias in node.names]
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def _value_types():
+    from deltrace import channel, harness
+    from deltrace.analytics import METHODS
+
+    runs = dt.RunFractionSpec(0, (0.5, 0.5))
+    # class: (a valid construction by keyword, a field change __post_init__ refuses, or None)
+    return {
+        dt.RunProfile: (dict(first_bit=0, lengths=(2, 1)), dict(first_bit=2)),
+        dt.PatternSpan: (dict(offset=1, period=2, copies=3), dict(offset=-1)),
+        dt.RepeatBlockSpec: (dict(pattern=dt.BitString("01"), ell=0.5, a=1.0), dict(ell=0.0)),
+        dt.RunFractionSpec: (dict(first_bit=1, fractions=(0.25, 0.75)), dict(fractions=(0.5, 0.4))),
+        dt.ProbReport: (dict(value=0.5, ln_value=math.log(0.5), method=min(METHODS), flags=()), dict(value=1.5)),
+        dt.TraceCount: (dict(ln_value=2.0, exact=7), dict(ln_value=math.inf)),
+        dt.ThresholdParams: (dict(r=2, ell=0.5, p=0.3), dict(r=0)),
+        harness._Instance: (dict(s=dt.BitString("0011"), span=dt.PatternSpan(0, 1, 2), lengths=(2, 2)), None),
+        harness.SourceSpec: (dict(recipe=runs, n=10), None),
+        dt.ExperimentConfig: (dict(mode="exact", source=harness.SourceSpec(runs, 10), p=0.3, traces=3), None),
+        dt.EstimateRow: (dict(estimator="x", n=4, p=0.3, t_or_c=3, a=None, value=0.5, ln_value=-0.7, ci=(0.4, 0.6)),
+                         dict(ci=(0.6, 0.7))),
+        dt.AuditReport: (dict(trials=3, counts={"breaches": 0}, offenders=(), rows=()), None),
+        dt.RngSpec: (dict(master_seed=5), dict(master_seed=-1)),
+        channel.MaskedTrace: (dict(trace=dt.BitString("1"), mask=dt.DeletionMask([True, False]), source_length=2),
+                              dict(source_length=3)),
+        dt.EventReport: (dict(pattern_witness=(True,), per_run=(False, True)), None),
+        dt.SandwichPattern: (dict(offset=0, outer=dt.BitString("01"), inner=dt.BitString("1"), left_copies=1,
+                                  right_copies=2), dict(inner=dt.BitString("01"))),
+        dt.AdjacentPattern: (dict(offset=0, left=dt.BitString("0"), left_copies=2, right=dt.BitString("1"),
+                                  right_copies=1), dict(right=dt.BitString("0"))),
+        dt.AmbiguityWitness: (dict(condition=1, pattern=None, alternative=dt.BitString("01")), None),
+        dt.ReconstructionResult: (dict(string=dt.BitString("01"), failure=None), dict(failure="x")),
+        dt.SufficiencyVerdict: (dict(consistent_count=1, witness=None), None),
+    }
+
+
+def test_value_types_cover_every_decorated_class():
+    decorated = {node.name for path in sorted((ROOT / "src" / "deltrace").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+                 and any(getattr(d, "id", None) == "frozen" for d in node.decorator_list)}
+    assert {cls.__name__ for cls in _value_types()} == decorated and len(decorated) == 20
+
+
+@pytest.mark.parametrize("cls", list(_value_types()), ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    # the contract of dataclass(frozen=True), checked against a dataclass
+    # with the same fields and defaults
+    kwargs, refused = _value_types()[cls]
+    names = list(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    reference = dataclasses.make_dataclass(cls.__qualname__, [
+        (name, object, dataclasses.field(default=defaults[name])) if name in defaults else (name, object)
+        for name in names], frozen=True)
+    assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] == \
+        [(p.name, p.default) for p in inspect.signature(reference).parameters.values()]
+    obj = cls(**kwargs)
+    values = tuple(getattr(obj, name) for name in names)
+    assert repr(obj) == repr(reference(*values))
+    # positional, keyword and default construction agree, and equal fields
+    # give equal objects with equal hashes
+    assert cls(*values) == obj == cls(**kwargs)
+    assert cls(**{name: value for name, value in kwargs.items()
+                  if name not in defaults or value is not defaults[name]}) == obj
+    try:
+        expected = hash(values)
+    except TypeError:  # a field holds a dict or an array, as dataclass refuses too
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == hash(cls(**kwargs)) == expected
+    # only the same class compares
+    assert obj.__eq__(values) is NotImplemented
+    assert all(obj.__eq__(other(**args)) is NotImplemented for other, (args, _) in _value_types().items()
+               if other is not cls)
+    if names[0] not in defaults:
+        with pytest.raises(TypeError, match=f"missing required arguments: '{names[0]}'"):
+            cls(**{name: value for name, value in kwargs.items() if name != names[0]})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'no_such_field'"):
+        cls(**kwargs, no_such_field=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+        cls(values[0], **{names[0]: values[0]})
+    with pytest.raises(TypeError, match="positional arguments"):
+        cls(*values, None)
+    if refused is not None:
+        with pytest.raises(ValueError):
+            cls(**{**kwargs, **refused})
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{names[0]}'"):
+        setattr(obj, names[0], values[0])
+    with pytest.raises(AttributeError, match=f"cannot delete field '{names[0]}'"):
+        delattr(obj, names[0])

@@ -2,14 +2,19 @@
 (_mask_block), the span witness (_span_wiped) and run coverage, on the
 shapes of the benchmark's mc-short and mc-long workloads (one block each),
 on mc-long's shape at p = 0.0005, where no trace wipes a run, and on span
-witnesses of periods 1 to 1500 over a 32 x 3000 mask.
+witnesses of periods 1 to 1500 over a 32 x 3000 mask.  Time also the
+command's start-up, `import deltrace.cli` in a fresh interpreter.
 
     python tools/stages.py [--against PATH] [--rounds N] [--reps N] [--out FILE]
 
 Each round starts one child process per tree: this checkout's src/ and,
 with --against, the src/ of another checkout (say the parent commit's), in
 alternating order.  A child builds every input once, times each case --reps
-times and reports the median and a sha256 of the case's output.  The report
+times and reports the median and a sha256 of the case's output.  Each round
+also times one `import deltrace.cli` per tree, in a bare interpreter under
+the caller's environment (so PYTHONDONTWRITEBYTECODE=1 compiles src/ on
+every import, as on the benchmark's machine), whose output is the list of
+deltrace modules it loaded.  The report
 gives each case's median and interquartile range over the rounds and, with
 --against, the median of the paired ratios (this tree over the other) and
 whether the outputs are equal.  It writes BENCH_stages.json into the working
@@ -23,6 +28,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,6 +44,13 @@ SHAPES = [
 ]
 PERIODS = (1, 3, 16, 17, 64, 70, 1500)
 SEED = 2024
+# run with -c, so the interpreter has loaded nothing of its own before the import
+STARTUP = """import time
+start = time.perf_counter()
+import deltrace.cli
+seconds = time.perf_counter() - start
+import json, sys
+print(json.dumps([seconds, sorted(name for name in sys.modules if name.startswith("deltrace"))]))"""
 
 
 def _cases():
@@ -100,6 +113,15 @@ def _run_child(src: Path, reps: int) -> dict:
     return json.loads(proc.stdout)
 
 
+def _startup(src: Path) -> list:
+    """[seconds, sha256 of the modules loaded] of one `import deltrace.cli`
+    from src/, in a fresh interpreter under the caller's environment."""
+    proc = subprocess.run([sys.executable, "-c", STARTUP], env={**os.environ, "PYTHONPATH": str(src)}, cwd=src,
+                          capture_output=True, text=True, check=True)
+    seconds, modules = json.loads(proc.stdout)
+    return [seconds, hashlib.sha256(" ".join(modules).encode()).hexdigest()]
+
+
 def _summary(rounds: list[dict]) -> dict:
     """Per case: the median and quartiles over rounds of the children's medians."""
     metrics = {}
@@ -125,7 +147,7 @@ def main(argv=None) -> int:
     rounds = [[] for _ in trees]
     for r in range(args.rounds):
         for k in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
-            rounds[k].append(_run_child(trees[k], args.reps))
+            rounds[k].append({**_run_child(trees[k], args.reps), "startup.import-cli": _startup(trees[k])})
     metrics = _summary(rounds[0])
     report = {"rounds": args.rounds, "reps": args.reps, "metrics": metrics}
     header = f"{'case':26} {'median ms':>10} {'iqr ms':>17}"
