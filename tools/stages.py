@@ -12,12 +12,12 @@ with --against, the src/ of another checkout (say the parent commit's), in
 alternating order.  A child builds every input once, times each case --reps
 times and reports the median and a sha256 of the case's output.  Each round
 also times one `import deltrace.cli` per tree, in a bare interpreter under
-the caller's environment (so PYTHONDONTWRITEBYTECODE=1 compiles src/ on
-every import, as on the benchmark's machine), whose output is the list of
-deltrace modules it loaded.  The report
-gives each case's median and interquartile range over the rounds and, with
---against, the median of the paired ratios (this tree over the other) and
-whether the outputs are equal.  It writes BENCH_stages.json into the working
+the caller's environment, whose output is the list of deltrace modules it
+loaded.  With PYTHONDONTWRITEBYTECODE=1 and no __pycache__ under src/,
+every such import compiles src/, as on the benchmark's machine; an existing
+__pycache__ is still read.  The report gives each case's median and
+interquartile range over the rounds and, with --against, the median of the
+paired ratios (this tree over the other) and whether the outputs are equal.  It writes BENCH_stages.json into the working
 directory (or --out), with metrics shaped like perfbench/run.py's.
 Stdlib and numpy only; it sets no bound, and CI does not run it.
 """
