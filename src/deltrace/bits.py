@@ -92,7 +92,8 @@ def frozen(cls):
     dataclass(frozen=True), which compiles its methods from generated source
     at every import.  The fields are the class's annotations in order, a
     class attribute of the same name giving the default.  Construction binds
-    them positionally or by keyword, then runs __post_init__ if the class has
+    them positionally or by keyword (a call that does not fit raises the
+    TypeError of inspect.Signature.bind), then runs __post_init__ if the class has
     one, which may set a field with object.__setattr__.  Instances compare
     equal, and hash alike, when they are of the same class with equal fields;
     the repr reads Name(field=value, ...); assignment and deletion raise
@@ -101,16 +102,23 @@ def frozen(cls):
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     if list(defaults) != list(names[len(names) - len(defaults):]):
         raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
+    fields, required = frozenset(names), frozenset(names) - defaults.keys()
     post_init = getattr(cls, "__post_init__", None)
-    where = f"{cls.__qualname__}.__init__()"
+    parameter = inspect.Parameter
+    signature = inspect.Signature(
+        [parameter(name, parameter.POSITIONAL_OR_KEYWORD, default=defaults.get(name, parameter.empty),
+                   annotation=cls.__annotations__[name]) for name in names], return_annotation=None)
 
     def values(self):
         return tuple(getattr(self, name) for name in names)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            args = _bound_fields(where, names, defaults, args, kwargs)
-        self.__dict__.update(zip(names, args))
+        if not kwargs and len(args) == len(names):
+            self.__dict__.update(zip(names, args))
+        elif not args and required <= kwargs.keys() <= fields:
+            self.__dict__.update(defaults, **kwargs)
+        else:  # a call mixing the two, or one that bind refuses with its TypeError
+            self.__dict__.update(defaults, **signature.bind(*args, **kwargs).arguments)
         if post_init is not None:
             post_init(self)
 
@@ -127,29 +135,8 @@ def frozen(cls):
 
     cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
     cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
-    parameter = inspect.Parameter
-    cls.__signature__ = inspect.Signature(
-        [parameter(name, parameter.POSITIONAL_OR_KEYWORD, default=defaults.get(name, parameter.empty),
-                   annotation=cls.__annotations__[name]) for name in names], return_annotation=None)
+    cls.__signature__ = signature
     return cls
-
-
-def _bound_fields(where: str, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
-    """The field values of one construction, in field order, or the TypeError
-    Python raises for a call that does not fit the fields."""
-    if len(args) > len(names):
-        raise TypeError(f"{where} takes {len(names) + 1} positional arguments but {len(args) + 1} were given")
-    values = dict(zip(names, args))
-    for name, value in kwargs.items():
-        if name not in names:
-            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-        if name in values:
-            raise TypeError(f"{where} got multiple values for argument {name!r}")
-        values[name] = value
-    missing = [repr(name) for name in names if name not in values and name not in defaults]
-    if missing:
-        raise TypeError(f"{where} missing required arguments: {', '.join(missing)}")
-    return [values[name] if name in values else defaults[name] for name in names]
 
 
 def _refuse_assignment(self, name, value):

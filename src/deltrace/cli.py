@@ -19,7 +19,12 @@ OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set: no
 deltrace routine calls BLAS, and the worker pool numpy would otherwise start
 is only start-up and exit cost.  The imports run with the garbage collector
 off and end by freezing what they built; the collector's previous state is
-then restored, so a host that had switched it off finds it still off.
+then restored, so a host that had switched it off finds it still off.  This
+happens on import, not in main: a host process that imports this module
+(pytest, a notebook) is left with its whole heap of that moment frozen for
+good, unreachable cycles included, and its other threads run without the
+collector while the imports last.  main freezes again, for what the caller
+built after the import.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ def _parse(argv: list[str]) -> tuple[str, str, dict]:
 
 
 def main(argv=None) -> int:
-    gc.freeze()  # interpreter exit then skips the collector's walk over every module's objects
+    gc.freeze()  # what was built since the import; interpreter exit then skips the collector's walk over them
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
         print(_HELP + "\n".join(f"  {name:<12}{text}" for name, (_, text) in _COMMANDS.items()))

@@ -328,6 +328,7 @@ def test_each_profile_gets_its_own_run_tables():
 
 
 def test_repeated_calls_on_one_profile_build_the_run_tables_once(monkeypatch):
+    events._profile_tables.cache_clear()  # an earlier test may have left these lengths cached
     built = []
     monkeypatch.setattr(events, "_RunTables", lambda lengths: built.append(lengths) or kernel._RunTables(lengths))
     profile = run_decompose(BitString("0110001111"))

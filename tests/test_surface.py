@@ -346,7 +346,7 @@ def test_value_type_contract(cls):
     assert repr(obj) == repr(reference(*values))
     # positional, keyword and default construction agree, and equal fields
     # give equal objects with equal hashes
-    assert cls(*values) == obj == cls(**kwargs)
+    assert cls(*values) == obj == cls(**kwargs) == cls(values[0], **dict(zip(names[1:], values[1:])))
     assert cls(**{name: value for name, value in kwargs.items()
                   if name not in defaults or value is not defaults[name]}) == obj
     try:
@@ -361,7 +361,7 @@ def test_value_type_contract(cls):
     assert all(obj.__eq__(other(**args)) is NotImplemented for other, (args, _) in _value_types().items()
                if other is not cls)
     if names[0] not in defaults:
-        with pytest.raises(TypeError, match=f"missing required arguments: '{names[0]}'"):
+        with pytest.raises(TypeError, match=f"missing a required argument: '{names[0]}'"):
             cls(**{name: value for name, value in kwargs.items() if name != names[0]})
     with pytest.raises(TypeError, match="unexpected keyword argument 'no_such_field'"):
         cls(**kwargs, no_such_field=1)
