@@ -102,7 +102,8 @@ def frozen(cls):
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     if list(defaults) != list(names[len(names) - len(defaults):]):
         raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
-    fields, required = frozenset(names), frozenset(names) - defaults.keys()
+    # after k positional arguments: the fields keywords may name, and those of them without a default
+    tails = [(frozenset(names[k:]), frozenset(names[k:]) - defaults.keys()) for k in range(len(names) + 1)]
     post_init = getattr(cls, "__post_init__", None)
     parameter = inspect.Parameter
     signature = inspect.Signature(
@@ -113,11 +114,10 @@ def frozen(cls):
         return tuple(getattr(self, name) for name in names)
 
     def __init__(self, *args, **kwargs):
-        if not kwargs and len(args) == len(names):
-            self.__dict__.update(zip(names, args))
-        elif not args and required <= kwargs.keys() <= fields:
+        if len(args) <= len(names) and tails[len(args)][1] <= kwargs.keys() <= tails[len(args)][0]:
             self.__dict__.update(defaults, **kwargs)
-        else:  # a call mixing the two, or one that bind refuses with its TypeError
+            self.__dict__.update(zip(names, args))
+        else:  # a call that does not fit the fields, which bind refuses with its TypeError
             self.__dict__.update(defaults, **signature.bind(*args, **kwargs).arguments)
         if post_init is not None:
             post_init(self)
