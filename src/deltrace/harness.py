@@ -38,6 +38,7 @@ from .bits import (
     frozen,
     make_repeat_instance,
     make_run_instance,
+    rounded_run_lengths,
 )
 from . import kernel
 from .kernel import (InfeasibleError, RngSpec, _covered_runs, _embedding_tables, _embeds_flipped, _mask_block,
@@ -173,10 +174,24 @@ class SourceSpec:
         else:
             s = recipe
         lengths = _run_lengths(s.bits)
-        if span is None:
-            longest = int(lengths.argmax())
-            span = PatternSpan(int(lengths[:longest].sum()), 1, int(lengths[longest]))
-        return _Instance(s, span, lengths)
+        return _Instance(s, _longest_run(lengths) if span is None else span, lengths)
+
+    def span_and_lengths(self) -> tuple[PatternSpan, np.ndarray]:
+        """instance()'s span and run lengths; a runs recipe gives them from
+        its rounded run lengths, without building the string."""
+        if not isinstance(self.recipe, RunFractionSpec):
+            instance = self.instance()
+            return instance.span, instance.lengths
+        self.run_count()  # every refusal instance() makes
+        lengths = np.array(rounded_run_lengths(self.recipe.fractions, self.n), dtype=np.int64)
+        return _longest_run(lengths), lengths
+
+
+def _longest_run(lengths: np.ndarray) -> PatternSpan:
+    """The first longest run of a run table, as a span of period 1: one copy
+    per bit of the run."""
+    longest = int(lengths.argmax())
+    return PatternSpan(int(lengths[:longest].sum()), 1, int(lengths[longest]))
 
 
 @frozen
@@ -460,10 +475,10 @@ def _simulate(config: ExperimentConfig, estimators, *, audit: bool = False):
     all trials (bit-equal to trial_rng(i)), so the counts do not depend on B.
     The mask is allocated once per run; each block draws into a [:size] view of
     it through _mask_block, which allocates its own buffer of uniforms per call
-    and compares it with p whenever the next piece would not fit and at the
-    block's end.  Run coverage's index arrays (kernel._RunTables) are built once
-    per run from the instance's run table, its run lengths; their starts also
-    place each audited pattern's junction bits.  Coverage first finds the traces
+    and compares it with p once it is full and at the block's end.  Run
+    coverage's index arrays (kernel._RunTables) are built once per run from the
+    instance's run table, its run lengths; their starts also place each
+    audited pattern's junction bits.  Coverage first finds the traces
     that wiped a run, and reads clean runs only on trials where some trace
     wiped none, unless the audit asks for their (trace, run) table.  The mask
     events, the oracle's verdicts (one call, see _sufficient_sets) and every
@@ -648,8 +663,7 @@ def _formula_rows(config: ExperimentConfig) -> list[EstimateRow]:
     if p in (0.0, 1.0):  # every route answers from p alone: a one-bit stand-in, not the source
         span, lengths = PatternSpan(0, 1, 1), [1]
     else:
-        instance = config.source.instance()
-        span, lengths = instance.span, instance.lengths
+        span, lengths = config.source.span_and_lengths()
     reports = [
         ("no-pattern-witness", prob_no_pattern_witness_exact(span.period, span.copies, p, count)),
         ("uncovered-run", prob_uncovered_run_mgf(lengths, p, count)),

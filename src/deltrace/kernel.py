@@ -4,18 +4,20 @@ run the mask stages on one trace set, and reconstruct's counting automaton
 reuses the matchers, state keys and budget.  The CLI loads none of those.
 
 _mask_block draws deletion masks, trial i from its own PCG64 stream
-(RngSpec), through a per-call buffer of at most BLOCK_ELEMENTS uniforms:
-trials fill it in order, piece by piece when larger than it, and it is
-compared with p whenever a piece would not fit, and at the end.  The span
-witness (_span_wiped) and run coverage (_covered_runs, over index arrays
-built once per run by _RunTables) read shifted contiguous ANDs of the mask
-(_window_and).  Coverage reads clean runs only on trials where some trace
-wiped no run.  The audit's (trace, run) table of clean runs, off which it
-reads its declared patterns, counts every run's deleted bits instead.  Run
-alignment (_run_alignment_misses), the uniqueness oracle (_sufficient) and
-the audit's embedding check (_embeds_flipped) read the kept bits only
-through the padded matchers (_matchers), the last two also through one pair
-of embedding tables (_embedding_tables).
+(RngSpec), whose seeded states RngSpec.block_rngs computes SEED_CHUNK trials
+at a time in one numpy pass (_pcg64_seeds).  It draws through a per-call
+buffer of at most BLOCK_ELEMENTS uniforms: each trial that fits it into its
+own row, the rows compared with p together, and a trial larger than it
+piece by piece.  The span witness (_span_wiped) and run coverage
+(_covered_runs, over index arrays built once per run by _RunTables) read
+shifted contiguous ANDs of the mask (_window_and).  Coverage reads clean
+runs only on trials where some trace wiped no run.  The audit's (trace,
+run) table of clean runs, off which it reads its declared patterns, counts
+every run's deleted bits instead.  Run alignment (_run_alignment_misses),
+the uniqueness oracle (_sufficient) and the audit's embedding check
+(_embeds_flipped) read the kept bits only through the padded matchers
+(_matchers), the last two also through one pair of embedding tables
+(_embedding_tables).
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from .bits import BitString, PatternSpan, frozen
 # shrink with the block, so 2^17 gains about 5% for four times the buffers.
 BLOCK_ELEMENTS = 1 << 15
 
-# Trial indexes whose PCG64 seeds RngSpec.block_rngs computes in one numpy
-# pass.  It does not follow the mask block: a pass costs about 175 us even for
-# one trial (8 trial_rng calls), and 0.5 us per trial at 512.  Larger chunks
-# save little more and hold more transients: at 4096 a 6000-trial mc-short
-# run peaked 0.7 MB higher than at 512.
+# Trial indexes whose seeded PCG64 states RngSpec.block_rngs computes in one
+# numpy pass (_pcg64_seeds).  It does not follow the mask block: a pass costs
+# about 80 us even for one trial (8 trial_rng calls), and 0.43 us per trial at
+# 512, of which 0.2 us builds the state and inc as Python ints (in process,
+# 2 cores, numpy 2.4).  At 2048 that falls to 0.29 us, but the transients
+# grow: a 6000-trial mc-short run peaked at 36.2 MB at 512, 37.2 at 2048 and
+# 38.3 at 4096 (the child's own ru_maxrss).
 SEED_CHUNK = 512
 
 # SeedSequence's hash constants (numpy.random.bit_generator, frozen by NEP 19
@@ -48,49 +52,77 @@ SEED_CHUNK = 512
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_M32 = (1 << 32) - 1
 
 
-def _hash_consts(value: int, mult: int, count: int) -> list[np.uint32]:
+def _hash_consts(value: int, mult: int, count: int) -> np.ndarray:
     out = [value]
     for _ in range(count):
         out.append(out[-1] * mult & _M32)
-    return [np.uint32(h) for h in out]
+    return np.array(out, dtype=np.uint32)[:, np.newaxis]
 
 
 # SeedSequence hashes 4 pool words, then 12 in the pool mix (consts A), and
 # draws 8 output words for 4 uint64 (consts B); hash k uses consts k and k + 1.
 _HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)
 _HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
+# uint64 scalars only, so that numpy 1.24's value-based promotion and numpy
+# 2's rules give the same uint64 results
+_U1, _U32, _U63, _LO32 = np.uint64(1), np.uint64(32), np.uint64(63), np.uint64(_M32)
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
+_MULT_LO_HALVES = np.uint64(_PCG_MULT >> 32 & _M32), np.uint64(_PCG_MULT & _M32)
 
 
 def _xshift(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-def _pcg64_seed_words(seed: int, first: int, size: int) -> np.ndarray:
-    """(size, 4) little-endian uint64: SeedSequence([seed, i]).generate_state(4, uint64)
-    for i in [first, first + size), the words PCG64 seeds itself from.
+def _mulhi(x: np.ndarray) -> np.ndarray:
+    """The high 64 bits of x * _MULT_LO, from four products of 32-bit halves,
+    each exact in uint64."""
+    c1, c0 = _MULT_LO_HALVES
+    x1, x0 = x >> _U32, x & _LO32
+    cross0, cross1 = x0 * c1, x1 * c0
+    carry = (x0 * c0 >> _U32) + (cross0 & _LO32) + (cross1 & _LO32)
+    return x1 * c1 + (cross0 >> _U32) + (cross1 >> _U32) + (carry >> _U32)
 
-    The entropy is the little-endian uint32 words of seed and then of i, each
-    at least one word; positions up to the pool size of 4 that it leaves
-    empty hash as 0, so zero-padding it to 4 words changes nothing."""
+
+def _pcg64_seeds(seed: int, first: int, size: int) -> tuple[list[int], list[int]]:
+    """(states, incs): for i in [first, first + size), the 128-bit state and
+    increment of PCG64(SeedSequence([seed, i])), as Python ints.
+
+    SeedSequence's entropy is the little-endian uint32 words of seed and then
+    of i, each at least one word; positions up to the pool size of 4 that it
+    leaves empty hash as 0, so zero-padding it to 4 words changes nothing.
+    Its generate_state(4, uint64) gives PCG64's seed and sequence, high word
+    first, from which PCG64 takes inc = 2 * seq + 1 and two LCG steps from
+    0, state = (seed + inc) * MULT + inc mod 2^128: done here on uint64
+    words."""
     idx = np.arange(first, first + size, dtype=np.uint64)
-    words = [np.full(size, w, dtype=np.uint32) for w in ([seed & _M32, seed >> 32] if seed >> 32 else [seed])]
-    words += [(idx & np.uint64(_M32)).astype(np.uint32), (idx >> np.uint64(32)).astype(np.uint32)]
-    words += [np.zeros(size, dtype=np.uint32)] * (4 - len(words))
-    pool = [_xshift((w ^ _HASH_A[k]) * _HASH_A[k + 1]) for k, w in enumerate(words)]
-    k = len(pool)
+    seed_words = [seed & _M32, seed >> 32] if seed >> 32 else [seed]
+    pool = np.zeros((4, size), dtype=np.uint32)
+    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, np.newaxis]
+    pool[len(seed_words)] = idx & _LO32
+    pool[len(seed_words) + 1] = idx >> _U32
+    pool = _xshift((pool ^ _HASH_A[:4]) * _HASH_A[1:5])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed = _xshift((pool[src] ^ _HASH_A[k]) * _HASH_A[k + 1])
-                pool[dst] = _xshift(_MIX_L * pool[dst] - _MIX_R * hashed)
-                k += 1
-    out = np.empty((size, 8), dtype="<u4")  # uint32 pairs read as little-endian uint64
-    for j in range(8):
-        out[:, j] = _xshift((pool[j % 4] ^ _HASH_B[j]) * _HASH_B[j + 1])
-    return out.view("<u8")
+        # the three other words, each mixed with its own hash of word src
+        dst, k = [d for d in range(4) if d != src], 4 + 3 * src
+        hashed = _xshift((pool[src] ^ _HASH_A[k : k + 3]) * _HASH_A[k + 1 : k + 4])
+        pool[dst] = _xshift(_MIX_L * pool[dst] - _MIX_R * hashed)
+    # output word j hashes pool word j % 4; uint64 word w is uint32 words 2w
+    # (low) and 2w + 1 (high)
+    out = _xshift((pool ^ _HASH_B[:8].reshape(2, 4, 1)) * _HASH_B[1:].reshape(2, 4, 1)).reshape(8, size)
+    s_hi, s_lo, i_hi, i_lo = out[::2].astype(np.uint64) | out[1::2].astype(np.uint64) << _U32
+    inc_hi, inc_lo = i_hi << _U1 | i_lo >> _U63, i_lo << _U1 | _U1
+    lo = s_lo + inc_lo
+    hi = s_hi + inc_hi + (lo < inc_lo)
+    hi = hi * _MULT_LO + lo * _MULT_HI + _mulhi(lo)
+    lo = lo * _MULT_LO + inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    words = np.stack([hi, lo, inc_hi, inc_lo]).astype(object)
+    state, inc = words[::2] << 64 | words[1::2]
+    return state.tolist(), inc.tolist()
 
 
 @frozen
@@ -127,8 +159,10 @@ class RngSpec:
 
         Every item is one reused Generator whose PCG64 state is set to trial
         i's when the item is taken, so draw from it before taking the next.
-        The state is set from one shared dict: only its state and inc words
-        change, and has_uint32 and uinteger stay 0, as seeding leaves them.
+        The states and increments come SEED_CHUNK trials at a time from one
+        numpy pass (_pcg64_seeds), so taking an item only stores two ints in
+        one shared dict and hands it to the state setter; has_uint32 and
+        uinteger stay 0, as seeding leaves them.
         """
         if first < 0 or size < 0 or first + size > 2**64:
             raise ValueError("trial indexes must lie in [0, 2**64)")
@@ -141,12 +175,8 @@ class RngSpec:
         words: dict[str, int] = {}
         state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
         for start in range(first, first + size, SEED_CHUNK):
-            seeds = _pcg64_seed_words(self.master_seed, start, min(SEED_CHUNK, first + size - start))
-            for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
-                # PCG64's seeding: inc = 2 * seq + 1, then two LCG steps from 0
-                inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-                words["state"] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
-                words["inc"] = inc
+            states, incs = _pcg64_seeds(self.master_seed, start, min(SEED_CHUNK, first + size - start))
+            for words["state"], words["inc"] in zip(states, incs):
                 bit_gen.state = state
                 yield rng
 
@@ -157,31 +187,36 @@ def _mask_block(rngs, p: float, out: np.ndarray) -> np.ndarray:
     It takes no more than B generators, so consecutive blocks can share one
     iterable.
 
-    Each trial draws its T * n uniforms in order into one flat float buffer
-    of min(B * T * n, BLOCK_ELEMENTS) values, at least one, allocated per
-    call, in pieces of at most its size, after what the buffer already
-    holds.  The buffer is compared with p into the flat view of out whenever
-    the next piece would not fit, and once at the end: a block that fits the
-    buffer is compared once, and a trial larger than it piece by piece.  The
+    Each trial draws its T * n uniforms in order into a float buffer of
+    min(B * T * n, BLOCK_ELEMENTS) values, at least one, allocated per call,
+    which is compared with p into out.  T * n against the buffer's size
+    picks the loop.  Trials that fit it (mc-short's and audit-oracle's) draw
+    each into its own row of a (rows, T * n) view of it, and the rows drawn
+    are compared once they fill it and at the end: a block that fits the
+    buffer is compared once.  A trial larger than the buffer (mc-long's)
+    draws in pieces of its size, each compared as soon as it is drawn.  The
     draws continue one stream, so trial k's flags are rng.random((T, n)) < p.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"deletion probability must be in [0, 1], got {p}")
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    uniforms = np.empty(max(1, min(out.size, BLOCK_ELEMENTS)))
-    flags = out.reshape(-1)  # a view: out is C-contiguous
-    size, values = uniforms.size, out.shape[1] * out.shape[2]
-    pieces = [min(size, values - r) for r in range(0, values, size)]
-    held = compared = 0
-    for _, rng in zip(out, rngs):
-        for piece in pieces:
-            if held + piece > size:
-                np.less(uniforms[:held], p, out=flags[compared : compared + held])
-                compared, held = compared + held, 0
-            rng.random(out=uniforms[held : held + piece])
-            held += piece
-    np.less(uniforms[:held], p, out=flags[compared : compared + held])
+    size, values = max(1, min(out.size, BLOCK_ELEMENTS)), out.shape[1] * out.shape[2]
+    flags = out.reshape(len(out), values)  # a view: out is C-contiguous
+    if values <= size:
+        uniforms = np.empty((size // max(1, values), values))
+        for first in range(0, len(out), len(uniforms)):
+            drawn = 0
+            for drawn, (row, rng) in enumerate(zip(uniforms[: len(out) - first], rngs), 1):
+                rng.random(out=row)
+            np.less(uniforms[:drawn], p, out=flags[first : first + drawn])
+        return out
+    uniforms = np.empty(size)
+    for trial, rng in zip(flags, rngs):
+        for at in range(0, values, size):
+            piece = uniforms[: min(size, values - at)]
+            rng.random(out=piece)
+            np.less(piece, p, out=trial[at : at + piece.size])
     return out
 
 

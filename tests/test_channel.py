@@ -132,6 +132,8 @@ class TestBlockRngs:
     @example(2**32, SEED_CHUNK - 2, 4)  # across a seeding chunk edge
     @example(2**32 - 1, 2**32 - 2, 4)  # across index 2**32
     @example(2**64 - 1, 2**64 - 2, 2)  # up to the last index
+    @example(7, 6, 1)  # both low-word adds of the state carry: seed + inc, then * MULT + inc
+    @example(7, 0, 1)  # the sequence's low word is >= 2**63: inc's high word takes its top bit
     def test_streams_equal_trial_rng(self, seed, first, size):
         spec = RngSpec(master_seed=seed)
         drawn = 0
@@ -152,10 +154,12 @@ class TestBlockRngs:
                 spec.block_rngs(first, size)
 
 
-# mask draw budgets around _mask_block's buffer: trials fill a buffer of
-# BLOCK_ELEMENTS values, at least one, in order, a trial larger than it piece
-# by piece, and it is compared whenever the next piece would not fit; "block"
-# compares once
+# mask draw budgets around _mask_block's buffer of BLOCK_ELEMENTS values, at
+# least one: trials that fit it draw each into its own row, and the rows are
+# compared once they fill it ("block" compares once, "block-1" twice when
+# B > 1, "trial" once per trial); a larger trial ("trial-1", and "row" or
+# "one" when it has more than one value) draws piece by piece, each piece
+# compared as drawn
 BUDGETS = {
     "one": lambda b, t, n: 1,
     "row": lambda b, t, n: n,

@@ -564,6 +564,27 @@ class TestRunMode:
         methods = [line.split(",")[-1] for line in lines[1:]]
         assert methods == ["exact-closed-form", "exact-closed-form", "exact-direct-sum"]
 
+    @pytest.mark.parametrize("fractions", [[0.3, 0.4, 0.3], [0.25, 0.25, 0.5], [0.5, 0.5], [0.1] * 10])
+    def test_exact_builds_no_runs_string(self, fractions, monkeypatch, capsys):
+        # a runs recipe's span and run lengths come from its rounded run
+        # lengths: the rows are those of the string's own run table
+        obj = {"mode": "exact", "source": {"kind": "runs", "first_bit": 1, "fractions": fractions, "n": 97},
+               "p": 0.3, "traces": 5}
+        assert run_mode(ExperimentConfig.from_dict(obj)) == 0
+        expected = capsys.readouterr().out
+        source = ExperimentConfig.from_dict(obj).source
+        instance = source.instance()
+
+        def refuse(*args):
+            raise AssertionError("exact built the source string")
+
+        monkeypatch.setattr(harness, "make_run_instance", refuse)
+        span, lengths = source.span_and_lengths()
+        assert span == instance.span and lengths.dtype == instance.lengths.dtype
+        assert np.array_equal(lengths, instance.lengths)
+        assert run_mode(ExperimentConfig.from_dict(obj)) == 0
+        assert capsys.readouterr().out == expected
+
     # runs [0.5, 0.5] at n = 800: ln P is about -2.2e-36, and inclusion-
     # exclusion loses 1 - P (ROADMAP items 1 and 10); the true ln_value is from
     # 3000-digit mpmath

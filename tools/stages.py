@@ -1,4 +1,5 @@
-"""Time the Monte Carlo kernel's mask stages in process: the mask draw
+"""Time the Monte Carlo kernel's stages in process: the stream seeding
+(RngSpec.block_rngs over mc-short's 6000 trials), the mask draw
 (_mask_block), the span witness (_span_wiped) and run coverage, on the
 shapes of the benchmark's mc-short and mc-long workloads (one block each),
 on mc-long's shape at p = 0.0005, where no trace wipes a run, and on span
@@ -16,9 +17,11 @@ the caller's environment, whose output is the list of deltrace modules it
 loaded.  With PYTHONDONTWRITEBYTECODE=1 and no __pycache__ under src/,
 every such import compiles src/, as on the benchmark's machine; an existing
 __pycache__ is still read.  The report gives each case's median and
-interquartile range over the rounds and, with --against, the median of the
-paired ratios (this tree over the other) and whether the outputs are equal.  It writes BENCH_stages.json into the working
-directory (or --out), with metrics shaped like perfbench/run.py's.
+interquartile range over the rounds (the seeding also in us per trial)
+and, with --against, the median of the paired ratios (this tree over the
+other) and whether the outputs are equal.  It writes BENCH_stages.json
+into the working directory (or --out), with metrics shaped like
+perfbench/run.py's.
 Stdlib and numpy only; it sets no bound, and CI does not run it.
 """
 
@@ -44,6 +47,7 @@ SHAPES = [
 ]
 PERIODS = (1, 3, 16, 17, 64, 70, 1500)
 SEED = 2024
+STREAM_TRIALS = 6000  # mc-short's trials
 # run with -c, so the interpreter has loaded nothing of its own before the import
 STARTUP = """import time
 start = time.perf_counter()
@@ -68,15 +72,24 @@ def _cases():
     else:
         def coverage(flags, runs):
             return kernel._covered_runs(flags, runs)[0]
+
+    def streams(rngs):  # each stream's first 64-bit word
+        return np.fromiter((rng.bit_generator.random_raw() for rng in rngs), np.uint64, STREAM_TRIALS)
+
     spec = kernel.RngSpec(SEED)
-    cases = []
+    cases = [("streams.mc-short", lambda: (spec.block_rngs(0, STREAM_TRIALS),), streams)]
     for name, source, p, t_count in SHAPES:
         instance = SourceSpec.from_dict(source, allow_missing_n=False).instance()
         n = len(instance.s)
         block = max(1, kernel.BLOCK_ELEMENTS // (t_count * n))
         masks = np.empty((block, t_count, n), dtype=bool)
-        cases.append((f"mask.{name}", lambda b=block, p=p, m=masks: ([spec.trial_rng(i) for i in range(b)], p, m),
-                      kernel._mask_block))
+
+        # mc-short's block seeds its streams as the kernel does; a one-trial
+        # block would time a whole seeding pass, so mc-long's are built untimed
+        def prepare(b=block, p=p, m=masks, seeded=name == "mc-short"):
+            return (spec.block_rngs(0, b) if seeded else [spec.trial_rng(i) for i in range(b)]), p, m
+
+        cases.append((f"mask.{name}", prepare, kernel._mask_block))
         flags = kernel._mask_block(map(spec.trial_rng, range(block)), p, masks.copy())
         runs = kernel._RunTables(instance.lengths)
         cases.append((f"span.{name}", lambda f=flags, s=instance.span: (f, s), kernel._span_wiped))
@@ -156,6 +169,7 @@ def main(argv=None) -> int:
         report["against"] = {"path": str(args.against), "metrics": other}
         header += f" {'against ms':>10} {'ratio':>6} same output"
     print(header)
+    metrics["streams.mc-short"]["us_per_trial"] = metrics["streams.mc-short"]["value"] / STREAM_TRIALS * 1e6
     for name, metric in metrics.items():
         line = f"{name:26} {metric['value'] * 1e3:10.4f} {metric['iqr'][0] * 1e3:8.4f}-{metric['iqr'][1] * 1e3:<8.4f}"
         if args.against:
@@ -163,7 +177,7 @@ def main(argv=None) -> int:
             metric["ratio"] = statistics.median(a[name][0] / b[name][0] for a, b in zip(*rounds))
             metric["same_output"] = metric["sha256"] == other[name]["sha256"]
             line += f" {other[name]['value'] * 1e3:10.4f} {metric['ratio']:6.3f} {metric['same_output']}"
-        print(line)
+        print(line + (f" ({metric['us_per_trial']:.3f} us per trial)" if "us_per_trial" in metric else ""))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
